@@ -36,6 +36,40 @@ IMPORT = "import ndpa, ndpa.cli"
 TIMED_IMPORT = ("import time; t = time.perf_counter(); " + IMPORT
                 + "; print(time.perf_counter() - t)")
 
+# The host's speed drifts by up to a factor of two over seconds to
+# minutes, in CPU time as much as in wall time and on each CPU apart, so
+# no choice of samples within a run makes raw times steady from run to
+# run.  The main thread therefore runs on one CPU, and every timed
+# interval is divided by the time of a fixed calibration loop run beside
+# it on that CPU and multiplied by CAL_REF_S: a reported time is the time
+# the work takes on a host where the loop takes CAL_REF_S.
+CAL_REF_S = 0.005
+CAL_STEPS = 1500
+FRESH_SAMPLES = 2  # of setup_s and of cold_run_s per cycle
+
+
+def calibrate() -> float:
+    """Time a fixed loop of interpreter work and small numpy calls, the
+    mix that dominates the package's operations."""
+    import numpy as np
+    x = np.arange(8.0)
+    start = perf_counter()
+    for _ in range(CAL_STEPS):
+        x = np.sin(x) * 0.5 + x[::-1]
+    return perf_counter() - start
+
+
+def steady_calibration() -> float:
+    """The median of three calibrations, beside a fresh interpreter."""
+    return statistics.median(calibrate() for _ in range(3))
+
+
+def scaled(seconds: float, cal_before: float, cal_after: float) -> float:
+    """``seconds`` at the reference host speed, from the calibrations
+    taken just before and just after it."""
+    return seconds * 2.0 * CAL_REF_S / (cal_before + cal_after)
+
+
 def child_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=SRC, **{v: THREADS for v in BLAS_VARS})
 
@@ -45,44 +79,65 @@ def child(argv: list[str]) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, check=True, timeout=120)
 
 
-def fresh_interpreters(cold_argv: list[str]) -> dict[str, float]:
+def fresh_interpreters(cold_argv: list[str]) -> dict[str, list[float]]:
     """``setup_s``: a fresh interpreter imports ndpa and ndpa.cli.
 
     ``cold_run_s``: wall time of one CLI command in a fresh interpreter.
+    Both are scaled to the reference host speed.
     """
-    setup = float(child(["-c", TIMED_IMPORT]).stdout.split()[-1])
-    start = perf_counter()
-    child(["-m", "ndpa.cli", *cold_argv])
-    return {"setup_s": setup, "cold_run_s": perf_counter() - start}
+    cal = steady_calibration()
+    setup, cold = [], []
+    for _ in range(FRESH_SAMPLES):
+        seconds = float(child(["-c", TIMED_IMPORT]).stdout.split()[-1])
+        cal, before = steady_calibration(), cal
+        setup.append(scaled(seconds, before, cal))
+        start = perf_counter()
+        child(["-m", "ndpa.cli", *cold_argv])
+        seconds = perf_counter() - start
+        cal, before = steady_calibration(), cal
+        cold.append(scaled(seconds, before, cal))
+    return {"setup_s": setup, "cold_run_s": cold}
 
 
-def scipy_integrate_import() -> dict[str, float]:
-    """Cumulative import time of scipy.integrate, from ``python -X importtime``."""
+def scipy_integrate_import() -> dict[str, list[float]]:
+    """Cumulative import time of scipy.integrate, from ``python -X importtime``,
+    scaled to the reference host speed."""
     seconds = 0.0
+    cal = steady_calibration()
     for line in child(["-X", "importtime", "-c", IMPORT]).stderr.splitlines():
         fields = line.split("|")
         if len(fields) == 3 and fields[2].strip() == "scipy.integrate":
             seconds = int(fields[1]) / 1e6
-    return {"import.scipy_integrate_s": seconds}
+    return {"import.scipy_integrate_s": [scaled(seconds, cal, steady_calibration())]}
 
 
-def run_pass(ops) -> tuple[list[float], list[tuple[object, str]]]:
-    """Time every operation once, then check its output outside the timer."""
-    times, failures = [], []
+def run_pass(ops) -> tuple[list[float], list[float], list[tuple[object, str]]]:
+    """Time every operation once, then check its output outside the timer.
+
+    Returns the raw times, the calibrations (one before the first
+    operation and one after each) and the failures.
+    """
+    times, cals, failures = [], [calibrate()], []
     for op in ops:
         start = perf_counter()
         try:
             out = op.run()
         except Exception as exc:  # a raising operation is a failed one; go on
             times.append(perf_counter() - start)
+            cals.append(calibrate())
             failures.append((op, f"raised {type(exc).__name__}: {exc}"))
             continue
         times.append(perf_counter() - start)
+        cals.append(calibrate())
         problem = op.check(out)
         del out
         if problem:
             failures.append((op, problem))
-    return times, failures
+    return times, cals, failures
+
+
+def scaled_pass(times: list[float], cals: list[float]) -> list[float]:
+    return [scaled(t, before, after) for t, before, after in zip(times, cals, cals[1:])]
 
 
 def measure(ops, seconds: float, tracer, fresh) -> tuple[list, dict[str, float]]:
@@ -96,30 +151,30 @@ def measure(ops, seconds: float, tracer, fresh) -> tuple[list, dict[str, float]]
     warm-up too, is checked and counted.
     """
     child(["-c", IMPORT])  # writes the bytecode caches of a fresh checkout
-    passes, samples = [], []
+    passes, samples = [], {}
 
     def one(traced: bool):
         if traced:
             tracer.new_pass()
             tracer.install()
         try:
-            times, failures = run_pass(ops)
+            times, cals, failures = run_pass(ops)
         finally:
             if traced:
                 tracer.uninstall()
-        passes.append((traced, times, failures))
+        passes.append((traced, times, cals, failures))
 
     start = perf_counter()
     one(False)
     while True:
-        plain = sum(1 for traced, _, _ in passes[1:] if not traced)
-        traced = sum(1 for t, _, _ in passes[1:] if t)
+        plain = sum(1 for p in passes[1:] if not p[0])
+        traced = sum(1 for p in passes[1:] if p[0])
         enough = plain >= MIN_TIMED_PASSES and (tracer is None or traced >= MIN_TIMED_PASSES)
         if enough and perf_counter() - start >= seconds:
-            return passes, {key: statistics.median(s[key] for s in samples)
-                            for key in samples[0]}
+            return passes, {key: statistics.median(v) for key, v in samples.items()}
         one(tracer is not None and traced < plain)
-        samples.append(fresh())
+        for key, values in fresh().items():
+            samples.setdefault(key, []).extend(values)
 
 
 def main(argv=None) -> int:
@@ -136,6 +191,9 @@ def main(argv=None) -> int:
     os.environ.update({v: THREADS for v in BLAS_VARS})
     sys.path.insert(0, SRC)
     import numpy as np
+    # the main thread, and the fresh interpreters it starts, stay on one
+    # CPU, the one the calibrations measure; numpy's BLAS threads stay free
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     import ndpa
     if not os.path.abspath(ndpa.__file__).startswith(SRC + os.sep):
         print(f"error: imported ndpa from {ndpa.__file__}, not from {SRC}",
@@ -161,22 +219,32 @@ def main(argv=None) -> int:
         except OSError:
             pass  # another run still writes there
 
-    failures = [f for _, _, fs in passes for f in fs]
+    failures = [f for *_, fs in passes for f in fs]
     for op, problem in failures:
         print(f"{'known fault' if op.known_fault else 'FAILED'}: {op.name}: {problem}",
               file=sys.stderr)
-    # per-operation medians over the timed passes damp bursts of host load
-    plain = [times for traced, times, _ in passes[1:] if not traced]
-    op_s = [statistics.median(samples) for samples in zip(*plain)]
+    # each operation's median over the timed passes, at the reference speed
+    plain = [p for p in passes[1:] if not p[0]]
+    op_s = [statistics.median(samples) for samples in
+            zip(*(scaled_pass(times, cals) for _, times, cals, _ in plain))]
     wall_s = sum(op_s)
+    print(f"{args.workload}: raw median pass {statistics.median(sum(p[1]) for p in plain):.4g} s, "
+          f"median calibration {1e3 * statistics.median(c for p in plain for c in p[2]):.4g} ms "
+          f"(reference {1e3 * CAL_REF_S:g} ms)", file=sys.stderr)
     if args.trace:
-        traced = [(tracer.passes[i], sum(times)) for i, times in
-                  enumerate(times for t, times, _ in passes if t)]
-        per_pass = [tracing.layer_metrics(spans, wall) for spans, wall in traced]
+        traced = [p for p in passes if p[0]]
+        per_pass = []
+        for spans, (_, times, cals, _) in zip(tracer.passes, traced):
+            # span times to the reference speed, with the pass's median calibration
+            factor = CAL_REF_S / statistics.median(cals)
+            for span in spans:
+                span[tracing.START] *= factor
+                span[tracing.END] *= factor
+            per_pass.append(tracing.layer_metrics(spans, sum(scaled_pass(times, cals))))
         for key in per_pass[0]:
             metrics[key] = statistics.median(m[key] for m in per_pass)
         traced_op_s = [statistics.median(samples) for samples in
-                       zip(*(times for t, times, _ in passes if t))]
+                       zip(*(scaled_pass(times, cals) for _, times, cals, _ in traced))]
         metrics["trace.overhead_s"] = sum(traced_op_s) - wall_s
     else:
         metrics["wall_s"] = wall_s
