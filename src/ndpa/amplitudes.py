@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .weinorman import DerivedScalars, WeiNormanCoefficients
+from .weinorman import DerivedScalars, WeiNormanCoefficients, _real
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,8 @@ def vacuum_prob(d: DerivedScalars, n: int) -> float:
     """p_nn for the initial vacuum: y^n / x (diagonal outcomes only)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return math.exp(-d.log_x)
-    if d.log_y == -math.inf:
-        return 0.0
-    return math.exp(n * d.log_y - d.log_x)
+    log_y_term = n * d.log_y if n > 0 else 0.0  # y^0 = 1, also at y = 0
+    return _real(np.exp(log_y_term - d.log_x))
 
 
 def fock11_prob(d: DerivedScalars, n: int) -> float:
@@ -141,31 +138,22 @@ def fock11_prob(d: DerivedScalars, n: int) -> float:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return math.exp(d.log_y - d.log_x) if d.log_y > -math.inf else 0.0
-    if d.log_y == -math.inf:
-        return 1.0 if n == 1 else 0.0
-    core = n * math.exp(-d.log_x) - d.y
-    return math.exp((n - 1) * d.log_y - d.log_x) * core * core
+        return _real(np.exp(d.log_y - d.log_x))
+    core = n * np.exp(-d.log_x) - d.y
+    log_y_term = (n - 1) * d.log_y if n > 1 else 0.0
+    return _real(np.exp(log_y_term - d.log_x) * core * core)
 
 
 def amode_prob(d: DerivedScalars, psi: PureAModeState,
                outcome: FockOutcome) -> float:
     """p_mn for |psi>_a (x) |0>_b; phase-independent by construction."""
     m, n = outcome.m, outcome.n
-    if n < m or n - m >= len(psi.probs):
-        return 0.0
-    p_src = psi.probs[n - m]
-    if p_src == 0.0:
-        return 0.0
+    if n < m or n - m >= len(psi.probs) or psi.probs[n - m] == 0.0:
+        return _real(np.zeros(np.shape(d.log_x)))
     log_binom = gammaln(n + 1.0) - gammaln(n - m + 1.0) - gammaln(m + 1.0)
-    if m == 0:
-        log_y_term = 0.0
-    elif d.log_y == -math.inf:
-        return 0.0
-    else:
-        log_y_term = m * d.log_y
-    return math.exp(math.log(p_src) + log_binom + log_y_term
-                    - (n - m + 1) * d.log_x)
+    log_y_term = m * d.log_y if m > 0 else 0.0
+    return _real(np.exp(math.log(psi.probs[n - m]) + log_binom + log_y_term
+                        - (n - m + 1) * d.log_x))
 
 
 def reduced_density_b(d: DerivedScalars, psi: PureAModeState, m: int) -> float:
@@ -241,12 +229,11 @@ def coherent_revival_prob(c: WeiNormanCoefficients,
     locate the non-revival peaks of p_ba for irrational k^2.
     """
     alpha, beta = pair.alpha, pair.beta
-    e_a0 = cmath.exp(c.a_zero)
-    gap = 2.0 - 2.0 * e_a0.real
+    gap = 2.0 - 2.0 * np.exp(c.a_zero).real
     log_p = (-(abs(alpha) ** 2 + abs(beta) ** 2) * gap
              + 2.0 * (alpha * beta * (c.a_minus + np.conj(c.a_plus))).real
              + 2.0 * c.a_zero.real)
-    return math.exp(log_p), abs(gap)
+    return _real(np.exp(log_p)), _real(np.abs(gap))
 
 
 def coherent_mean_numbers(c: WeiNormanCoefficients, d: DerivedScalars,

@@ -3,7 +3,8 @@
 Verbs: evolve, prob, observable, figure <name>, sweep, oracle-check.
 Every output table uses the dimensionless time ``gt`` as its first column;
 infinities are written as the literal token ``inf`` so the files round-trip
-through standard plotting tools.
+through standard plotting tools.  Each table is evaluated column by column
+over its whole time grid from one set of grid coefficients.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from .observables import (cross_correlation_fock, cross_correlation_general,
                           squeezing_kernel)
 from .oracle import (OracleConfig, coherent_state, evolve_truncated,
                      fock_state, oracle_probability)
-from .weinorman import derived_scalars, solve_analytic
+from .weinorman import (DerivedScalars, WeiNormanCoefficients,
+                        derived_scalars, scalars, solve_analytic,
+                        solve_analytic_grid)
 
 
 class ScenarioError(ValueError):
@@ -62,24 +65,11 @@ class Scenario:
         return np.linspace(t0, t1, steps)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, np.floating):
-        value = float(value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, header, rows):
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
     if path is None or path == "-":
         emit(sys.stdout)
@@ -88,15 +78,25 @@ def write_csv(path, header, rows):
             emit(fh)
 
 
+def _write(path, header, columns):
+    """Write equal-length value columns as CSV rows; returns (header, rows)."""
+    rows = np.column_stack(columns).tolist()
+    write_csv(path, header, rows)
+    return header, rows
+
+
+def _grid(params: ModelParams, times):
+    """Coefficients and derived scalars over a whole time grid."""
+    return (solve_analytic_grid(params, times),
+            DerivedScalars(*scalars(params.k, params.g * times)))
+
+
 def _default_params(args) -> ModelParams:
-    g = args.g
-    omega_a = args.omega_a
-    omega_b = args.omega_b
     if args.omega is not None:
-        return ModelParams(omega_a=omega_a, omega_b=omega_b, g=g,
-                           omega=args.omega)
-    k2 = args.k2 if args.k2 is not None else 1.5
-    return ModelParams.from_k2(k2, g=g, omega_a=omega_a, omega_b=omega_b)
+        return ModelParams(omega_a=args.omega_a, omega_b=args.omega_b,
+                           g=args.g, omega=args.omega)
+    return ModelParams.from_k2(args.k2, g=args.g, omega_a=args.omega_a,
+                               omega_b=args.omega_b)
 
 
 def _parse_state(args):
@@ -117,235 +117,176 @@ def _parse_state(args):
                         "(expected fock:r,s | coherent:a,b | poisson:alpha)")
 
 
-# -- per-row evaluators ------------------------------------------------------
+# -- scenario columns --------------------------------------------------------
 
 
-def _eval_probability(scn: Scenario, t: float):
-    c = solve_analytic(scn.params, t)
-    d = derived_scalars(scn.params, t)
+def _probability(scn: Scenario, c, d):
     state = scn.initial
     if isinstance(state, CoherentPair):
-        prob, _ = coherent_revival_prob(c, state)
-        return [prob]
+        return ["p_return"], [coherent_revival_prob(c, state)[0]]
     m, n = scn.options.get("outcome", (0, 0))
-    if isinstance(state, FockPair):
-        if state == FockPair(1, 1) and m == n:
-            return [fock11_prob(d, n)]
-        if state == FockPair(0, 0) and m == n:
-            return [vacuum_prob(d, n)]
-        return [abs(fock_amplitude(c, state, FockOutcome(m, n))) ** 2]
-    return [amode_prob(d, state, FockOutcome(m, n))]
+    outcome = FockOutcome(m, n)
+    if not isinstance(state, FockPair):
+        column = amode_prob(d, state, outcome)
+    elif state == FockPair(1, 1) and m == n:
+        column = fock11_prob(d, n)
+    elif state == FockPair(0, 0) and m == n:
+        column = vacuum_prob(d, n)
+    else:  # a scalar alternating sum, mapped over the grid point by point
+        coeffs = zip(c.t.tolist(), c.a_plus.tolist(), c.a_minus.tolist(),
+                     c.a_zero.tolist())
+        column = np.array([abs(fock_amplitude(WeiNormanCoefficients(*point),
+                                              state, outcome)) ** 2
+                           for point in coeffs])
+    return [f"p_{m}{n}"], [column]
 
 
-def _eval_observable(scn: Scenario, t: float):
-    name = scn.observable
-    params, state = scn.params, scn.initial
-    c = solve_analytic(params, t)
-    d = derived_scalars(params, t)
-    if name == "mean":
-        if isinstance(state, FockPair):
-            return list(mean_photon_fock(d, state))
-        tab = second_moments(state, c)
-        return [tab.mean_a, tab.mean_b]
-    if name == "mandel_q":
-        if isinstance(state, FockPair):
-            return [mandel_q_fock(d, state)]
-        return [mandel_q_coherent(second_moments(state, c))]
-    if name == "correlation":
-        if isinstance(state, FockPair):
-            return list(cross_correlation_fock(d, state))
-        return list(cross_correlation_general(second_moments(state, c)))
+_OBSERVABLES = ("correlation", "eta", "mandel_q", "mean", "rho", "variance")
+
+
+def _columns(scn: Scenario):
+    """(labels, value columns) of the scenario over its whole time grid."""
+    name, state = scn.observable, scn.initial
+    c, d = _grid(scn.params, scn.times())
+    if name == "probability":
+        return _probability(scn, c, d)
     if name == "variance":
-        theta = scn.options.get("theta", 0.0)
-        kernel = squeezing_kernel(params, theta, t)
-        return [quadrature_variance(kernel, state)]
+        kernel = squeezing_kernel(scn.params, scn.options.get("theta", 0.0), c.t)
+        return ["var_x"], [quadrature_variance(kernel, state)]
     if name == "rho":
         if not isinstance(state, FockPair):
             raise ScenarioError("rho is defined for Fock initial states")
-        return [snr_rho_fock(d, state)]
+        return ["rho"], [snr_rho_fock(d, state)]
     if name == "eta":
         if not isinstance(state, CoherentPair):
             raise ScenarioError("eta is defined for coherent initial states")
         report = snr_eta_coherent(c, d, state)
-        return [report.eta, report.yuen_bound]
-    raise ScenarioError(f"unknown observable {name!r}")
-
-
-_OBSERVABLE_HEADERS = {
-    "mean": ["mean_a", "mean_b"],
-    "mandel_q": ["mandel_q"],
-    "correlation": ["f", "F"],
-    "variance": ["var_x"],
-    "rho": ["rho"],
-    "eta": ["eta", "yuen_bound"],
-}
+        return ["eta", "yuen_bound"], [report.eta, report.yuen_bound]
+    if name not in _OBSERVABLES:
+        raise ScenarioError(f"unknown observable {name!r}")
+    fock = isinstance(state, FockPair)
+    tab = None if fock else second_moments(state, c)
+    if name == "mean":
+        means = mean_photon_fock(d, state) if fock else (tab.mean_a, tab.mean_b)
+        return ["mean_a", "mean_b"], list(means)
+    if name == "mandel_q":
+        return ["mandel_q"], [mandel_q_fock(d, state) if fock
+                              else mandel_q_coherent(tab)]
+    return ["f", "F"], list(cross_correlation_fock(d, state) if fock
+                            else cross_correlation_general(tab))
 
 
 def run(scenario: Scenario):
     """Evaluate the scenario on its grid; returns (header, rows) and writes CSV."""
-    if scenario.observable == "probability":
-        evaluate = _eval_probability
-        if isinstance(scenario.initial, CoherentPair):
-            header = ["gt", "p_return"]
-        else:
-            m, n = scenario.options.get("outcome", (0, 0))
-            header = ["gt", f"p_{m}{n}"]
-    else:
-        evaluate = _eval_observable
-        header = ["gt"] + _OBSERVABLE_HEADERS.get(scenario.observable, ["value"])
-
-    g = scenario.params.g
-    rows = [[g * t] + evaluate(scenario, t) for t in scenario.times()]
-    write_csv(scenario.output, header, rows)
-    return header, rows
+    labels, columns = _columns(scenario)
+    return _write(scenario.output, ["gt"] + labels,
+                  [scenario.params.g * scenario.times()] + columns)
 
 
 def sweep(scenario: Scenario, parameter: str, values):
     """One output column per parameter value, sharing the time grid."""
-    times = scenario.times()
-    columns = []
-    labels = []
+    base = scenario.params
+    subs = []
     for value in values:
         if parameter == "k2":
-            params = ModelParams.from_k2(float(value), g=scenario.params.g,
-                                         omega_a=scenario.params.omega_a,
-                                         omega_b=scenario.params.omega_b)
-            sub = Scenario(params=params, initial=scenario.initial,
-                           observable=scenario.observable, grid=scenario.grid,
-                           options=scenario.options)
-            labels.append(f"k2={value}")
+            params = ModelParams.from_k2(float(value), g=base.g,
+                                         omega_a=base.omega_a,
+                                         omega_b=base.omega_b)
+            subs.append((f"k2={value}", replace(scenario, params=params)))
         elif parameter == "theta":
             options = dict(scenario.options, theta=float(value))
-            sub = Scenario(params=scenario.params, initial=scenario.initial,
-                           observable=scenario.observable, grid=scenario.grid,
-                           options=options)
-            labels.append(f"theta={value}")
+            subs.append((f"theta={value}", replace(scenario, options=options)))
         else:
             raise ScenarioError(f"unknown sweep parameter {parameter!r}")
-        if scenario.observable == "probability":
-            columns.append([_eval_probability(sub, t)[0] for t in times])
-        else:
-            columns.append([_eval_observable(sub, t)[0] for t in times])
-    header = ["gt"] + labels
-    g = scenario.params.g
-    rows = [[g * t] + [col[i] for col in columns] for i, t in enumerate(times)]
-    write_csv(scenario.output, header, rows)
-    return header, rows
+    header = ["gt"] + [label for label, _ in subs]
+    return _write(scenario.output, header, [base.g * scenario.times()]
+                  + [_columns(sub)[1][0] for _, sub in subs])
 
 
 # -- figure presets ----------------------------------------------------------
+#
+# A preset is a time grid (g = 1, so t = gt) and its columns.  A column is
+# (label, k^2, function of the params, grid coefficients and derived scalars).
 
 
-def _figure_rows(name: str):
-    g = 1.0
-
-    def par(k2):
-        return ModelParams.from_k2(k2, g=g, omega_a=3.0, omega_b=2.0)
-
-    if name in ("fig1", "fig2"):
-        params = par(1.5 if name == "fig1" else 0.5)
-        tmax = 12.0 if name == "fig1" else 8.0
-        ts = np.linspace(0.0, tmax, 1201)
-        rows = []
-        for t in ts:
-            d = derived_scalars(params, t)
-            rows.append([t, fock11_prob(d, 1), fock11_prob(d, 3)])
-        return ["gt", "p_11", "p_33"], rows
-
-    if name == "fig3":
-        psi = PureAModeState.poisson(0.85)
-        ps, pb = par(1.5), par(0.5)
-        ts = np.linspace(0.0, 20.0, 2001)
-        rows = []
-        for t in ts:
-            rows.append([t,
-                         amode_prob(derived_scalars(ps, t), psi, FockOutcome(1, 2)),
-                         amode_prob(derived_scalars(pb, t), psi, FockOutcome(1, 2))])
-        return ["gt", "p_12_k2_1.5", "p_12_k2_0.5"], rows
-
-    if name == "fig4":
-        params = par(1.5)
-        pairs = [FockPair(50, 10), FockPair(50, 0), FockPair(1, 1)]
-        ts = np.linspace(0.01, 10.0, 1000)
-        rows = []
-        for t in ts:
-            d = derived_scalars(params, t)
-            rows.append([t] + [cross_correlation_fock(d, f)[1] for f in pairs])
-        return ["gt", "F_50_10", "F_50_0", "F_1_1"], rows
-
-    if name == "fig5":
-        p1, pair1 = par(9.0 / 5.0), CoherentPair(1.0, 1.0)
-        p2 = ModelParams(omega_a=3.0, omega_b=2.0, g=g,
-                         omega=5.0 + 2.0 * g * math.sqrt(math.pi))
-        pair2 = CoherentPair(5.0, 5.0)
-        ts = np.linspace(0.01, 50.0, 5000)
-        rows = []
-        for t in ts:
-            rows.append([t,
-                         coherent_revival_prob(solve_analytic(p1, t), pair1)[0],
-                         coherent_revival_prob(solve_analytic(p2, t), pair2)[0]])
-        return ["gt", "p_return_k2_1.8", "p_return_k2_pi"], rows
-
-    if name == "fig6":
-        params = par(1.5)
-        ts = np.linspace(0.01, 10.0, 1000)
-        rows = []
-        for t in ts:
-            d = derived_scalars(params, t)
-            rows.append([t,
-                         mandel_q_fock(d, FockPair(1, 0)),
-                         mandel_q_fock(d, FockPair(0, 1)),
-                         cross_correlation_fock(d, FockPair(1, 0))[1],
-                         cross_correlation_fock(d, FockPair(0, 1))[1]])
-        return ["gt", "q_10", "q_01", "F_10", "F_01"], rows
-
-    if name in ("fig7", "fig7log"):
-        params = par(9.0 / 5.0 if name == "fig7" else 0.5)
-        tmax = 15.0 if name == "fig7" else 14.0
-        ts = np.linspace(0.0, tmax, 1501)
-        rows = []
-        for t in ts:
-            v0 = squeezing_kernel(params, 0.0, t).t_sq
-            v90 = squeezing_kernel(params, math.pi / 2.0, t).t_sq
-            rows.append([t, math.sqrt(v0), math.sqrt(v90), math.sqrt(v0 * v90)])
-        return ["gt", "dx_0", "dx_90", "product"], rows
-
-    if name == "fig8":
-        params = par(10.0)
-        pair = CoherentPair(0.0, 3.0)
-        ts = np.linspace(0.01, 14.0, 1400)
-        rows = []
-        for t in ts:
-            rep = snr_eta_coherent(solve_analytic(params, t),
-                                   derived_scalars(params, t), pair)
-            rows.append([t, rep.eta, rep.yuen_bound])
-        return ["gt", "eta", "yuen_bound"], rows
-
-    if name == "fig9":
-        ps, pb = par(1.5), par(0.5)
-        ts = np.linspace(0.01, 10.0, 1000)
-        rows = []
-        for t in ts:
-            ds, db = derived_scalars(ps, t), derived_scalars(pb, t)
-            rows.append([t,
-                         snr_rho_fock(ds, FockPair(100, 1)),
-                         snr_rho_fock(ds, FockPair(1, 100)),
-                         snr_rho_fock(db, FockPair(100, 1)),
-                         snr_rho_fock(db, FockPair(1, 100))])
-        return ["gt", "rho_100_1_k2_1.5", "rho_1_100_k2_1.5",
-                "rho_100_1_k2_0.5", "rho_1_100_k2_0.5"], rows
-
-    raise ScenarioError(f"unknown figure preset {name!r}")
+def _par(k2):
+    return ModelParams.from_k2(k2, g=1.0, omega_a=3.0, omega_b=2.0)
 
 
-FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-                "fig7log", "fig8", "fig9")
+def _fock11(k2, tmax):
+    return np.linspace(0.0, tmax, 1201), [
+        ("p_11", k2, lambda p, c, d: fock11_prob(d, 1)),
+        ("p_33", k2, lambda p, c, d: fock11_prob(d, 3))]
+
+
+def _t_sq(p, c, theta):
+    return squeezing_kernel(p, theta, c.t).t_sq
+
+
+def _squeezing(k2, tmax):
+    return np.linspace(0.0, tmax, 1501), [
+        ("dx_0", k2, lambda p, c, d: np.sqrt(_t_sq(p, c, 0.0))),
+        ("dx_90", k2, lambda p, c, d: np.sqrt(_t_sq(p, c, math.pi / 2.0))),
+        ("product", k2, lambda p, c, d: np.sqrt(_t_sq(p, c, 0.0)
+                                                * _t_sq(p, c, math.pi / 2.0)))]
+
+
+def _p12(p, c, d):
+    return amode_prob(d, PureAModeState.poisson(0.85), FockOutcome(1, 2))
+
+
+def _big_f(r, s):
+    return lambda p, c, d: cross_correlation_fock(d, FockPair(r, s))[1]
+
+
+def _rho(r, s):
+    return lambda p, c, d: snr_rho_fock(d, FockPair(r, s))
+
+
+def _eta(key):
+    return lambda p, c, d: getattr(snr_eta_coherent(c, d, CoherentPair(0.0, 3.0)), key)
+
+
+_FIGURES = {
+    "fig1": _fock11(1.5, 12.0),
+    "fig2": _fock11(0.5, 8.0),
+    "fig3": (np.linspace(0.0, 20.0, 2001),
+             [("p_12_k2_1.5", 1.5, _p12), ("p_12_k2_0.5", 0.5, _p12)]),
+    "fig4": (np.linspace(0.01, 10.0, 1000), [
+        ("F_50_10", 1.5, _big_f(50, 10)),
+        ("F_50_0", 1.5, _big_f(50, 0)),
+        ("F_1_1", 1.5, _big_f(1, 1))]),
+    "fig5": (np.linspace(0.01, 50.0, 5000), [
+        ("p_return_k2_1.8", 9.0 / 5.0,
+         lambda p, c, d: coherent_revival_prob(c, CoherentPair(1.0, 1.0))[0]),
+        ("p_return_k2_pi", math.pi,
+         lambda p, c, d: coherent_revival_prob(c, CoherentPair(5.0, 5.0))[0])]),
+    "fig6": (np.linspace(0.01, 10.0, 1000), [
+        ("q_10", 1.5, lambda p, c, d: mandel_q_fock(d, FockPair(1, 0))),
+        ("q_01", 1.5, lambda p, c, d: mandel_q_fock(d, FockPair(0, 1))),
+        ("F_10", 1.5, _big_f(1, 0)),
+        ("F_01", 1.5, _big_f(0, 1))]),
+    "fig7": _squeezing(9.0 / 5.0, 15.0),
+    "fig7log": _squeezing(0.5, 14.0),
+    "fig8": (np.linspace(0.01, 14.0, 1400),
+             [("eta", 10.0, _eta("eta")),
+              ("yuen_bound", 10.0, _eta("yuen_bound"))]),
+    "fig9": (np.linspace(0.01, 10.0, 1000), [
+        ("rho_100_1_k2_1.5", 1.5, _rho(100, 1)),
+        ("rho_1_100_k2_1.5", 1.5, _rho(1, 100)),
+        ("rho_100_1_k2_0.5", 0.5, _rho(100, 1)),
+        ("rho_1_100_k2_0.5", 0.5, _rho(1, 100))]),
+}
+FIGURE_NAMES = tuple(_FIGURES)
 
 
 def run_figure(name: str, output=None):
-    header, rows = _figure_rows(name)
-    write_csv(output, header, rows)
-    return header, rows
+    if name not in _FIGURES:
+        raise ScenarioError(f"unknown figure preset {name!r}")
+    times, columns = _FIGURES[name]
+    grids = {k2: _grid(_par(k2), times) for k2 in {k2 for _, k2, _ in columns}}
+    return _write(output, ["gt"] + [label for label, _, _ in columns],
+                  [times] + [fn(_par(k2), *grids[k2]) for _, k2, fn in columns])
 
 
 # -- oracle cross-check ------------------------------------------------------
@@ -358,53 +299,54 @@ def oracle_check(params: ModelParams, t: float, cutoff: int, tol: float):
     """
     pump = HarmonicPump.from_params(params)
     cfg = OracleConfig(cutoff=cutoff, tol=min(tol * 1e-2, 1e-11))
-    c = solve_analytic(params, t)
     d = derived_scalars(params, t)
-    results = []
-
-    st = evolve_truncated(pump, params, fock_state(cutoff, 0, 0), t, cfg)
-    for n in (0, 1, 3):
-        results.append((f"vacuum p_{n}{n}", vacuum_prob(d, n),
-                        oracle_probability(st, n, n)))
-
-    st = evolve_truncated(pump, params, fock_state(cutoff, 1, 1), t, cfg)
-    for n in (1, 2):
-        results.append((f"fock(1,1) p_{n}{n}", fock11_prob(d, n),
-                        oracle_probability(st, n, n)))
-
     pair = CoherentPair(0.8, 0.5)
-    st = evolve_truncated(pump, params,
-                          coherent_state(cutoff, pair.alpha, pair.beta), t, cfg)
-    prob, _ = coherent_revival_prob(c, pair)
-    amp = 0j
-    n = np.arange(cutoff + 1)
-    dense = st.dense()
-    ca = np.exp(-0.5 * abs(pair.alpha) ** 2) * pair.alpha ** n \
-        / np.sqrt(np.vectorize(math.factorial, otypes=[float])(n))
-    cb = np.exp(-0.5 * abs(pair.beta) ** 2) * pair.beta ** n \
-        / np.sqrt(np.vectorize(math.factorial, otypes=[float])(n))
-    amp = np.conj(np.outer(ca, cb)).ravel() @ dense.ravel()
-    results.append(("coherent p_return", prob, abs(amp) ** 2))
 
+    vacuum = evolve_truncated(pump, params, fock_state(cutoff, 0, 0), t, cfg)
+    results = [(f"vacuum p_{n}{n}", vacuum_prob(d, n),
+                oracle_probability(vacuum, n, n)) for n in (0, 1, 3)]
+    fock11 = evolve_truncated(pump, params, fock_state(cutoff, 1, 1), t, cfg)
+    results += [(f"fock(1,1) p_{n}{n}", fock11_prob(d, n),
+                 oracle_probability(fock11, n, n)) for n in (1, 2)]
+    start = coherent_state(cutoff, pair.alpha, pair.beta)
+    amp = start.overlap(evolve_truncated(pump, params, start, t, cfg))
+    results.append(("coherent p_return",
+                    coherent_revival_prob(solve_analytic(params, t), pair)[0],
+                    abs(amp) ** 2))
     return [(label, a, b, abs(a - b)) for label, a, b in results]
 
 
 # -- argument parsing --------------------------------------------------------
 
+_MODEL = ("evolve", "prob", "observable", "sweep", "oracle-check")
+_GRID = ("evolve", "prob", "observable", "sweep")
 
-def _add_common(sub):
-    sub.add_argument("--k2", type=float, default=None,
-                     help="squared detuning parameter (default 1.5)")
-    sub.add_argument("--g", type=float, default=1.0, help="pump strength")
-    sub.add_argument("--omega-a", type=float, default=3.0, dest="omega_a")
-    sub.add_argument("--omega-b", type=float, default=2.0, dest="omega_b")
-    sub.add_argument("--omega", type=float, default=None,
-                     help="pump frequency (overrides --k2)")
-    sub.add_argument("--tmax", type=float, default=10.0)
-    sub.add_argument("--steps", type=int, default=1001)
-    sub.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    sub.add_argument("--cutoff", type=int, default=40)
-    sub.add_argument("--tol", type=float, default=1e-8)
+# (flag, verbs that read it, add_argument keywords); each verb takes only these
+_OPTIONS = [
+    ("--k2", _MODEL, dict(type=float, default=1.5,
+                          help="squared detuning parameter (default 1.5)")),
+    ("--g", _MODEL, dict(type=float, default=1.0, help="pump strength")),
+    ("--omega-a", _MODEL, dict(type=float, default=3.0, dest="omega_a")),
+    ("--omega-b", _MODEL, dict(type=float, default=2.0, dest="omega_b")),
+    ("--omega", _MODEL, dict(type=float, default=None,
+                             help="pump frequency (overrides --k2)")),
+    ("--tmax", _MODEL, dict(type=float, default=10.0)),
+    ("--steps", _GRID, dict(type=int, default=1001)),
+    ("--out", _GRID + ("figure",), dict(default=None,
+                                        help="output CSV path (default stdout)")),
+    ("--initial", ("prob", "observable", "sweep"),
+     dict(default="fock:1,1", help="fock:r,s | coherent:a,b | poisson:alpha")),
+    ("--m", ("prob", "sweep"),
+     dict(type=int, default=1, help="b-mode outcome occupation")),
+    ("--n", ("prob", "sweep"),
+     dict(type=int, default=1, help="a-mode outcome occupation")),
+    ("--theta", ("observable", "sweep"), dict(type=float, default=0.0)),
+    ("--cutoff", ("oracle-check",), dict(type=int, default=40)),
+    ("--tol", ("oracle-check",), dict(type=float, default=1e-8)),
+    ("--param", ("sweep",), dict(required=True, choices=("k2", "theta"))),
+    ("--values", ("sweep",),
+     dict(required=True, help="comma-separated parameter values")),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,48 +354,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ndpa",
         description="Two-mode parametric amplifier scenario runner (CSV output).")
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    p = subs.add_parser("evolve", help="tabulate the evolution coefficients")
-    _add_common(p)
-
-    p = subs.add_parser("prob", help="transition probability on a time grid")
-    _add_common(p)
-    p.add_argument("--initial", default="fock:1,1",
-                   help="fock:r,s | coherent:a,b | poisson:alpha")
-    p.add_argument("--m", type=int, default=1, help="b-mode outcome occupation")
-    p.add_argument("--n", type=int, default=1, help="a-mode outcome occupation")
-
-    p = subs.add_parser("observable", help="observable on a time grid")
-    _add_common(p)
-    p.add_argument("--initial", default="fock:1,1")
-    p.add_argument("--name", default="mean",
-                   choices=sorted(_OBSERVABLE_HEADERS))
-    p.add_argument("--theta", type=float, default=0.0)
-
-    p = subs.add_parser("figure", help="run a built-in figure preset")
-    p.add_argument("name", choices=FIGURE_NAMES)
-    p.add_argument("--out", default=None)
-
-    p = subs.add_parser("sweep", help="sweep one parameter of a scenario")
-    _add_common(p)
-    p.add_argument("--initial", default="fock:1,1")
-    p.add_argument("--name", default="probability",
-                   help="probability or an observable name")
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--param", required=True, choices=("k2", "theta"))
-    p.add_argument("--values", required=True,
-                   help="comma-separated parameter values")
-
-    p = subs.add_parser("oracle-check",
-                        help="closed forms vs the truncated propagator")
-    _add_common(p)
-
+    verbs = {
+        "evolve": subs.add_parser("evolve", help="tabulate the evolution coefficients"),
+        "prob": subs.add_parser("prob", help="transition probability on a time grid"),
+        "observable": subs.add_parser("observable", help="observable on a time grid"),
+        "figure": subs.add_parser("figure", help="run a built-in figure preset"),
+        "sweep": subs.add_parser("sweep", help="sweep one parameter of a scenario"),
+        "oracle-check": subs.add_parser(
+            "oracle-check", help="closed forms vs the truncated propagator"),
+    }
+    verbs["figure"].add_argument("name", choices=FIGURE_NAMES)
+    verbs["observable"].add_argument("--name", default="mean", choices=_OBSERVABLES)
+    verbs["sweep"].add_argument("--name", default="probability",
+                                help="probability or an observable name")
+    for flag, readers, keywords in _OPTIONS:
+        for verb in readers:
+            verbs[verb].add_argument(flag, **keywords)
     return parser
 
 
-def _scenario_from_args(args, observable: str) -> Scenario:
+def _scenario_from_args(args) -> Scenario:
     options = {}
     if hasattr(args, "m"):
         options["outcome"] = (args.m, args.n)
@@ -461,7 +381,7 @@ def _scenario_from_args(args, observable: str) -> Scenario:
         options["theta"] = args.theta
     return Scenario(params=_default_params(args),
                     initial=_parse_state(args),
-                    observable=observable,
+                    observable="probability" if args.verb == "prob" else args.name,
                     grid=(0.0, args.tmax, args.steps),
                     output=args.out,
                     options=options)
@@ -472,31 +392,19 @@ def main(argv=None) -> int:
     try:
         if args.verb == "evolve":
             params = _default_params(args)
-            ts = np.linspace(0.0, args.tmax, args.steps)
-            rows = []
-            for t in ts:
-                c = solve_analytic(params, t)
-                d = derived_scalars(params, t)
-                rows.append([params.g * t,
-                             c.a_plus.real, c.a_plus.imag,
-                             c.a_minus.real, c.a_minus.imag,
-                             c.a_zero.real, c.a_zero.imag,
-                             d.x, d.y, d.n0])
-            write_csv(args.out, ["gt", "re_a_plus", "im_a_plus", "re_a_minus",
-                                 "im_a_minus", "re_a_zero", "im_a_zero",
-                                 "x", "y", "n0"], rows)
-        elif args.verb == "prob":
-            run(_scenario_from_args(args, "probability"))
-        elif args.verb == "observable":
-            run(_scenario_from_args(args, args.name))
+            times = np.linspace(0.0, args.tmax, args.steps)
+            c, d = _grid(params, times)
+            _write(args.out, ["gt", "re_a_plus", "im_a_plus", "re_a_minus",
+                              "im_a_minus", "re_a_zero", "im_a_zero",
+                              "x", "y", "n0"],
+                   [params.g * times, c.a_plus.real, c.a_plus.imag,
+                    c.a_minus.real, c.a_minus.imag, c.a_zero.real,
+                    c.a_zero.imag, d.x, d.y, d.n0])
         elif args.verb == "figure":
             run_figure(args.name, args.out)
-        elif args.verb == "sweep":
-            values = [float(v) for v in args.values.split(",")]
-            sweep(_scenario_from_args(args, args.name), args.param, values)
         elif args.verb == "oracle-check":
-            params = _default_params(args)
-            results = oracle_check(params, args.tmax, args.cutoff, args.tol)
+            results = oracle_check(_default_params(args), args.tmax,
+                                   args.cutoff, args.tol)
             worst = max(diff for _, _, _, diff in results)
             for label, a, b, diff in results:
                 print(f"{label}: closed={a:.12g} oracle={b:.12g} diff={diff:.3e}")
@@ -505,6 +413,11 @@ def main(argv=None) -> int:
                       f"{args.tol:.3e}", file=sys.stderr)
                 return 1
             print(f"worst deviation {worst:.3e} within tolerance")
+        elif args.verb == "sweep":
+            values = [float(v) for v in args.values.split(",")]
+            sweep(_scenario_from_args(args), args.param, values)
+        else:
+            run(_scenario_from_args(args))
     except Exception as exc:  # argparse handles its own errors
         print(f"error: {exc}", file=sys.stderr)
         return 1

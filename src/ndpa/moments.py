@@ -99,7 +99,8 @@ def second_moments(state: FockPair | CoherentPair, c: WeiNormanCoefficients,
     The default frame is the interaction picture (matching the truncated
     propagator); pass ``params`` to include the free-evolution phases
     exp(-i omega t) in the mode operators.  Photon-number moments are
-    identical in both frames.
+    identical in both frames.  Coefficients on a time grid give moments
+    that are arrays over the grid.
     """
     u = np.exp(-np.conj(c.a_zero))
     phase_a = phase_b = 1.0
@@ -140,8 +141,6 @@ def second_moments(state: FockPair | CoherentPair, c: WeiNormanCoefficients,
                         for factor, (mode, dag) in pick:
                             coeff *= factor
                             (word_a if mode == "a" else word_b).append(dag)
-                        if coeff == 0:
-                            continue
                         total += coeff * eval_mode(tuple(word_a), tuple(word_b))
                     values[(p, q, r, s)] = total
     return MomentTable(values=values)

@@ -14,8 +14,8 @@ from .amplitudes import CoherentPair, FockPair, coherent_mean_numbers
 from .model import (DEFAULT_REGIME_EPS, ModelParams, RegimeError, RegimeTag,
                     classify_regime)
 from .moments import MomentTable
-from .weinorman import (DerivedScalars, WeiNormanCoefficients, coefficients,
-                        derived_scalars, scalars, solve_analytic)
+from .weinorman import (DerivedScalars, WeiNormanCoefficients, _real,
+                        scalars, solve_analytic)
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,22 @@ def mean_photon_fock(d: DerivedScalars, f: FockPair) -> tuple[float, float]:
     return f.r + pumped, f.s + pumped
 
 
+def _mandel_q(n0, f: FockPair):
+    r, s = f.r, f.s
+    n0 = np.asarray(n0, dtype=float)
+    num = n0 * 2.0 * r * s + n0 * n0 * (2.0 * r * s + r + s + 1.0) - r
+    den = r + n0 * (r + s + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _real(np.where(n0 == 0.0, -1.0 if r > 0 else 0.0, num / den))
+
+
 def mandel_q_fock(d: DerivedScalars, f: FockPair) -> float:
     """Mandel Q of the a mode for an initial Fock pair.
 
     Q(0) is -1 for r != 0 and 0 for r = 0 (the latter taken as the
     explicit n0 -> 0 limit of the closed form).
     """
-    r, s, n0 = f.r, f.s, d.n0
-    if n0 == 0.0:
-        return -1.0 if r > 0 else 0.0
-    num = n0 * 2.0 * r * s + n0 * n0 * (2.0 * r * s + r + s + 1.0) - r
-    den = r + n0 * (r + s + 1.0)
-    return num / den
+    return _mandel_q(d.n0, f)
 
 
 def mandel_q_fock_max(params: ModelParams, f: FockPair) -> float:
@@ -64,18 +68,23 @@ def mandel_q_fock_max(params: ModelParams, f: FockPair) -> float:
     k2 = params.k2
     if k2 <= 1.0:
         raise RegimeError("Q is unbounded above for k^2 <= 1")
-    n0_max = 1.0 / (k2 - 1.0)
-    r, s = f.r, f.s
-    num = n0_max * 2 * r * s + n0_max ** 2 * (2 * r * s + r + s + 1) - r
-    return num / (r + n0_max * (r + s + 1))
+    return _mandel_q(1.0 / (k2 - 1.0), f)
 
 
 def mandel_q_coherent(moments: MomentTable) -> float:
     """Mandel Q from the moment table; requires a nonzero mean."""
     mean = moments.mean_a
-    if mean == 0.0:
+    if np.any(mean == 0.0):
         raise ValueError("Mandel Q undefined at zero mean photon number")
-    return (moments.expect(2, 2, 0, 0).real - mean * mean) / mean
+    return _real((moments.expect(2, 2, 0, 0).real - mean * mean) / mean)
+
+
+def _ratio_f(f_value, mean_a, mean_b):
+    """(f, F) with F = f / sqrt(mean_a mean_b), NaN where a mean vanishes."""
+    denom = mean_a * mean_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big_f = np.where(denom > 0.0, f_value / np.sqrt(denom), np.nan)
+    return _real(f_value), _real(big_f)
 
 
 def cross_correlation_fock(d: DerivedScalars, f: FockPair) -> tuple[float, float]:
@@ -85,29 +94,23 @@ def cross_correlation_fock(d: DerivedScalars, f: FockPair) -> tuple[float, float
     t = 0 with r or s zero).
     """
     r, s, x, y = f.r, f.s, d.x, d.y
-    first = math.sqrt(r * (r - 1.0) + 4.0 * r * (s + 1.0) * y
-                      + (s + 1.0) * (s + 2.0) * y * y)
-    second = math.sqrt(s * (s - 1.0) + 4.0 * s * (r + 1.0) * y
-                       + (r + 1.0) * (r + 2.0) * y * y)
+    first = np.sqrt(r * (r - 1.0) + 4.0 * r * (s + 1.0) * y
+                    + (s + 1.0) * (s + 2.0) * y * y)
+    second = np.sqrt(s * (s - 1.0) + 4.0 * s * (r + 1.0) * y
+                     + (r + 1.0) * (r + 2.0) * y * y)
     bracket = (r * s + (r + 1.0) * (s + 1.0) * y * y
                + (r * s + r * (r + 1.0) + s * (s + 1.0)
                   + (r + 1.0) * (s + 1.0)) * y)
     f_value = x * x * (first * second - bracket)
-    mean_a, mean_b = mean_photon_fock(d, f)
-    if mean_a * mean_b <= 0.0:
-        return f_value, math.nan
-    return f_value, f_value / math.sqrt(mean_a * mean_b)
+    return _ratio_f(f_value, *mean_photon_fock(d, f))
 
 
 def cross_correlation_general(moments: MomentTable) -> tuple[float, float]:
     """(f, F) from the moment table; f < 0 certifies non-classical correlations."""
-    f_value = (math.sqrt(max(moments.expect(2, 2, 0, 0).real, 0.0))
-               * math.sqrt(max(moments.expect(0, 0, 2, 2).real, 0.0))
+    f_value = (np.sqrt(np.maximum(moments.expect(2, 2, 0, 0).real, 0.0))
+               * np.sqrt(np.maximum(moments.expect(0, 0, 2, 2).real, 0.0))
                - moments.expect(1, 1, 1, 1).real)
-    denom = moments.mean_a * moments.mean_b
-    if denom <= 0.0:
-        return f_value, math.nan
-    return f_value, f_value / math.sqrt(denom)
+    return _ratio_f(f_value, moments.mean_a, moments.mean_b)
 
 
 # -- quadrature squeezing ---------------------------------------------------
@@ -169,8 +172,8 @@ def squeezing_kernel(params: ModelParams, theta: float,
     x, y, _, _, _, _ = scalars(k, gt)
     phase = params.Omega * t - 2.0 * theta
     t_sq = x * (1.0 + y - 2.0 * (np.cos(phase) * G + np.sin(phase) * H))
-    return SqueezingKernel(theta=theta, t_sq=float(t_sq),
-                           g_kernel=float(G), h_kernel=float(H))
+    return SqueezingKernel(theta=theta, t_sq=_real(t_sq),
+                           g_kernel=_real(G), h_kernel=_real(H))
 
 
 def quadrature_variance(kernel: SqueezingKernel,
@@ -186,10 +189,7 @@ def squeezing_extrema(params: ModelParams, theta: float, t_range,
     """Local minima of |T_theta|^2 on (t0, t1), bracketed on a grid and refined."""
     t0, t1 = t_range
     ts = np.linspace(t0, t1, n_grid)
-    G, H = _gh_kernels(params.k, params.g * ts)
-    x, y, _, _, _, _ = scalars(params.k, params.g * ts)
-    phase = params.Omega * ts - 2.0 * theta
-    vals = x * (1.0 + y - 2.0 * (np.cos(phase) * G + np.sin(phase) * H))
+    vals = squeezing_kernel(params, theta, ts).t_sq
 
     def objective(t):
         return squeezing_kernel(params, theta, t).t_sq
@@ -232,12 +232,13 @@ class SnrReport:
 
 def snr_rho_fock(d: DerivedScalars, f: FockPair) -> float:
     """rho_a = mean / std of n_a(t); +inf at n0 = 0 with r > 0 (no Fock variance)."""
-    r, s, n0 = f.r, f.s, d.n0
-    if n0 == 0.0:
-        return math.inf if r > 0 else 0.0
-    return ((r + n0 * (r + s + 1.0))
-            / math.sqrt(n0 + n0 * n0)
-            / math.sqrt(2.0 * r * s + r + s + 1.0))
+    r, s = f.r, f.s
+    n0 = np.asarray(d.n0, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = ((r + n0 * (r + s + 1.0))
+               / np.sqrt(n0 + n0 * n0)
+               / math.sqrt(2.0 * r * s + r + s + 1.0))
+    return _real(np.where(n0 == 0.0, math.inf if r > 0 else 0.0, rho))
 
 
 def snr_rho_limit(f: FockPair) -> float:
@@ -311,7 +312,7 @@ def snr_eta_coherent(c: WeiNormanCoefficients, d: DerivedScalars,
                           - 2.0 * (alpha * beta * c.a_minus).real
                           + abs(beta) ** 2 * d.y)) / (d.n0 + 0.5)
     mean_a, _ = coherent_mean_numbers(c, d, pair)
-    return SnrReport(eta=float(eta),
+    return SnrReport(eta=_real(eta),
                      yuen_bound=4.0 * mean_a * (mean_a + 1.0),
                      mean_a=mean_a)
 

@@ -55,6 +55,11 @@ class TruncatedState:
     def total_norm(self) -> float:
         return float(sum(np.vdot(v, v).real for v in self.blocks.values()))
 
+    def overlap(self, other: "TruncatedState") -> complex:
+        """<self|other>, summed over the charge blocks both states hold."""
+        return complex(sum(np.vdot(vec, other.blocks[q])
+                           for q, vec in self.blocks.items() if q in other.blocks))
+
     def amplitude(self, n_a: int, n_b: int) -> complex:
         q = n_a - n_b
         vec = self.blocks.get(q)

@@ -62,6 +62,12 @@ class DerivedScalars:
     log_n0: float
 
 
+def _real(value):
+    """A float for a scalar input, a float array for a grid."""
+    value = np.asarray(value, dtype=float)
+    return float(value) if value.ndim == 0 else value
+
+
 def regime_angles(params: ModelParams,
                   epsilon: float = DEFAULT_REGIME_EPS) -> RegimeAngles:
     k = params.k

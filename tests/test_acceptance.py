@@ -223,10 +223,7 @@ def test_criterion_06_oracle_equivalence():
             worst = max(worst, scaled)
             assert scaled <= tol, (k2, pair, pattern)
         prob, _ = coherent_revival_prob(c, pair)
-        init = coherent_state(cutoff, pair.alpha, pair.beta)
-        amp = sum(np.vdot(init.blocks[qq], vec)
-                  for qq, vec in state.blocks.items()
-                  if qq in init.blocks)
+        amp = coherent_state(cutoff, pair.alpha, pair.beta).overlap(state)
         diff = abs(abs(amp) ** 2 - prob)
         worst = max(worst, diff)
         assert diff <= tol, (k2, pair)

@@ -1,10 +1,12 @@
 import csv
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from ndpa.cli import (FIGURE_NAMES, Scenario, ScenarioError, main, run,
-                      run_figure, sweep)
+from ndpa.cli import (FIGURE_NAMES, Scenario, ScenarioError, build_parser, main,
+                      run, run_figure, sweep)
 from ndpa.amplitudes import CoherentPair, FockPair
 from ndpa.model import ModelParams
 
@@ -45,6 +47,34 @@ def test_run_selector_mismatch():
                    grid=(0.0, 1.0, 2), output=None)
     with pytest.raises(ScenarioError):
         run(scn)
+    with pytest.raises(ScenarioError):
+        run(Scenario(params=params, initial=CoherentPair(0.8, 0.5),
+                     observable="rho", grid=(0.0, 1.0, 2), output=None))
+
+
+def test_main_zero_mean_mandel_q_errors(capsys):
+    assert main(["observable", "--name", "mandel_q", "--initial", "coherent:0,0",
+                 "--tmax", "1", "--steps", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--cutoff", "40"], ["prob", "--tol", "1e-8"],
+    ["observable", "--cutoff", "40"], ["sweep", "--param", "k2", "--values", "1",
+                                       "--tol", "1e-8"],
+    ["oracle-check", "--steps", "5"], ["oracle-check", "--out", "x.csv"]])
+def test_verbs_reject_options_they_do_not_read(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+                if line.startswith("ndpa ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_infinite_rho_serialized_as_inf(tmp_path):

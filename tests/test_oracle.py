@@ -87,12 +87,16 @@ def test_coherent_revival_probability():
     out = evolve_truncated(pump_for(params), params,
                            coherent_state(cutoff, pair.alpha, pair.beta),
                            t_rev, OracleConfig(cutoff=cutoff, tol=1e-12))
-    amp = 0j
-    init = coherent_state(cutoff, pair.alpha, pair.beta)
-    for q, vec in out.blocks.items():
-        if q in init.blocks:
-            amp += np.vdot(init.blocks[q], vec)
+    amp = coherent_state(cutoff, pair.alpha, pair.beta).overlap(out)
     assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-6)
+
+
+def test_overlap_sums_shared_blocks():
+    coh = coherent_state(12, 0.7, 0.4j)
+    assert coh.overlap(coh) == pytest.approx(coh.total_norm())
+    dense = np.vdot(coh.dense(), fock_state(12, 2, 1).dense())
+    assert coh.overlap(fock_state(12, 2, 1)) == pytest.approx(dense)
+    assert fock_state(12, 2, 1).overlap(fock_state(12, 1, 1)) == 0j
 
 
 def test_matches_vacuum_closed_form():
