@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .weinorman import DerivedScalars, WeiNormanCoefficients, _real
+from .weinorman import (DerivedScalars, WeiNormanCoefficients, _real,
+                        bogoliubov_pair)
 
 
 @dataclass(frozen=True)
@@ -122,26 +123,28 @@ def fock_amplitude(c: WeiNormanCoefficients, initial: FockPair,
     return total
 
 
-def vacuum_prob(d: DerivedScalars, n: int) -> float:
-    """p_nn for the initial vacuum: y^n / x (diagonal outcomes only)."""
-    if n < 0:
+def vacuum_prob(d: DerivedScalars, n) -> float:
+    """p_nn for the initial vacuum: y^n / x (diagonal outcomes only).
+
+    ``n`` may be an integer array when the scalars are not a grid.
+    """
+    n = np.asarray(n)
+    if np.any(n < 0):
         raise ValueError("n must be non-negative")
-    log_y_term = n * d.log_y if n > 0 else 0.0  # y^0 = 1, also at y = 0
-    return _real(np.exp(log_y_term - d.log_x))
+    with np.errstate(invalid="ignore"):  # y^0 = 1, also at y = 0
+        return _real(np.exp(np.where(n > 0, n * d.log_y, 0.0) - d.log_x))
 
 
-def fock11_prob(d: DerivedScalars, n: int) -> float:
+def fock11_prob(d: DerivedScalars, n) -> float:
     """p_nn for the initial |1,1> state: y^(n-1) (n/x - y)^2 / x.
 
-    The n = 0 value reduces to y/x (the formal 1/y power cancels).
+    y^(n-1) / x is the vacuum p_(n-1)(n-1).  The n = 0 value reduces to
+    y/x, the vacuum p_11 (the formal 1/y power cancels).
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return _real(np.exp(d.log_y - d.log_x))
+    n = np.asarray(n)
     core = n * np.exp(-d.log_x) - d.y
-    log_y_term = (n - 1) * d.log_y if n > 1 else 0.0
-    return _real(np.exp(log_y_term - d.log_x) * core * core)
+    p = vacuum_prob(d, np.where(n == 0, 1, n - 1))
+    return _real(np.where(n == 0, p, p * core * core))
 
 
 def amode_prob(d: DerivedScalars, psi: PureAModeState,
@@ -238,12 +241,13 @@ def coherent_revival_prob(c: WeiNormanCoefficients,
 
 def coherent_mean_numbers(c: WeiNormanCoefficients, d: DerivedScalars,
                           pair: CoherentPair) -> tuple[float, float]:
-    """Mean photon numbers (mode a, mode b) for an initial coherent pair."""
-    na = abs(pair.alpha) ** 2
-    nb = abs(pair.beta) ** 2
-    mean_a = (na + d.n0 * (na + nb + 1.0)
-              - 2.0 * (pair.alpha * pair.beta * c.a_minus).real * (1.0 + d.n0))
-    return mean_a, mean_a + nb - na
+    """Mean photon numbers (mode a, mode b) for an initial coherent pair.
+
+    <a+(t) a(t)> = |<a(t)>|^2 + |v|^2 with <a(t)> = u alpha + v conj(beta).
+    """
+    u, v = bogoliubov_pair(c)
+    mean_a = _real(np.abs(u * pair.alpha + v * np.conj(pair.beta)) ** 2 + d.n0)
+    return mean_a, mean_a + abs(pair.beta) ** 2 - abs(pair.alpha) ** 2
 
 
 # -- certified normalization sums -----------------------------------------
@@ -251,8 +255,6 @@ def coherent_mean_numbers(c: WeiNormanCoefficients, d: DerivedScalars,
 
 def vacuum_norm(d: DerivedScalars, tail: float = 1e-12) -> float:
     """sum_n p_nn for the vacuum start, truncated with a geometric tail < tail."""
-    if d.log_y == -math.inf:
-        return 1.0
     # tail bound: sum_{n>N} y^n/x = y^(N+1)/(x(1-y)); log(1-y) via expm1
     # so the bound survives y rounding to 1 deep below threshold
     log_one_minus_y = math.log(-math.expm1(d.log_y))
@@ -261,8 +263,7 @@ def vacuum_norm(d: DerivedScalars, tail: float = 1e-12) -> float:
         # too many terms to sum directly; the geometric sum in log form
         return math.exp(-d.log_x - log_one_minus_y
                         + math.log1p(-math.exp((int(needed) + 1) * d.log_y)))
-    n = np.arange(int(needed) + 2)
-    return float(np.exp(logsumexp(n * d.log_y - d.log_x)))
+    return float(vacuum_prob(d, np.arange(int(needed) + 2)).sum())
 
 
 def _tail_n2_geom(log_y: float, n_from: int) -> float:
@@ -294,13 +295,7 @@ def fock11_norm(d: DerivedScalars, tail: float = 1e-12) -> float:
         if bound < tail or n_max > 10_000_000:
             break
         n_max *= 2
-    n = np.arange(n_max + 1)
-    with np.errstate(divide="ignore"):
-        core = n * np.exp(-d.log_x) - d.y
-        logs = np.where(n == 0, d.log_y - d.log_x,
-                        (n - 1) * d.log_y - d.log_x)
-    vals = np.exp(logs) * np.where(n == 0, 1.0, core * core)
-    return float(vals.sum())
+    return float(fock11_prob(d, np.arange(n_max + 1)).sum())
 
 
 def amode_norm(d: DerivedScalars, psi: PureAModeState,

@@ -41,7 +41,8 @@ class ScenarioError(ValueError):
 class Scenario:
     """A runnable time-grid scenario.
 
-    ``initial`` is a tagged state: FockPair, CoherentPair or PureAModeState.
+    ``initial`` is a tagged state: FockPair, CoherentPair or PureAModeState,
+    or None for the ``coefficients`` table of the evolve verb.
     ``observable`` selects what is evaluated at each grid time and must be
     compatible with the state type.
     """
@@ -148,6 +149,11 @@ def _columns(scn: Scenario):
     """(labels, value columns) of the scenario over its whole time grid."""
     name, state = scn.observable, scn.initial
     c, d = _grid(scn.params, scn.times())
+    if name == "coefficients":  # the evolve table; reads no initial state
+        return (["re_a_plus", "im_a_plus", "re_a_minus", "im_a_minus",
+                 "re_a_zero", "im_a_zero", "x", "y", "n0"],
+                [c.a_plus.real, c.a_plus.imag, c.a_minus.real, c.a_minus.imag,
+                 c.a_zero.real, c.a_zero.imag, d.x, d.y, d.n0])
     if name == "probability":
         return _probability(scn, c, d)
     if name == "variance":
@@ -165,6 +171,9 @@ def _columns(scn: Scenario):
     if name not in _OBSERVABLES:
         raise ScenarioError(f"unknown observable {name!r}")
     fock = isinstance(state, FockPair)
+    if not (fock or isinstance(state, CoherentPair)):
+        raise ScenarioError(f"{name} needs a Fock or coherent initial state, "
+                            f"not {type(state).__name__}")
     tab = None if fock else second_moments(state, c)
     if name == "mean":
         means = mean_photon_fock(d, state) if fock else (tab.mean_a, tab.mean_b)
@@ -391,15 +400,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.verb == "evolve":
-            params = _default_params(args)
-            times = np.linspace(0.0, args.tmax, args.steps)
-            c, d = _grid(params, times)
-            _write(args.out, ["gt", "re_a_plus", "im_a_plus", "re_a_minus",
-                              "im_a_minus", "re_a_zero", "im_a_zero",
-                              "x", "y", "n0"],
-                   [params.g * times, c.a_plus.real, c.a_plus.imag,
-                    c.a_minus.real, c.a_minus.imag, c.a_zero.real,
-                    c.a_zero.imag, d.x, d.y, d.n0])
+            run(Scenario(params=_default_params(args), initial=None,
+                         observable="coefficients",
+                         grid=(0.0, args.tmax, args.steps), output=args.out))
         elif args.verb == "figure":
             run_figure(args.name, args.out)
         elif args.verb == "oracle-check":

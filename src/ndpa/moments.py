@@ -17,7 +17,7 @@ import numpy as np
 
 from .amplitudes import CoherentPair, FockPair
 from .model import ModelParams
-from .weinorman import WeiNormanCoefficients
+from .weinorman import WeiNormanCoefficients, bogoliubov_pair
 
 # elementary symbols: ("a", False) = a, ("a", True) = a-dagger, same for b
 
@@ -102,15 +102,14 @@ def second_moments(state: FockPair | CoherentPair, c: WeiNormanCoefficients,
     identical in both frames.  Coefficients on a time grid give moments
     that are arrays over the grid.
     """
-    u = np.exp(-np.conj(c.a_zero))
+    u, v = bogoliubov_pair(c)
     phase_a = phase_b = 1.0
     if params is not None:
         phase_a = np.exp(-1j * params.omega_a * c.t)
         phase_b = np.exp(-1j * params.omega_b * c.t)
-    vm = -np.conj(c.a_minus)
     # a(t) = u_a a + v_a b+ ; b(t) = u_b b + v_b a+
-    u_a, v_a = u * phase_a, u * phase_a * vm
-    u_b, v_b = u * phase_b, u * phase_b * vm
+    u_a, v_a = u * phase_a, v * phase_a
+    u_b, v_b = u * phase_b, v * phase_b
 
     combos = {
         "a": ((u_a, ("a", False)), (v_a, ("b", True))),

@@ -11,11 +11,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .amplitudes import CoherentPair, FockPair, coherent_mean_numbers
-from .model import (DEFAULT_REGIME_EPS, ModelParams, RegimeError, RegimeTag,
-                    classify_regime)
+from .model import ModelParams, RegimeError, RegimeTag, classify_regime
 from .moments import MomentTable
 from .weinorman import (DerivedScalars, WeiNormanCoefficients, _real,
-                        scalars, solve_analytic)
+                        bogoliubov_pair, solve_analytic, solve_analytic_grid)
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,9 @@ def heisenberg_a(params: ModelParams, t: float) -> BogoliubovCoefficients:
     The b-mode operator follows by swapping the roles of the modes; it has
     the same |u|, |v| with the omega_b free phase instead.
     """
-    c = solve_analytic(params, t)
-    u = np.exp(-np.conj(c.a_zero) - 1j * params.omega_a * t)
-    return BogoliubovCoefficients(u=complex(u),
-                                  v=complex(-u * np.conj(c.a_minus)), t=t)
+    u, v = bogoliubov_pair(solve_analytic(params, t))
+    phase = np.exp(-1j * params.omega_a * t)
+    return BogoliubovCoefficients(u=complex(u * phase), v=complex(v * phase), t=t)
 
 
 def mean_photon_fock(d: DerivedScalars, f: FockPair) -> tuple[float, float]:
@@ -126,54 +124,23 @@ class SqueezingKernel:
     h_kernel: float
 
 
-def _gh_kernels(k, gt, epsilon: float = DEFAULT_REGIME_EPS):
-    """Vectorized (G, H); the two detuning branches agree at k^2 = 1."""
-    k, gt = np.broadcast_arrays(np.asarray(k, dtype=float),
-                                np.asarray(gt, dtype=float))
-    k2 = k * k
-    sub = k2 < 1.0 - epsilon
-    sup = k2 > 1.0 + epsilon
-    crit = ~(sub | sup)
-
-    G = np.empty(k.shape)
-    H = np.empty(k.shape)
-    if np.any(sub):
-        ks, gts = k[sub], gt[sub]
-        q = np.sqrt(1.0 - ks * ks)
-        tan_g = ks / q
-        th = np.tanh(gts * q)
-        den = 1.0 + th * th * tan_g * tan_g
-        G[sub] = q * th * (1.0 + tan_g * tan_g) / den
-        H[sub] = tan_g * (1.0 - (1.0 - th * th) / den) * q
-    if np.any(sup):
-        ks, gts = k[sup], gt[sup]
-        q = np.sqrt(ks * ks - 1.0)
-        u = gts * q
-        td = q / ks  # tanh(delta)
-        tn = np.tan(u)
-        # rewrite in cos/sin to stay finite at the tan poles
-        cu, su = np.cos(u), np.sin(u)
-        den = su * su + td * td * cu * cu
-        G[sup] = q * su * cu * (1.0 - td * td) / den
-        H[sup] = q * (ks / q - td / den)
-    if np.any(crit):
-        ks, gts = k[crit], gt[crit]
-        s = np.sign(ks)
-        G[crit] = gts / (1.0 + gts * gts)
-        H[crit] = s * gts * gts / (1.0 + gts * gts)
-    return G, H
-
-
 def squeezing_kernel(params: ModelParams, theta: float,
                      t: float) -> SqueezingKernel:
-    """Quadrature kernel |T_theta|^2 = x [1 + y - 2(cos(Wt-2th) G + sin(Wt-2th) H)]."""
-    k, gt = params.k, params.g * t
-    G, H = _gh_kernels(k, gt)
-    x, y, _, _, _, _ = scalars(k, gt)
-    phase = params.Omega * t - 2.0 * theta
-    t_sq = x * (1.0 + y - 2.0 * (np.cos(phase) * G + np.sin(phase) * H))
-    return SqueezingKernel(theta=theta, t_sq=_real(t_sq),
-                           g_kernel=_real(G), h_kernel=_real(H))
+    """Quadrature kernel |T_theta|^2 = |u e^(i theta) + conj(v) e^(-i theta)|^2.
+
+    (u, v) is the Bogoliubov pair of the coefficients, and
+    G + iH = conj(A-) exp(2i Im A0 + i Omega t).  The kernel satisfies
+    |T_theta|^2 = x [1 + y - 2(cos(Wt-2th) G + sin(Wt-2th) H)].  A scalar
+    ``t`` is evaluated as a one-element grid, so that it rounds exactly
+    as the same time on a grid does.
+    """
+    c = solve_analytic_grid(params, np.atleast_1d(t))
+    u, v = bogoliubov_pair(c)
+    t_sq = np.abs(u * np.exp(1j * theta) + np.conj(v) * np.exp(-1j * theta)) ** 2
+    gh = np.conj(c.a_minus) * np.exp(2j * c.a_zero.imag + 1j * params.Omega * c.t)
+    t_sq, g, h = (_real(np.reshape(value, np.shape(t)))
+                  for value in (t_sq, gh.real, gh.imag))
+    return SqueezingKernel(theta=theta, t_sq=t_sq, g_kernel=g, h_kernel=h)
 
 
 def quadrature_variance(kernel: SqueezingKernel,
@@ -230,15 +197,19 @@ class SnrReport:
     mean_a: float
 
 
-def snr_rho_fock(d: DerivedScalars, f: FockPair) -> float:
-    """rho_a = mean / std of n_a(t); +inf at n0 = 0 with r > 0 (no Fock variance)."""
+def _snr_rho(n0, f: FockPair):
     r, s = f.r, f.s
-    n0 = np.asarray(d.n0, dtype=float)
+    n0 = np.asarray(n0, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = ((r + n0 * (r + s + 1.0))
                / np.sqrt(n0 + n0 * n0)
                / math.sqrt(2.0 * r * s + r + s + 1.0))
     return _real(np.where(n0 == 0.0, math.inf if r > 0 else 0.0, rho))
+
+
+def snr_rho_fock(d: DerivedScalars, f: FockPair) -> float:
+    """rho_a = mean / std of n_a(t); +inf at n0 = 0 with r > 0 (no Fock variance)."""
+    return _snr_rho(d.n0, f)
 
 
 def snr_rho_limit(f: FockPair) -> float:
@@ -247,10 +218,11 @@ def snr_rho_limit(f: FockPair) -> float:
 
 
 def snr_rho_extremum_value(params: ModelParams, f: FockPair) -> float:
-    """rho at the half-period times gt sqrt(k^2-1) = n pi/2 (odd n)."""
+    """rho at the half-period times gt sqrt(k^2-1) = n pi/2 (odd n): n0 = 1/(k^2-1)."""
     k2 = params.k2
-    return ((f.r * k2 + f.s + 1.0)
-            / math.sqrt(k2 * (2.0 * f.r * f.s + f.r + f.s + 1.0)))
+    if k2 <= 1.0:
+        raise RegimeError("the half-period extremum of rho requires k^2 > 1")
+    return _snr_rho(1.0 / (k2 - 1.0), f)
 
 
 def snr_rho_min_value(f: FockPair) -> float:
@@ -271,15 +243,13 @@ def snr_rho_extrema(params: ModelParams, f: FockPair,
     inequality.
     """
     k2 = params.k2
-    if k2 <= 1.0:
-        raise RegimeError("rho extrema classification requires k^2 > 1")
+    extremum = snr_rho_extremum_value(params, f)  # refuses k^2 <= 1
     root = math.sqrt(k2 - 1.0)
     scale = 1.0 / (params.g * root)
     r, s = f.r, f.s
 
     has_minima = (s - r + 1.0) > 0.0 and r > 0 \
         and r / (s - r + 1.0) < 1.0 / (k2 - 1.0)
-    extremum = snr_rho_extremum_value(params, f)
     out = []
     for period in range(periods):
         base = period * math.pi
@@ -303,14 +273,13 @@ def snr_eta_coherent(c: WeiNormanCoefficients, d: DerivedScalars,
                      pair: CoherentPair) -> SnrReport:
     """Quadrature SNR eta_a for a coherent pair, with the Yuen bound.
 
-    eta vanishes identically for Fock inputs (zero quadrature mean).
+    eta = <X>^2 / Var X = 2 (Re <a(t)>)^2 / (n0 + 1/2) for X = a + a+,
+    with <a(t)> = u alpha + v conj(beta).  eta vanishes identically for
+    Fock inputs (zero quadrature mean).
     """
-    alpha, beta = pair.alpha, pair.beta
-    big_k = (np.exp(-2.0 * np.conj(c.a_zero))
-             * (alpha - np.conj(beta) * np.conj(c.a_minus)) ** 2).real
-    eta = (big_k + d.x * (abs(alpha) ** 2
-                          - 2.0 * (alpha * beta * c.a_minus).real
-                          + abs(beta) ** 2 * d.y)) / (d.n0 + 0.5)
+    u, v = bogoliubov_pair(c)
+    mean = u * pair.alpha + v * np.conj(pair.beta)
+    eta = 2.0 * mean.real ** 2 / (d.n0 + 0.5)
     mean_a, _ = coherent_mean_numbers(c, d, pair)
     return SnrReport(eta=_real(eta),
                      yuen_bound=4.0 * mean_a * (mean_a + 1.0),

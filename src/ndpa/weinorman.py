@@ -202,6 +202,12 @@ def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
             for i in range(t_grid.size)]
 
 
+def bogoliubov_pair(c: WeiNormanCoefficients):
+    """Interaction-picture (u, v) of a(t) = u a + v b+, also of b(t) = u b + v a+."""
+    u = np.exp(-np.conj(c.a_zero))
+    return u, -u * np.conj(c.a_minus)
+
+
 def unitarity_residuals(c: WeiNormanCoefficients):
     """Residuals of the three unitarity constraints; all ~0 for exact coefficients."""
     ap, am, a0 = c.a_plus, c.a_minus, c.a_zero

@@ -180,7 +180,7 @@ def test_coherent_mean_numbers_difference_conserved():
 
 
 @pytest.mark.parametrize("k2", [0.5, 1.0, 1.5])
-@pytest.mark.parametrize("gt", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("gt", [0.0, 1.0, 3.0, 6.0])
 def test_normalization_certified(k2, gt):
     d = derived_scalars(params_for(k2), gt)
     assert vacuum_norm(d) == pytest.approx(1.0, abs=1e-8)

@@ -7,7 +7,7 @@ import pytest
 
 from ndpa.cli import (FIGURE_NAMES, Scenario, ScenarioError, build_parser, main,
                       run, run_figure, sweep)
-from ndpa.amplitudes import CoherentPair, FockPair
+from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState
 from ndpa.model import ModelParams
 
 
@@ -152,6 +152,29 @@ def test_main_observable_eta(tmp_path):
 def test_main_bad_state_errors(capsys):
     assert main(["prob", "--initial", "bogus:1", "--tmax", "1"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["mean", "mandel_q", "correlation"])
+def test_moments_refuse_amode_state(name, capsys):
+    params = ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0)
+    state = PureAModeState.poisson(0.85)
+    with pytest.raises(ScenarioError, match="PureAModeState"):
+        run(Scenario(params=params, initial=state, observable=name,
+                     grid=(0.0, 1.0, 3)))
+    argv = ["--initial", "poisson:0.85", "--tmax", "1", "--steps", "3"]
+    assert main(["observable", "--name", name] + argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    # a truncated coherent state: its quadrature variance is the kernel
+    assert main(["observable", "--name", "variance"] + argv) == 0
+
+
+@pytest.mark.parametrize("verb", ["evolve", "observable"])
+@pytest.mark.parametrize("grid", [["--steps", "0"], ["--tmax", "-1", "--steps", "2"]])
+def test_main_bad_grid_errors(verb, grid, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main([verb, "--out", str(out)] + grid) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_main_evolve(tmp_path):

@@ -15,7 +15,7 @@ from ndpa.observables import (asymptotic_minima_period,
                               snr_eta_coherent, snr_rho_extrema, snr_rho_fock,
                               snr_rho_limit, snr_rho_min_value,
                               squeezing_extrema, squeezing_kernel)
-from ndpa.weinorman import derived_scalars, solve_analytic
+from ndpa.weinorman import coefficients, derived_scalars, solve_analytic
 
 
 def params_for(k2, g=1.0):
@@ -190,6 +190,20 @@ def test_kernel_matches_direct_modulus():
                      - c.a_minus * np.exp(-c.a_zero - 1j * theta)) ** 2
         assert squeezing_kernel(params, theta, t).t_sq == pytest.approx(
             direct, rel=1e-8, abs=1e-10)
+
+
+def test_kernel_matches_long_double_modulus():
+    # fig7log's grid: x grows to ~1e8, so cancellation in x(1 + y - 2(...))
+    # would show far above the double-precision modulus
+    params = params_for(0.5)
+    gt = np.linspace(0.0, 14.0, 1501)
+    _, a_minus, a_zero = coefficients(params.k, gt, dtype=np.complex256)
+    for theta in (0.0, 0.3, math.pi / 2.0):
+        phase = np.exp(np.complex256(1j * theta))
+        ref = np.abs(np.exp(-np.conj(a_zero)) * phase
+                     - a_minus * np.exp(-a_zero) / phase) ** 2
+        np.testing.assert_allclose(squeezing_kernel(params, theta, gt).t_sq,
+                                   ref.astype(float), rtol=1e-11, atol=0.0)
 
 
 def test_kernel_branches_agree_at_critical():
