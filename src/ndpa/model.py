@@ -147,6 +147,7 @@ class TabulatedPump:
 
     times: tuple
     values: tuple
+    _arrays: tuple = field(init=False, repr=False, compare=False)  # times, re, im
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -156,14 +157,15 @@ class TabulatedPump:
             raise ValueError("pump sample times must be strictly increasing")
         if len(self.values) != t.size:
             raise ValueError("times and values must have equal length")
+        vals = np.asarray(self.values, dtype=complex)
+        object.__setattr__(self, "_arrays", (t, vals.real.copy(), vals.imag.copy()))
 
     def value(self, t):
+        times, re, im = self._arrays
         t = np.asarray(t, dtype=float)
-        times = np.asarray(self.times, dtype=float)
-        if np.any(t < times[0]) or np.any(t > times[-1]):
+        if ((t < times[0]) | (t > times[-1])).any():
             raise ValueError("pump evaluated outside tabulated range")
-        vals = np.asarray(self.values, dtype=complex)
-        return np.interp(t, times, vals.real) + 1j * np.interp(t, times, vals.imag)
+        return np.interp(t, times, re) + 1j * np.interp(t, times, im)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import (DEFAULT_REGIME_EPS, HarmonicPump, ModelParams,
-                    PumpProfile, Regime, classify_regime)
+from .model import DEFAULT_REGIME_EPS, ModelParams, PumpProfile
 
 
 class IntegrationError(RuntimeError):
@@ -27,15 +26,13 @@ class IntegrationError(RuntimeError):
 class WeiNormanCoefficients:
     """The complex triple (A+, A-, A0) at time t.
 
-    Fields may hold numpy arrays when evaluated on a time grid; ``regime``
-    is set for scalar analytic evaluations and None otherwise.
+    Fields may hold numpy arrays when evaluated on a time grid.
     """
 
     t: float
     a_plus: complex
     a_minus: complex
     a_zero: complex
-    regime: Regime | None = None
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,7 @@ def solve_analytic(params: ModelParams, t: float,
     a_plus, a_minus, a_zero = coefficients(params.k, params.g * t, epsilon)
     return WeiNormanCoefficients(t=float(t), a_plus=complex(a_plus),
                                  a_minus=complex(a_minus),
-                                 a_zero=complex(a_zero),
-                                 regime=classify_regime(params, epsilon))
+                                 a_zero=complex(a_zero))
 
 
 def solve_analytic_grid(params: ModelParams, t) -> WeiNormanCoefficients:
@@ -153,7 +149,7 @@ def solve_analytic_grid(params: ModelParams, t) -> WeiNormanCoefficients:
     t = np.asarray(t, dtype=float)
     a_plus, a_minus, a_zero = coefficients(params.k, params.g * t)
     return WeiNormanCoefficients(t=t, a_plus=a_plus, a_minus=a_minus,
-                                 a_zero=a_zero, regime=None)
+                                 a_zero=a_zero)
 
 
 def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
@@ -195,10 +191,9 @@ def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
                 f"integration failed near t = {reached:.6g}: {res.message}")
         sols = res.y
 
-    regime = classify_regime(params) if isinstance(pump, HarmonicPump) else None
     return [WeiNormanCoefficients(t=float(t_grid[i]), a_plus=complex(sols[0, i]),
                                   a_zero=complex(sols[1, i]),
-                                  a_minus=complex(sols[2, i]), regime=regime)
+                                  a_minus=complex(sols[2, i]))
             for i in range(t_grid.size)]
 
 

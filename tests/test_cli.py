@@ -194,6 +194,14 @@ def test_main_oracle_check(capsys):
     assert "within tolerance" in capsys.readouterr().out
 
 
+def test_main_oracle_check_defaults(capsys):
+    assert main(["oracle-check"]) == 0
+    # an undersized cutoff reads as a truncation: cutoff and edge mass named
+    assert main(["oracle-check", "--cutoff", "40"]) == 1
+    err = capsys.readouterr().err
+    assert "at cutoff 40" in err and "edge mass" in err
+
+
 def test_main_sweep(tmp_path):
     out = tmp_path / "sw.csv"
     code = main(["sweep", "--initial", "fock:1,1", "--param", "k2",

@@ -1,12 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from ndpa import oracle
 from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
                              PureAModeState, amode_prob, coherent_revival_prob,
                              fock11_prob, fock_amplitude, vacuum_prob)
-from ndpa.model import CustomPump, HarmonicPump, ModelParams
+from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
 from ndpa.oracle import (OracleConfig, TruncationError, amode_state,
                          auto_cutoff, build_generators, coherent_state,
                          edge_mass, evolve_converged, evolve_truncated,
@@ -89,6 +91,50 @@ def test_coherent_revival_probability():
                            t_rev, OracleConfig(cutoff=cutoff, tol=1e-12))
     amp = coherent_state(cutoff, pair.alpha, pair.beta).overlap(out)
     assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-6)
+
+
+def _count_solve_ivp(monkeypatch):
+    """Record the span of every ``solve_ivp`` call the oracle makes."""
+    calls, solve_ivp = [], oracle.solve_ivp
+
+    def counted(fun, t_span, y0, **kwargs):
+        calls.append(t_span)
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_ivp", counted)
+    return calls
+
+
+def test_harmonic_path_matches_batched_ode(monkeypatch):
+    # the exact harmonic propagator against the ODE path for the same pump
+    params = params_for(1.5)
+    calls = _count_solve_ivp(monkeypatch)
+    start = coherent_state(32, 0.8, 0.5 + 0.3j)
+    cfg = OracleConfig(cutoff=32, tol=1e-12)
+    for pump in (pump_for(params),
+                 HarmonicPump(g=0.8 * cmath.exp(0.6j), omega=params.omega + 0.7)):
+        exact = evolve_truncated(pump, params, start, 1.3, cfg)
+        assert calls == []
+        ode = evolve_truncated(CustomPump(fn=pump.value), params, start, 1.3, cfg)
+        assert calls.pop() == (0.0, 1.3) and calls == []
+        assert set(ode.blocks) == set(exact.blocks)
+        for q, vec in exact.blocks.items():
+            assert np.max(np.abs(vec - ode.blocks[q])) < 1e-10, (pump, q)
+
+
+def test_tabulated_pump_tolerance_refinement(monkeypatch):
+    # integrating between the samples avoids stepping across the kinks of
+    # the linear interpolation, so tightening the tolerance changes nothing
+    params = params_for(1.5)
+    samples = np.linspace(0.0, 0.5, 101)
+    values = pump_for(params).value(samples) * (1.0 + 0.1 * np.sin(2 * math.pi * samples / 0.5))
+    tab = TabulatedPump(times=tuple(samples), values=tuple(values))
+    calls = _count_solve_ivp(monkeypatch)
+    coarse, fine = (evolve_truncated(tab, params, fock_state(24, 2, 1), 0.5,
+                                     OracleConfig(cutoff=24, tol=tol))
+                    for tol in (1e-11, 1e-13))
+    assert len(calls) == 2 * 100  # one call per sample interval
+    assert np.max(np.abs(coarse.blocks[1] - fine.blocks[1])) < 1e-10
 
 
 def test_overlap_sums_shared_blocks():
