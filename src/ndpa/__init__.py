@@ -13,8 +13,8 @@ from .model import (CoherentRevival, CustomPump, HarmonicPump, ModelParams,
                     coherent_revival_params, fock_revival_times)
 from .weinorman import (DerivedScalars, IntegrationError, RegimeAngles,
                         WeiNormanCoefficients, coefficients, derived_scalars,
-                        regime_angles, scalars, solve_analytic,
-                        solve_analytic_grid, solve_ode, unitarity_residuals)
+                        regime_angles, scalars, solve_analytic, solve_ode,
+                        unitarity_residuals)
 from .amplitudes import (CoherentPair, FockOutcome, FockPair, PureAModeState,
                          amode_norm, amode_prob, coherent_mean_numbers,
                          coherent_revival_prob, coherent_transition_prob,

@@ -3,6 +3,11 @@
 All combinatorial factors go through log-gamma so that outcomes with
 photon numbers ~10^3 (needed for normalization checks) stay finite, and
 every probability is assembled in the log domain before the final exp.
+
+For an a-mode pure state with the b mode in vacuum, one log term,
+log p_mn = log P_(n-m) + log C(n, m) + m log y - (n-m+1) log x, gives
+``amode_prob`` (its exp), both reduced densities (its logsumexp over n or
+over m) and ``amode_norm`` (its sum per source occupation n - m).
 """
 
 from __future__ import annotations
@@ -147,57 +152,42 @@ def fock11_prob(d: DerivedScalars, n) -> float:
     return _real(np.where(n == 0, p, p * core * core))
 
 
+def _amode_log_term(d: DerivedScalars, psi: PureAModeState, m, n):
+    """log p_mn = log P_(n-m) + log C(n, m) + m log y - (n-m+1) log x.
+
+    Broadcasts over integer arrays m and n and over grid scalars; -inf
+    where P_(n-m) is zero or n - m is outside the distribution.
+    """
+    probs = np.asarray(psi.probs, dtype=float)
+    m, n = np.asarray(m), np.asarray(n)
+    inside = (n >= m) & (n - m < probs.size)
+    l = np.where(inside, n - m, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0; 0 log y at y = 0
+        log_p = (np.log(probs[l])
+                 + (gammaln(n + 1.0) - gammaln(l + 1.0) - gammaln(m + 1.0))
+                 + np.where(m > 0, m * d.log_y, 0.0) - (l + 1) * d.log_x)
+    return np.where(inside, log_p, -np.inf)
+
+
 def amode_prob(d: DerivedScalars, psi: PureAModeState,
                outcome: FockOutcome) -> float:
     """p_mn for |psi>_a (x) |0>_b; phase-independent by construction."""
-    m, n = outcome.m, outcome.n
-    if n < m or n - m >= len(psi.probs) or psi.probs[n - m] == 0.0:
-        return _real(np.zeros(np.shape(d.log_x)))
-    log_binom = gammaln(n + 1.0) - gammaln(n - m + 1.0) - gammaln(m + 1.0)
-    log_y_term = m * d.log_y if m > 0 else 0.0
-    return _real(np.exp(math.log(psi.probs[n - m]) + log_binom + log_y_term
-                        - (n - m + 1) * d.log_x))
+    return _real(np.exp(_amode_log_term(d, psi, outcome.m, outcome.n)))
 
 
 def reduced_density_b(d: DerivedScalars, psi: PureAModeState, m: int) -> float:
-    """Diagonal b-mode reduced matrix element sum_l P_l C(l+m, m) y^m / x^(l+1)."""
+    """Diagonal b-mode reduced matrix element sum_n p_mn."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    if m > 0 and d.log_y == -math.inf:
-        return 0.0
-    log_y_term = m * d.log_y if m > 0 else 0.0
-    terms = []
-    for l, p_src in enumerate(psi.probs):
-        if p_src == 0.0:
-            continue
-        terms.append(math.log(p_src)
-                     + gammaln(l + m + 1.0) - gammaln(m + 1.0) - gammaln(l + 1.0)
-                     + log_y_term - (l + 1) * d.log_x)
-    if not terms:
-        return 0.0
-    return float(np.exp(logsumexp(terms)))
+    n = m + np.arange(len(psi.probs))
+    return float(np.exp(logsumexp(_amode_log_term(d, psi, m, n))))
 
 
 def reduced_density_a(d: DerivedScalars, psi: PureAModeState, n: int) -> float:
-    """Diagonal a-mode reduced matrix element x^-(n+1) sum_m P_(n-m) C(n,m) n0^m."""
+    """Diagonal a-mode reduced matrix element sum_m p_mn."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    terms = []
-    for m in range(0, n + 1):
-        if n - m >= len(psi.probs):
-            continue
-        p_src = psi.probs[n - m]
-        if p_src == 0.0:
-            continue
-        log_n0_term = m * d.log_n0 if m > 0 else 0.0
-        if m > 0 and d.log_n0 == -math.inf:
-            continue
-        terms.append(math.log(p_src)
-                     + gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
-                     + log_n0_term)
-    if not terms:
-        return 0.0
-    return float(np.exp(logsumexp(terms) - (n + 1) * d.log_x))
+    return float(np.exp(logsumexp(_amode_log_term(d, psi, np.arange(n + 1), n))))
 
 
 def effective_temperature(y: float, omega: float) -> float:
@@ -214,14 +204,14 @@ def coherent_transition_prob(c: WeiNormanCoefficients, initial: CoherentPair,
     """p_zw = |<z, w| U_I(t) |alpha, beta>|^2 with w labelling mode a, z mode b."""
     alpha, beta = initial.alpha, initial.beta
     w, z = final.alpha, final.beta
-    e_a0 = cmath.exp(c.a_zero)
+    e_a0 = np.exp(c.a_zero)
     log_p = (-(abs(z) ** 2 + abs(w) ** 2 + abs(alpha) ** 2 + abs(beta) ** 2)
-             + 2.0 * c.a_zero.real
-             + 2.0 * (c.a_plus * np.conj(w) * np.conj(z)).real
-             + 2.0 * (c.a_minus * alpha * beta).real
-             + 2.0 * (np.conj(w) * alpha * e_a0).real
-             + 2.0 * (np.conj(z) * beta * e_a0).real)
-    return math.exp(log_p)
+             + 2.0 * np.real(c.a_zero)
+             + 2.0 * np.real(c.a_plus * np.conj(w) * np.conj(z))
+             + 2.0 * np.real(c.a_minus * alpha * beta)
+             + 2.0 * np.real(np.conj(w) * alpha * e_a0)
+             + 2.0 * np.real(np.conj(z) * beta * e_a0))
+    return _real(np.exp(log_p))
 
 
 def coherent_revival_prob(c: WeiNormanCoefficients,
@@ -231,12 +221,8 @@ def coherent_revival_prob(c: WeiNormanCoefficients,
     Also returns the diagnostic |2 - exp(A0) - exp(A0*)| whose near-zeros
     locate the non-revival peaks of p_ba for irrational k^2.
     """
-    alpha, beta = pair.alpha, pair.beta
-    gap = 2.0 - 2.0 * np.exp(c.a_zero).real
-    log_p = (-(abs(alpha) ** 2 + abs(beta) ** 2) * gap
-             + 2.0 * (alpha * beta * (c.a_minus + np.conj(c.a_plus))).real
-             + 2.0 * c.a_zero.real)
-    return _real(np.exp(log_p)), _real(np.abs(gap))
+    return (coherent_transition_prob(c, pair, pair),
+            _real(np.abs(2.0 - 2.0 * np.real(np.exp(c.a_zero)))))
 
 
 def coherent_mean_numbers(c: WeiNormanCoefficients, d: DerivedScalars,
@@ -300,30 +286,26 @@ def fock11_norm(d: DerivedScalars, tail: float = 1e-12) -> float:
 
 def amode_norm(d: DerivedScalars, psi: PureAModeState,
                tail: float = 1e-12) -> float:
-    """sum_{m,n} p_mn for an a-mode pure state, summed as sum_l P_l * (negative binomial)."""
+    """sum_{m,n} p_mn for an a-mode pure state, summed per source occupation l.
+
+    The terms m = 0, 1, ... of source l = n - m sum to P_l analytically;
+    m_max doubles until the geometric bound on the terms past it, with
+    ratio y (1 + l/(m+1)) < 1, is below tail * P_l.
+    """
     total = 0.0
     for l, p_src in enumerate(psi.probs):
         if p_src == 0.0:
-            continue
-        # sum_m C(l+m, m) y^m / x^(l+1) == 1 analytically; sum numerically
-        # with ratio bound y*(1 + l/(m+1)) < 1 once m is large enough.
-        if d.log_y == -math.inf:
-            total += p_src
             continue
         m_max = 64
         while True:
             ratio = d.y * (1.0 + l / (m_max + 1.0))
             if ratio < 1.0:
-                log_term = (gammaln(l + m_max + 2.0) - gammaln(m_max + 2.0)
-                            - gammaln(l + 1.0) + (m_max + 1) * d.log_y
-                            - (l + 1) * d.log_x)
-                if log_term - math.log1p(-ratio) < math.log(tail):
+                log_next = _amode_log_term(d, psi, m_max + 1, l + m_max + 1)
+                if log_next - math.log1p(-ratio) < math.log(tail) + math.log(p_src):
                     break
             if m_max > 50_000_000:
                 break
             m_max *= 2
         m = np.arange(m_max + 1)
-        logs = (gammaln(l + m + 1.0) - gammaln(m + 1.0) - gammaln(l + 1.0)
-                + m * d.log_y - (l + 1) * d.log_x)
-        total += p_src * float(np.exp(logsumexp(logs)))
+        total += float(np.exp(logsumexp(_amode_log_term(d, psi, m, l + m))))
     return total

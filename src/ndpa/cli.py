@@ -28,9 +28,7 @@ from .observables import (cross_correlation_fock, cross_correlation_general,
                           squeezing_kernel)
 from .oracle import (OracleConfig, coherent_state, edge_mass,
                      evolve_truncated, fock_state, oracle_probability)
-from .weinorman import (DerivedScalars, WeiNormanCoefficients,
-                        derived_scalars, scalars, solve_analytic,
-                        solve_analytic_grid)
+from .weinorman import WeiNormanCoefficients, derived_scalars, solve_analytic
 
 
 class ScenarioError(ValueError):
@@ -56,6 +54,8 @@ class Scenario:
 
     def __post_init__(self):
         t0, t1, steps = self.grid
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ScenarioError(f"grid bounds must be finite, got {t0!r}, {t1!r}")
         if steps < 2:
             raise ScenarioError("grid needs at least 2 steps")
         if not t1 > t0:
@@ -88,8 +88,7 @@ def _write(path, header, columns):
 
 def _grid(params: ModelParams, times):
     """Coefficients and derived scalars over a whole time grid."""
-    return (solve_analytic_grid(params, times),
-            DerivedScalars(*scalars(params.k, params.g * times)))
+    return solve_analytic(params, times), derived_scalars(params, times)
 
 
 def _default_params(args) -> ModelParams:
@@ -309,10 +308,10 @@ def oracle_check(params: ModelParams, t: float, cutoff: int):
     """
     pump = HarmonicPump.from_params(params)
     cfg = OracleConfig(cutoff=cutoff)  # exact propagation: cfg.tol does not enter
-    d = derived_scalars(params, t)
     pair = CoherentPair(0.8, 0.5)
 
     vacuum = evolve_truncated(pump, params, fock_state(cutoff, 0, 0), t, cfg)
+    d = derived_scalars(params, t)  # after evolve_truncated has checked t
     results = [(f"vacuum p_{n}{n}", vacuum_prob(d, n),
                 oracle_probability(vacuum, n, n)) for n in (0, 1, 3)]
     fock11 = evolve_truncated(pump, params, fock_state(cutoff, 1, 1), t, cfg)
@@ -412,7 +411,7 @@ def main(argv=None) -> int:
             worst = max(diff for _, _, _, diff in results)
             for label, a, b, diff in results:
                 print(f"{label}: closed={a:.12g} oracle={b:.12g} diff={diff:.3e}")
-            if worst > args.tol:
+            if not worst <= args.tol:  # a NaN deviation fails too
                 print(f"worst deviation {worst:.3e} exceeds tolerance "
                       f"{args.tol:.3e} at cutoff {args.cutoff} (largest edge "
                       f"mass {edge:.3e})", file=sys.stderr)

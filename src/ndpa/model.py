@@ -37,6 +37,10 @@ class ModelParams:
     omega: float
 
     def __post_init__(self):
+        for name in ("omega_a", "omega_b", "g", "omega"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.g <= 0:
             raise ValueError("pump amplitude g must be positive")
         if self.omega_a <= 0 or self.omega_b <= 0:
@@ -65,8 +69,8 @@ class ModelParams:
     def from_k2(cls, k2: float, g: float = 1.0, omega_a: float = 1.0,
                 omega_b: float = 1.0, sign: int = 1) -> "ModelParams":
         """Construct parameters from k^2 >= 0; the sign of k defaults to +."""
-        if k2 < 0:
-            raise ValueError("k2 must be non-negative")
+        if not 0 <= k2 < math.inf:
+            raise ValueError(f"k2 must be finite and non-negative, got {k2!r}")
         return cls.from_k(sign * math.sqrt(k2), g=g, omega_a=omega_a,
                           omega_b=omega_b)
 
@@ -104,19 +108,16 @@ class Regime:
     epsilon: float
 
 
-def classify_regime(params: ModelParams,
-                    epsilon: float = DEFAULT_REGIME_EPS) -> Regime:
+def classify_regime(params: ModelParams) -> Regime:
     """Classify the dynamics by k^2 relative to the critical value 1."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     k2 = params.k2
-    if k2 < 1.0 - epsilon:
+    if k2 < 1.0 - DEFAULT_REGIME_EPS:
         tag = RegimeTag.SUB
-    elif k2 > 1.0 + epsilon:
+    elif k2 > 1.0 + DEFAULT_REGIME_EPS:
         tag = RegimeTag.SUPER
     else:
         tag = RegimeTag.CRITICAL
-    return Regime(tag=tag, epsilon=epsilon)
+    return Regime(tag=tag, epsilon=DEFAULT_REGIME_EPS)
 
 
 # -- pump profiles --------------------------------------------------------

@@ -14,7 +14,7 @@ from .amplitudes import CoherentPair, FockPair, coherent_mean_numbers
 from .model import ModelParams, RegimeError, RegimeTag, classify_regime
 from .moments import MomentTable
 from .weinorman import (DerivedScalars, WeiNormanCoefficients, _real,
-                        bogoliubov_pair, solve_analytic, solve_analytic_grid)
+                        bogoliubov_pair, solve_analytic)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def squeezing_kernel(params: ModelParams, theta: float,
     ``t`` is evaluated as a one-element grid, so that it rounds exactly
     as the same time on a grid does.
     """
-    c = solve_analytic_grid(params, np.atleast_1d(t))
+    c = solve_analytic(params, np.atleast_1d(t))
     u, v = bogoliubov_pair(c)
     t_sq = np.abs(u * np.exp(1j * theta) + np.conj(v) * np.exp(-1j * theta)) ** 2
     gh = np.conj(c.a_minus) * np.exp(2j * c.a_zero.imag + 1j * params.Omega * c.t)

@@ -68,6 +68,8 @@ class TruncatedState:
                            for q, vec in self.blocks.items() if q in other.blocks))
 
     def amplitude(self, n_a: int, n_b: int) -> complex:
+        if n_a < 0 or n_b < 0:
+            raise ValueError(f"occupations must be non-negative, got ({n_a}, {n_b})")
         q = n_a - n_b
         vec = self.blocks.get(q)
         if vec is None:
@@ -101,8 +103,8 @@ def build_generators(cutoff: int, q: int):
 
 
 def fock_state(cutoff: int, r: int, s: int) -> TruncatedState:
-    if r > cutoff or s > cutoff:
-        raise ValueError("initial occupation exceeds cutoff")
+    if not (0 <= r <= cutoff and 0 <= s <= cutoff):
+        raise ValueError(f"initial occupations ({r}, {s}) outside 0..{cutoff}")
     state = TruncatedState(cutoff=cutoff)
     q = r - s
     vec = np.zeros(cutoff + 1 - abs(q), dtype=complex)
@@ -214,6 +216,8 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
     Other pumps: DOP853 at relative tolerance ``cfg.tol``, one ``solve_ivp``
     call per stretch between ``TabulatedPump`` sample times in (0, t).
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if initial.norm_deficit > cfg.tail_limit:
         raise TruncationError("initial state is not normalized within tail_limit")
     wsum = params.omega_a + params.omega_b

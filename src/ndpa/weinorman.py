@@ -65,13 +65,12 @@ def _real(value):
     return float(value) if value.ndim == 0 else value
 
 
-def regime_angles(params: ModelParams,
-                  epsilon: float = DEFAULT_REGIME_EPS) -> RegimeAngles:
+def regime_angles(params: ModelParams) -> RegimeAngles:
     k = params.k
     k2 = k * k
-    if k2 < 1.0 - epsilon:
+    if k2 < 1.0 - DEFAULT_REGIME_EPS:
         return RegimeAngles(gamma=float(np.arctan(k / np.sqrt(1.0 - k2))), delta=None)
-    if k2 > 1.0 + epsilon:
+    if k2 > 1.0 + DEFAULT_REGIME_EPS:
         return RegimeAngles(gamma=None, delta=float(np.arctanh(np.sqrt(k2 - 1.0) / k)))
     return RegimeAngles(gamma=None, delta=None)
 
@@ -82,8 +81,7 @@ def _log_cosh(z):
     return z - np.log(2.0) + np.log1p(np.exp(-2.0 * z))
 
 
-def coefficients(k, gt, epsilon: float = DEFAULT_REGIME_EPS,
-                 dtype=np.complex128):
+def coefficients(k, gt, dtype=np.complex128):
     """Vectorized analytic (A+, A-, A0) as functions of k and g*t.
 
     Valid for the harmonic pump only.  Broadcasts over k and gt.  Pass
@@ -94,8 +92,8 @@ def coefficients(k, gt, epsilon: float = DEFAULT_REGIME_EPS,
     k, gt = np.broadcast_arrays(np.asarray(k, dtype=real_dtype),
                                 np.asarray(gt, dtype=real_dtype))
     k2 = k * k
-    sub = k2 < 1.0 - epsilon
-    sup = k2 > 1.0 + epsilon
+    sub = k2 < 1.0 - DEFAULT_REGIME_EPS
+    sup = k2 > 1.0 + DEFAULT_REGIME_EPS
     crit = ~(sub | sup)
 
     a_minus = np.zeros(k.shape, dtype=dtype)
@@ -135,21 +133,16 @@ def coefficients(k, gt, epsilon: float = DEFAULT_REGIME_EPS,
     return a_plus, a_minus, a_zero
 
 
-def solve_analytic(params: ModelParams, t: float,
-                   epsilon: float = DEFAULT_REGIME_EPS) -> WeiNormanCoefficients:
-    """Closed-form coefficients for the harmonic pump at a single time."""
-    a_plus, a_minus, a_zero = coefficients(params.k, params.g * t, epsilon)
-    return WeiNormanCoefficients(t=float(t), a_plus=complex(a_plus),
-                                 a_minus=complex(a_minus),
-                                 a_zero=complex(a_zero))
+def solve_analytic(params: ModelParams, t) -> WeiNormanCoefficients:
+    """Closed-form coefficients for the harmonic pump.
 
-
-def solve_analytic_grid(params: ModelParams, t) -> WeiNormanCoefficients:
-    """Closed-form coefficients over an array of times (fields are arrays)."""
+    A scalar time gives complex fields; an array of times gives arrays.
+    """
     t = np.asarray(t, dtype=float)
-    a_plus, a_minus, a_zero = coefficients(params.k, params.g * t)
-    return WeiNormanCoefficients(t=t, a_plus=a_plus, a_minus=a_minus,
-                                 a_zero=a_zero)
+    fields = coefficients(params.k, params.g * t)
+    if t.ndim == 0:
+        return WeiNormanCoefficients(float(t), *(complex(f) for f in fields))
+    return WeiNormanCoefficients(t, *fields)
 
 
 def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
@@ -220,7 +213,7 @@ def _log_sinh(t):
         return t - np.log(2.0) + np.log1p(-np.exp(-2.0 * t))
 
 
-def scalars(k, gt, epsilon: float = DEFAULT_REGIME_EPS):
+def scalars(k, gt):
     """Vectorized (x, y, n0, log_x, log_y, log_n0) as functions of k and g*t.
 
     x = (sinh^2(gt*sqrt(1-k^2)) + 1 - k^2) / (1 - k^2) continued through
@@ -230,8 +223,8 @@ def scalars(k, gt, epsilon: float = DEFAULT_REGIME_EPS):
     k, gt = np.broadcast_arrays(np.asarray(k, dtype=float),
                                 np.asarray(gt, dtype=float))
     k2 = k * k
-    sub = k2 < 1.0 - epsilon
-    sup = k2 > 1.0 + epsilon
+    sub = k2 < 1.0 - DEFAULT_REGIME_EPS
+    sup = k2 > 1.0 + DEFAULT_REGIME_EPS
     crit = ~(sub | sup)
 
     log_n0 = np.empty(k.shape, dtype=float)
@@ -257,10 +250,10 @@ def scalars(k, gt, epsilon: float = DEFAULT_REGIME_EPS):
     return x, y, n0, log_x, log_y, log_n0
 
 
-def derived_scalars(params: ModelParams, t: float,
-                    epsilon: float = DEFAULT_REGIME_EPS) -> DerivedScalars:
-    """The real triple (x, y, n0) entering every probability formula."""
-    x, y, n0, log_x, log_y, log_n0 = scalars(params.k, params.g * t, epsilon)
-    return DerivedScalars(x=float(x), y=float(y), n0=float(n0),
-                          log_x=float(log_x), log_y=float(log_y),
-                          log_n0=float(log_n0))
+def derived_scalars(params: ModelParams, t) -> DerivedScalars:
+    """The real triple (x, y, n0) entering every probability formula.
+
+    A scalar time gives float fields; an array of times gives arrays.
+    """
+    gt = params.g * np.asarray(t, dtype=float)
+    return DerivedScalars(*(_real(value) for value in scalars(params.k, gt)))

@@ -177,6 +177,18 @@ def test_main_bad_grid_errors(verb, grid, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["evolve", "--k2", "nan"], "k2"),
+    (["prob", "--tmax", "inf"], "grid bounds"),
+    (["oracle-check", "--tmax", "nan"], "t must be finite")])
+def test_main_non_finite_input_errors(argv, named, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "out.csv")] if argv[0] != "oracle-check" else []
+    assert main(argv + out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_main_evolve(tmp_path):
     out = tmp_path / "evolve.csv"
     code = main(["evolve", "--k2", "1.5", "--tmax", "3", "--steps", "4",

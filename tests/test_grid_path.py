@@ -13,13 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from ndpa import (CoherentPair, DerivedScalars, FockOutcome, FockPair,
-                  ModelParams, PureAModeState, amode_prob,
-                  coherent_revival_prob, cross_correlation_fock,
-                  cross_correlation_general, derived_scalars, fock11_prob,
-                  mandel_q_coherent, mandel_q_fock, scalars, second_moments,
-                  snr_eta_coherent, snr_rho_fock, solve_analytic,
-                  solve_analytic_grid, squeezing_kernel, vacuum_prob)
+from ndpa import (CoherentPair, FockOutcome, FockPair, ModelParams,
+                  PureAModeState, amode_prob, coherent_revival_prob,
+                  cross_correlation_fock, cross_correlation_general,
+                  derived_scalars, fock11_prob, mandel_q_coherent,
+                  mandel_q_fock, second_moments, snr_eta_coherent,
+                  snr_rho_fock, solve_analytic, squeezing_kernel, vacuum_prob)
 
 TIMES = np.linspace(0.0, 3.0, 31)  # includes gt = 0
 K2S = (0.5, 1.0, 1.5)  # below, at and above threshold
@@ -34,8 +33,7 @@ def params_for(k2):
 
 
 def on_grid(params):
-    c = solve_analytic_grid(params, TIMES)
-    return c, DerivedScalars(*scalars(params.k, params.g * TIMES))
+    return solve_analytic(params, TIMES), derived_scalars(params, TIMES)
 
 
 def at_points(params):

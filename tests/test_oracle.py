@@ -7,7 +7,9 @@ import pytest
 from ndpa import oracle
 from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
                              PureAModeState, amode_prob, coherent_revival_prob,
-                             fock11_prob, fock_amplitude, vacuum_prob)
+                             coherent_transition_prob, fock11_prob,
+                             fock_amplitude, reduced_density_a,
+                             reduced_density_b, vacuum_prob)
 from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
 from ndpa.oracle import (OracleConfig, TruncationError, amode_state,
                          auto_cutoff, build_generators, coherent_state,
@@ -183,6 +185,55 @@ def test_matches_amode_closed_form():
             amode_prob(d, psi, FockOutcome(m, n)), abs=1e-9)
 
 
+# (k^2, gt) where cutoff 96 is converged: the vacuum y^96 is below 4e-12
+CONVERGED_AT_96 = [(0.5, 1.5), (1.0, 1.5), (1.8, 3.0)]
+
+
+def _at_doubled_cutoffs(params, make_initial, t, probe):
+    """probe of the evolved state at cutoff 96, checked against cutoff 192."""
+    values = [probe(evolve_truncated(pump_for(params), params, make_initial(cutoff),
+                                     t, OracleConfig(cutoff=cutoff)))
+              for cutoff in (96, 192)]
+    assert np.max(np.abs(values[0] - values[1])) < 1e-13
+    return values[0]
+
+
+@pytest.mark.parametrize("k2,t", CONVERGED_AT_96)
+def test_reduced_densities_match_oracle_marginals(k2, t):
+    params = params_for(k2)
+    psi = PureAModeState.poisson(0.85)
+
+    def marginals(state):
+        p = np.abs(state.dense()) ** 2
+        return np.concatenate([p.sum(axis=1)[:8], p.sum(axis=0)[:8]])
+
+    oracle_values = _at_doubled_cutoffs(
+        params, lambda cutoff: amode_state(cutoff, psi.probs, psi.phases), t,
+        marginals)
+    d = derived_scalars(params, t)
+    closed = [reduced_density_a(d, psi, n) for n in range(8)] \
+        + [reduced_density_b(d, psi, m) for m in range(8)]
+    assert np.max(np.abs(np.array(closed) - oracle_values)) < 1e-12
+
+
+@pytest.mark.parametrize("k2,t", CONVERGED_AT_96)
+def test_coherent_transition_matches_oracle_overlap(k2, t):
+    params = params_for(k2)
+    initial = CoherentPair(0.8, 0.5 + 0.3j)
+    final = CoherentPair(0.6 - 0.2j, 0.9 + 0.4j)
+
+    def overlap(state):
+        bra = coherent_state(state.cutoff, final.alpha, final.beta)
+        return abs(bra.overlap(state)) ** 2
+
+    oracle_value = _at_doubled_cutoffs(
+        params, lambda cutoff: coherent_state(cutoff, initial.alpha, initial.beta),
+        t, overlap)
+    closed = coherent_transition_prob(solve_analytic(params, t), initial, final)
+    assert oracle_value > 0.05
+    assert closed == pytest.approx(oracle_value, abs=1e-12)
+
+
 def test_oracle_moment_normal_ordering():
     params = params_for(1.5)
     out = evolve_truncated(pump_for(params), params, fock_state(32, 1, 1), 0.0)
@@ -212,6 +263,25 @@ def test_truncation_error_for_unnormalized_input():
     init.norm_deficit = 0.75
     with pytest.raises(TruncationError):
         evolve_truncated(pump_for(params), params, init, 1.0)
+
+
+def test_fock_state_rejects_negative_occupation():
+    with pytest.raises(ValueError, match=r"\(-1, 0\)"):
+        fock_state(10, -1, 0)
+
+
+def test_amplitude_rejects_negative_occupation():
+    state = fock_state(10, 1, 1)
+    with pytest.raises(ValueError, match=r"\(-1, 1\)"):
+        state.amplitude(-1, 1)
+    with pytest.raises(ValueError, match=r"\(1, -1\)"):
+        oracle_probability(state, -1, 1)  # outcome m = -1 in mode b
+
+
+def test_evolve_rejects_non_finite_time():
+    params = params_for(1.5)
+    with pytest.raises(ValueError, match="got nan"):
+        evolve_truncated(pump_for(params), params, fock_state(16, 1, 1), math.nan)
 
 
 def test_config_validation_and_auto_cutoff():

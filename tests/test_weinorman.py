@@ -5,8 +5,8 @@ import pytest
 
 from ndpa.model import CustomPump, HarmonicPump, ModelParams
 from ndpa.weinorman import (coefficients, derived_scalars, regime_angles,
-                            scalars, solve_analytic, solve_analytic_grid,
-                            solve_ode, unitarity_residuals)
+                            scalars, solve_analytic, solve_ode,
+                            unitarity_residuals)
 
 
 def params_for(k2, g=1.0, sign=1):
@@ -81,7 +81,7 @@ def test_super_regime_revival_zeros():
 def test_imaginary_a0_continuous_in_super_regime():
     params = params_for(1.5)
     t = np.linspace(0.0, 20.0, 4000)
-    c = solve_analytic_grid(params, t)
+    c = solve_analytic(params, t)
     phase = np.imag(c.a_zero) + params.Omega * t / 2.0  # remove secular part
     assert np.max(np.abs(np.diff(phase))) < 0.1  # no 2*pi branch jumps
 
