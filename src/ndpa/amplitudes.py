@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .weinorman import (DerivedScalars, WeiNormanCoefficients, _real,
                         bogoliubov_pair)
@@ -52,6 +51,11 @@ class CoherentPair:
     alpha: complex
     beta: complex
 
+    def __post_init__(self):
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
 
 @dataclass(frozen=True)
 class PureAModeState:
@@ -77,6 +81,7 @@ class PureAModeState:
     @classmethod
     def poisson(cls, alpha: complex, cutoff: int | None = None) -> "PureAModeState":
         """Truncated, renormalized Poisson distribution with |alpha|^2 mean."""
+        from scipy.special import gammaln
         mu = abs(alpha) ** 2
         if cutoff is None:
             cutoff = max(24, int(mu + 12.0 * math.sqrt(mu + 1.0)))
@@ -106,6 +111,7 @@ def _log_pow(base: complex, exponent: int) -> complex:
 def fock_amplitude(c: WeiNormanCoefficients, initial: FockPair,
                    outcome: FockOutcome) -> complex:
     """<m, n| U_I(t) |r, s>; zero unless m = s - r + n (conserved n_a - n_b)."""
+    from scipy.special import gammaln
     r, s = initial.r, initial.s
     m, n = outcome.m, outcome.n
     if m != s - r + n:
@@ -158,6 +164,7 @@ def _amode_log_term(d: DerivedScalars, psi: PureAModeState, m, n):
     Broadcasts over integer arrays m and n and over grid scalars; -inf
     where P_(n-m) is zero or n - m is outside the distribution.
     """
+    from scipy.special import gammaln
     probs = np.asarray(psi.probs, dtype=float)
     m, n = np.asarray(m), np.asarray(n)
     inside = (n >= m) & (n - m < probs.size)
@@ -177,6 +184,7 @@ def amode_prob(d: DerivedScalars, psi: PureAModeState,
 
 def reduced_density_b(d: DerivedScalars, psi: PureAModeState, m: int) -> float:
     """Diagonal b-mode reduced matrix element sum_n p_mn."""
+    from scipy.special import logsumexp
     if m < 0:
         raise ValueError("m must be non-negative")
     n = m + np.arange(len(psi.probs))
@@ -185,6 +193,7 @@ def reduced_density_b(d: DerivedScalars, psi: PureAModeState, m: int) -> float:
 
 def reduced_density_a(d: DerivedScalars, psi: PureAModeState, n: int) -> float:
     """Diagonal a-mode reduced matrix element sum_m p_mn."""
+    from scipy.special import logsumexp
     if n < 0:
         raise ValueError("n must be non-negative")
     return float(np.exp(logsumexp(_amode_log_term(d, psi, np.arange(n + 1), n))))
@@ -292,6 +301,7 @@ def amode_norm(d: DerivedScalars, psi: PureAModeState,
     m_max doubles until the geometric bound on the terms past it, with
     ratio y (1 + l/(m+1)) < 1, is below tail * P_l.
     """
+    from scipy.special import logsumexp
     total = 0.0
     for l, p_src in enumerate(psi.probs):
         if p_src == 0.0:

@@ -60,6 +60,8 @@ class Scenario:
             raise ScenarioError("grid needs at least 2 steps")
         if not t1 > t0:
             raise ScenarioError("grid end must exceed grid start")
+        if not math.isfinite(self.options.get("theta", 0.0)):
+            raise ScenarioError(f"theta must be finite, got {self.options['theta']!r}")
 
     def times(self) -> np.ndarray:
         t0, t1, steps = self.grid

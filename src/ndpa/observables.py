@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .amplitudes import CoherentPair, FockPair, coherent_mean_numbers
 from .model import ModelParams, RegimeError, RegimeTag, classify_regime
@@ -154,17 +153,15 @@ def quadrature_variance(kernel: SqueezingKernel,
 def squeezing_extrema(params: ModelParams, theta: float, t_range,
                       n_grid: int = 4001) -> list[tuple[float, float]]:
     """Local minima of |T_theta|^2 on (t0, t1), bracketed on a grid and refined."""
+    from scipy.optimize import minimize_scalar
     t0, t1 = t_range
     ts = np.linspace(t0, t1, n_grid)
     vals = squeezing_kernel(params, theta, ts).t_sq
-
-    def objective(t):
-        return squeezing_kernel(params, theta, t).t_sq
-
     minima = []
     for i in range(1, n_grid - 1):
         if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
-            res = minimize_scalar(objective, bounds=(ts[i - 1], ts[i + 1]),
+            res = minimize_scalar(lambda t: squeezing_kernel(params, theta, t).t_sq,
+                                  bounds=(ts[i - 1], ts[i + 1]),
                                   method="bounded",
                                   options={"xatol": 1e-12})
             minima.append((float(res.x), float(res.fun)))

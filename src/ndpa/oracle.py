@@ -14,19 +14,29 @@ s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
 -W j, off-diagonal |g| sqrt((n_a+1)(n_b+1))), so with M = V diag(lam) V^T,
 z(t) = S V exp(i lam t) V^T S^-1 z(0).  Other pumps are integrated with
 DOP853, all blocks zero-padded into one banded system, per kink-free stretch.
+
+scipy loads on first use: for general-Fock and Poisson ``prob``, ``fig3``,
+``oracle-check``, ``solve_ode`` and ``squeezing_extrema``.  The PEP 562
+``__getattr__`` imports ``solve_ivp``; each ODE run reads it, as rebound.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .model import HarmonicPump, ModelParams, PumpProfile, TabulatedPump
+
+
+def __getattr__(name):
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import solve_ivp
+    globals()[name] = solve_ivp
+    return solve_ivp
 
 
 class TruncationError(RuntimeError):
@@ -114,6 +124,7 @@ def fock_state(cutoff: int, r: int, s: int) -> TruncatedState:
 
 
 def _coherent_amps(alpha: complex, n: np.ndarray) -> np.ndarray:
+    from scipy.special import gammaln
     if alpha == 0:
         out = np.zeros(n.size, dtype=complex)
         out[n == 0] = 1.0
@@ -162,6 +173,7 @@ def amode_state(cutoff: int, probs, phases=None) -> TruncatedState:
 
 def _propagate_harmonic(pump: HarmonicPump, w: float, initial: TruncatedState, t):
     """Exact propagation of every block; w is W of the module docstring."""
+    from scipy.linalg import eigh_tridiagonal
     turn = 0.5 * np.pi - np.angle(pump.g)  # arg s of the gauge s = i conj(g)/|g|
     out = {}
     for q, vec in initial.blocks.items():
@@ -196,8 +208,8 @@ def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, t
     knots = [0.0, *kinks[(kinks > 0.0) & (kinks < t)], float(t)]
     flat = y.ravel()
     for t0, t1 in zip(knots, knots[1:]):
-        res = solve_ivp(rhs, (t0, t1), flat, method="DOP853", t_eval=(t1,),
-                        rtol=tol, atol=tol * 1e-2)
+        res = sys.modules[__name__].solve_ivp(rhs, (t0, t1), flat, method="DOP853",
+                                              t_eval=(t1,), rtol=tol, atol=tol * 1e-2)
         if not res.success:
             raise TruncationError(
                 f"integrator failed on [{t0:.6g}, {t1:.6g}]: {res.message}")

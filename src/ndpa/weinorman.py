@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import DEFAULT_REGIME_EPS, ModelParams, PumpProfile
 
@@ -153,6 +152,7 @@ def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
     control; the Riccati variable A+ stays inside the unit disc for this
     model, so no pole handling is required.
     """
+    from scipy.integrate import solve_ivp
     if tol <= 0:
         raise ValueError("tol must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -176,8 +176,7 @@ def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
     else:
         res = solve_ivp(rhs, (0.0, float(t_grid[-1])),
                         np.zeros(3, dtype=complex), method="RK45",
-                        t_eval=t_grid, rtol=0.1 * tol, atol=tol * 1e-4,
-                        dense_output=False)
+                        t_eval=t_grid, rtol=0.1 * tol, atol=tol * 1e-4)
         if not res.success:
             reached = res.t[-1] if res.t.size else 0.0
             raise IntegrationError(

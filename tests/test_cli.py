@@ -180,7 +180,14 @@ def test_main_bad_grid_errors(verb, grid, tmp_path, capsys):
 @pytest.mark.parametrize("argv,named", [
     (["evolve", "--k2", "nan"], "k2"),
     (["prob", "--tmax", "inf"], "grid bounds"),
-    (["oracle-check", "--tmax", "nan"], "t must be finite")])
+    (["oracle-check", "--tmax", "nan"], "t must be finite"),
+    (["prob", "--initial", "coherent:nan,1", "--steps", "3", "--tmax", "1"],
+     "alpha must be finite, got (nan+0j)"),
+    (["observable", "--name", "variance", "--theta", "nan", "--initial", "fock:1,1",
+      "--steps", "3", "--tmax", "1"], "theta must be finite, got nan"),
+    (["sweep", "--name", "variance", "--param", "theta", "--values", "0,nan",
+      "--initial", "fock:1,1", "--steps", "3", "--tmax", "1"],
+     "theta must be finite, got nan")])
 def test_main_non_finite_input_errors(argv, named, tmp_path, capsys):
     out = ["--out", str(tmp_path / "out.csv")] if argv[0] != "oracle-check" else []
     assert main(argv + out) == 1

@@ -1,0 +1,89 @@
+"""What a fresh interpreter loads: scipy only on the paths that call it.
+
+Each test runs its code in a new interpreter, so that nothing an earlier
+test imported into this one hides an import the package makes.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ndpa
+
+SRC = str(Path(ndpa.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a new interpreter that imports ndpa from this tree;
+    returns what it printed as JSON."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_closed_form_verbs_load_no_scipy(tmp_path):
+    loaded = run_fresh(f"""
+import json, sys
+import ndpa, ndpa.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = ["--out", {str(tmp_path / "out.csv")!r}]
+loaded = {{"import": scipy_modules()}}
+for argv in (["figure", "fig6"], ["evolve", "--steps", "11"],
+             ["observable", "--name", "mandel_q", "--initial", "coherent:1,1",
+              "--steps", "11"]):
+    assert ndpa.cli.main(argv + out) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+""")
+    assert loaded == {"import": [], "figure": [], "evolve": [], "observable": []}
+
+
+def test_oracle_solve_ivp_loads_on_first_read_and_stays_rebindable():
+    # tracers and call counters rebind ndpa.oracle.solve_ivp; the ODE path
+    # must call whatever the attribute holds when it runs
+    result = run_fresh("""
+import json, sys
+import numpy as np
+from ndpa import oracle
+from ndpa.model import HarmonicPump, ModelParams, TabulatedPump
+from ndpa.observables import squeezing_extrema
+from ndpa.weinorman import solve_analytic, solve_ode
+
+unloaded = "scipy.integrate" not in sys.modules
+first = oracle.solve_ivp
+import scipy.integrate
+calls = []
+
+def counted(fun, t_span, y0, **kwargs):
+    calls.append(list(t_span))
+    return first(fun, t_span, y0, **kwargs)
+
+setattr(oracle, "solve_ivp", counted)
+params = ModelParams.from_k2(1.5, g=1.0, omega_a=3.0, omega_b=2.0)
+pump = HarmonicPump.from_params(params)
+times = (0.0, 0.5, 1.0)
+tab = TabulatedPump(times=times, values=tuple(pump.value(np.array(times))))
+oracle.evolve_truncated(tab, params, oracle.fock_state(12, 1, 0), 1.0,
+                        oracle.OracleConfig(cutoff=12))
+grid = np.linspace(0.0, 2.0, 5)
+numeric = solve_ode(pump, params, grid)
+exact = solve_analytic(params, grid)
+print(json.dumps({
+    "unloaded": unloaded,
+    "first_is_scipy": first is scipy.integrate.solve_ivp,
+    "calls": calls,
+    "ode_error": max(abs(c.a_plus - e) for c, e in zip(numeric, exact.a_plus)),
+    "minima": len(squeezing_extrema(params, 0.0, (0.0, 10.0), n_grid=401)),
+}))
+""")
+    assert result["unloaded"] and result["first_is_scipy"]
+    assert result["calls"] == [[0.0, 0.5], [0.5, 1.0]]
+    assert result["ode_error"] < 1e-8
+    assert result["minima"] > 0
