@@ -1,19 +1,23 @@
 """Two-mode non-degenerate parametric amplifier with a harmonic pump.
 
 The interaction H = i[g(t) ab - g*(t) a+b+] is solved exactly through the
-factorized (disentangled) evolution operator; the package exposes the
-coefficient functions, transition amplitudes and probabilities, photon
-statistics, squeezing and signal-to-noise observables, plus a brute-force
-truncated-basis propagator used as an independent cross-check.
+factorized SU(1,1) evolution operator exp(A+ K+) exp(2 A0 K0) exp(A- K-),
+whose closed forms split into three regimes by k^2 against 1.  The package
+exposes those coefficients and the Bogoliubov pair a(t) = u a + v b+
+(``weinorman``), transition probabilities and certified normalization sums
+(``amplitudes``), normal-ordered moments (``moments``), photon statistics,
+squeezing, signal-to-noise and diagonalization results (``observables``),
+revival times (``model``), a truncated-Fock propagator that checks them
+independently (``oracle``) and the CSV scenario runner (``cli``).
 """
 
 from .model import (CoherentRevival, CustomPump, HarmonicPump, ModelParams,
-                    ParityError, PumpProfile, Regime, RegimeError, RegimeTag,
+                    ParityError, PumpProfile, RegimeError, RegimeTag,
                     RevivalSpec, TabulatedPump, classify_regime,
                     coherent_revival_params, fock_revival_times)
-from .weinorman import (DerivedScalars, IntegrationError, RegimeAngles,
+from .weinorman import (DerivedScalars, IntegrationError,
                         WeiNormanCoefficients, coefficients, derived_scalars,
-                        regime_angles, scalars, solve_analytic, solve_ode,
+                        scalars, solve_analytic, solve_ode,
                         unitarity_residuals)
 from .amplitudes import (CoherentPair, FockOutcome, FockPair, PureAModeState,
                          amode_norm, amode_prob, coherent_mean_numbers,
@@ -22,10 +26,9 @@ from .amplitudes import (CoherentPair, FockOutcome, FockPair, PureAModeState,
                          fock_amplitude, reduced_density_a, reduced_density_b,
                          vacuum_norm, vacuum_prob)
 from .moments import MomentTable, second_moments
-from .observables import (BogoliubovCoefficients, DiagonalizationResult,
-                          SnrExtremum, SnrReport, SqueezingKernel,
-                          asymptotic_minima_period, cross_correlation_fock,
-                          cross_correlation_general, heisenberg_a,
+from .observables import (DiagonalizationResult, SnrExtremum, SnrReport,
+                          SqueezingKernel, asymptotic_minima_period,
+                          cross_correlation_fock, cross_correlation_general,
                           instantaneous_diagonalization, mandel_q_coherent,
                           mandel_q_fock, mandel_q_fock_max, mean_photon_fock,
                           quadrature_variance, snr_eta_coherent,
@@ -33,8 +36,7 @@ from .observables import (BogoliubovCoefficients, DiagonalizationResult,
                           snr_rho_min_value, squeezing_extrema,
                           squeezing_kernel)
 from .oracle import (OracleConfig, TruncatedState, TruncationError,
-                     amode_state, auto_cutoff, build_generators,
-                     coherent_state, edge_mass, evolve_converged,
+                     amode_state, coherent_state, edge_mass, evolve_converged,
                      evolve_truncated, fock_state, oracle_moment,
                      oracle_probability)
 

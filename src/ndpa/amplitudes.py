@@ -73,30 +73,19 @@ class PureAModeState:
         if len(self.phases) != p.size:
             raise ValueError("probs and phases must have equal length")
 
-    @property
-    def mean_occupation(self) -> float:
-        p = np.asarray(self.probs, dtype=float)
-        return float(np.arange(p.size) @ p)
-
     @classmethod
-    def poisson(cls, alpha: complex, cutoff: int | None = None) -> "PureAModeState":
-        """Truncated, renormalized Poisson distribution with |alpha|^2 mean."""
+    def poisson(cls, alpha: complex) -> "PureAModeState":
+        """Poisson distribution with mean mu = |alpha|^2, cut at
+        n = max(24, mu + 12 sqrt(mu + 1)) and renormalized."""
         from scipy.special import gammaln
         mu = abs(alpha) ** 2
-        if cutoff is None:
-            cutoff = max(24, int(mu + 12.0 * math.sqrt(mu + 1.0)))
-        n = np.arange(cutoff + 1)
+        n = np.arange(max(24, int(mu + 12.0 * math.sqrt(mu + 1.0))) + 1)
         logp = n * math.log(mu) - gammaln(n + 1.0) - mu if mu > 0 else \
             np.where(n == 0, 0.0, -np.inf)
         p = np.exp(logp)
         p /= p.sum()
         phases = n * np.angle(alpha) if alpha != 0 else np.zeros(n.size)
         return cls(probs=tuple(p), phases=tuple(phases))
-
-    @classmethod
-    def fock(cls, s: int) -> "PureAModeState":
-        probs = [0.0] * s + [1.0]
-        return cls(probs=tuple(probs), phases=tuple([0.0] * (s + 1)))
 
 
 def _log_pow(base: complex, exponent: int) -> complex:
@@ -247,13 +236,15 @@ def coherent_mean_numbers(c: WeiNormanCoefficients, d: DerivedScalars,
 
 # -- certified normalization sums -----------------------------------------
 
+_TAIL = 1e-12  # bound on the terms each sum leaves out (times P_l in amode_norm)
 
-def vacuum_norm(d: DerivedScalars, tail: float = 1e-12) -> float:
-    """sum_n p_nn for the vacuum start, truncated with a geometric tail < tail."""
+
+def vacuum_norm(d: DerivedScalars) -> float:
+    """sum_n p_nn for the vacuum start, truncated with a geometric tail < _TAIL."""
     # tail bound: sum_{n>N} y^n/x = y^(N+1)/(x(1-y)); log(1-y) via expm1
     # so the bound survives y rounding to 1 deep below threshold
     log_one_minus_y = math.log(-math.expm1(d.log_y))
-    needed = (math.log(tail) + d.log_x + log_one_minus_y) / d.log_y
+    needed = (math.log(_TAIL) + d.log_x + log_one_minus_y) / d.log_y
     if needed > 2_000_000:
         # too many terms to sum directly; the geometric sum in log form
         return math.exp(-d.log_x - log_one_minus_y
@@ -272,7 +263,7 @@ def _tail_n2_geom(log_y: float, n_from: int) -> float:
                 + y / one ** 2)
 
 
-def fock11_norm(d: DerivedScalars, tail: float = 1e-12) -> float:
+def fock11_norm(d: DerivedScalars) -> float:
     """sum_n p_nn for the |1,1> start with a certified polynomial-geometric tail."""
     if d.log_y == -math.inf:
         return 1.0
@@ -281,25 +272,24 @@ def fock11_norm(d: DerivedScalars, tail: float = 1e-12) -> float:
         # to y/x + (1-y) + y^2 via the geometric moment identities
         return (math.exp(d.log_y - d.log_x) + math.exp(-d.log_x)
                 + math.exp(2.0 * d.log_y))
-    # p_n <= y^(n-1) * 2 (n^2/x^2 + y^2) / x; choose N so the bound tail < tail
+    # p_n <= y^(n-1) * 2 (n^2/x^2 + y^2) / x; choose N so the bound tail < _TAIL
     n_max = 64
     while True:
         bound = 2.0 * math.exp(-d.log_y - 3.0 * d.log_x) \
             * _tail_n2_geom(d.log_y, n_max + 1) \
             + 2.0 * math.exp((n_max) * d.log_y)  # crude y^2 branch bound
-        if bound < tail or n_max > 10_000_000:
+        if bound < _TAIL or n_max > 10_000_000:
             break
         n_max *= 2
     return float(fock11_prob(d, np.arange(n_max + 1)).sum())
 
 
-def amode_norm(d: DerivedScalars, psi: PureAModeState,
-               tail: float = 1e-12) -> float:
+def amode_norm(d: DerivedScalars, psi: PureAModeState) -> float:
     """sum_{m,n} p_mn for an a-mode pure state, summed per source occupation l.
 
     The terms m = 0, 1, ... of source l = n - m sum to P_l analytically;
     m_max doubles until the geometric bound on the terms past it, with
-    ratio y (1 + l/(m+1)) < 1, is below tail * P_l.
+    ratio y (1 + l/(m+1)) < 1, is below _TAIL * P_l.
     """
     from scipy.special import logsumexp
     total = 0.0
@@ -311,7 +301,7 @@ def amode_norm(d: DerivedScalars, psi: PureAModeState,
             ratio = d.y * (1.0 + l / (m_max + 1.0))
             if ratio < 1.0:
                 log_next = _amode_log_term(d, psi, m_max + 1, l + m_max + 1)
-                if log_next - math.log1p(-ratio) < math.log(tail) + math.log(p_src):
+                if log_next - math.log1p(-ratio) < math.log(_TAIL) + math.log(p_src):
                     break
             if m_max > 50_000_000:
                 break

@@ -196,6 +196,9 @@ def run(scenario: Scenario):
 def sweep(scenario: Scenario, parameter: str, values):
     """One output column per parameter value, sharing the time grid."""
     base = scenario.params
+    if parameter == "theta" and scenario.observable != "variance":
+        raise ScenarioError(f"theta does not enter {scenario.observable!r}; "
+                            "only variance depends on it")
     subs = []
     for value in values:
         if parameter == "k2":
@@ -378,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     verbs["figure"].add_argument("name", choices=FIGURE_NAMES)
     verbs["observable"].add_argument("--name", default="mean", choices=_OBSERVABLES)
     verbs["sweep"].add_argument("--name", default="probability",
-                                help="probability or an observable name")
+                                choices=("probability",) + _OBSERVABLES)
     for flag, readers, keywords in _OPTIONS:
         for verb in readers:
             verbs[verb].add_argument(flag, **keywords)

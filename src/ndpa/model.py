@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,41 +59,13 @@ class ModelParams:
         return self.k * self.k
 
     @classmethod
-    def from_k(cls, k: float, g: float = 1.0, omega_a: float = 1.0,
-               omega_b: float = 1.0) -> "ModelParams":
-        """Construct parameters with a prescribed dimensionless detuning k."""
-        return cls(omega_a=omega_a, omega_b=omega_b, g=g,
-                   omega=omega_a + omega_b + 2.0 * g * k)
-
-    @classmethod
     def from_k2(cls, k2: float, g: float = 1.0, omega_a: float = 1.0,
                 omega_b: float = 1.0, sign: int = 1) -> "ModelParams":
         """Construct parameters from k^2 >= 0; the sign of k defaults to +."""
         if not 0 <= k2 < math.inf:
             raise ValueError(f"k2 must be finite and non-negative, got {k2!r}")
-        return cls.from_k(sign * math.sqrt(k2), g=g, omega_a=omega_a,
-                          omega_b=omega_b)
-
-    # -- flat key-value configuration ------------------------------------
-
-    def to_config(self) -> str:
-        return "".join(f"{key} = {getattr(self, key)!r}\n"
-                       for key in ("omega_a", "omega_b", "omega", "g"))
-
-    @classmethod
-    def from_config(cls, text: str) -> "ModelParams":
-        values = {}
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            values[key.strip()] = float(raw)
-        missing = {"omega_a", "omega_b", "omega", "g"} - set(values)
-        if missing:
-            raise ValueError(f"missing configuration keys: {sorted(missing)}")
-        return cls(omega_a=values["omega_a"], omega_b=values["omega_b"],
-                   g=values["g"], omega=values["omega"])
+        return cls(omega_a=omega_a, omega_b=omega_b, g=g,
+                   omega=omega_a + omega_b + 2.0 * g * sign * math.sqrt(k2))
 
 
 class RegimeTag(enum.Enum):
@@ -102,22 +74,15 @@ class RegimeTag(enum.Enum):
     SUPER = "super"
 
 
-@dataclass(frozen=True)
-class Regime:
-    tag: RegimeTag
-    epsilon: float
+def _regime_split(k2):
+    """(below, above) masks of k^2 outside the critical band 1 +- eps."""
+    return k2 < 1.0 - DEFAULT_REGIME_EPS, k2 > 1.0 + DEFAULT_REGIME_EPS
 
 
-def classify_regime(params: ModelParams) -> Regime:
+def classify_regime(params: ModelParams) -> RegimeTag:
     """Classify the dynamics by k^2 relative to the critical value 1."""
-    k2 = params.k2
-    if k2 < 1.0 - DEFAULT_REGIME_EPS:
-        tag = RegimeTag.SUB
-    elif k2 > 1.0 + DEFAULT_REGIME_EPS:
-        tag = RegimeTag.SUPER
-    else:
-        tag = RegimeTag.CRITICAL
-    return Regime(tag=tag, epsilon=DEFAULT_REGIME_EPS)
+    sub, sup = _regime_split(params.k2)
+    return RegimeTag.SUB if sub else RegimeTag.SUPER if sup else RegimeTag.CRITICAL
 
 
 # -- pump profiles --------------------------------------------------------

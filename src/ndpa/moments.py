@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .amplitudes import CoherentPair, FockPair
-from .model import ModelParams
 from .weinorman import WeiNormanCoefficients, bogoliubov_pair
 
 # elementary symbols: ("a", False) = a, ("a", True) = a-dagger, same for b
@@ -91,31 +90,22 @@ class MomentTable:
         return self.expect(0, 0, 2, 2).real + m - m * m
 
 
-def second_moments(state: FockPair | CoherentPair, c: WeiNormanCoefficients,
-                   params: ModelParams | None = None,
-                   max_degree: int = 4) -> MomentTable:
-    """Moment table on a product initial state.
+def second_moments(state: FockPair | CoherentPair,
+                   c: WeiNormanCoefficients) -> MomentTable:
+    """Moment table on a product initial state, in the interaction picture.
 
-    The default frame is the interaction picture (matching the truncated
-    propagator); pass ``params`` to include the free-evolution phases
-    exp(-i omega t) in the mode operators.  Photon-number moments are
-    identical in both frames.  Coefficients on a time grid give moments
+    The frame matches the truncated propagator's; photon-number moments
+    are the same in the lab frame, where the other moments pick up the
+    free phases exp(-i omega t).  Coefficients on a time grid give moments
     that are arrays over the grid.
     """
     u, v = bogoliubov_pair(c)
-    phase_a = phase_b = 1.0
-    if params is not None:
-        phase_a = np.exp(-1j * params.omega_a * c.t)
-        phase_b = np.exp(-1j * params.omega_b * c.t)
-    # a(t) = u_a a + v_a b+ ; b(t) = u_b b + v_b a+
-    u_a, v_a = u * phase_a, v * phase_a
-    u_b, v_b = u * phase_b, v * phase_b
-
+    # a(t) = u a + v b+ ; b(t) = u b + v a+
     combos = {
-        "a": ((u_a, ("a", False)), (v_a, ("b", True))),
-        "ad": ((np.conj(u_a), ("a", True)), (np.conj(v_a), ("b", False))),
-        "b": ((u_b, ("b", False)), (v_b, ("a", True))),
-        "bd": ((np.conj(u_b), ("b", True)), (np.conj(v_b), ("a", False))),
+        "a": ((u, ("a", False)), (v, ("b", True))),
+        "ad": ((np.conj(u), ("a", True)), (np.conj(v), ("b", False))),
+        "b": ((u, ("b", False)), (v, ("a", True))),
+        "bd": ((np.conj(u), ("b", True)), (np.conj(v), ("a", False))),
     }
 
     if isinstance(state, FockPair):
@@ -127,7 +117,7 @@ def second_moments(state: FockPair | CoherentPair, c: WeiNormanCoefficients,
                     * _expect_coherent(word_b, state.beta))
 
     values = {}
-    for degree in range(0, max_degree + 1):
+    for degree in range(5):  # p + q + r + s <= 4
         for p in range(degree + 1):
             for q in range(degree + 1 - p):
                 for r in range(degree + 1 - p - q):

@@ -16,26 +16,6 @@ from .weinorman import (DerivedScalars, WeiNormanCoefficients, _real,
                         bogoliubov_pair, solve_analytic)
 
 
-@dataclass(frozen=True)
-class BogoliubovCoefficients:
-    """a(t) = u a + v b+ with |u|^2 - |v|^2 = 1."""
-
-    u: complex
-    v: complex
-    t: float
-
-
-def heisenberg_a(params: ModelParams, t: float) -> BogoliubovCoefficients:
-    """Heisenberg-picture mixing coefficients of the a mode (harmonic pump).
-
-    The b-mode operator follows by swapping the roles of the modes; it has
-    the same |u|, |v| with the omega_b free phase instead.
-    """
-    u, v = bogoliubov_pair(solve_analytic(params, t))
-    phase = np.exp(-1j * params.omega_a * t)
-    return BogoliubovCoefficients(u=complex(u * phase), v=complex(v * phase), t=t)
-
-
 def mean_photon_fock(d: DerivedScalars, f: FockPair) -> tuple[float, float]:
     """(mean_a, mean_b) = (r, s) + n0 (r+s+1); the difference is conserved."""
     pumped = d.n0 * (f.r + f.s + 1.0)
@@ -170,7 +150,7 @@ def squeezing_extrema(params: ModelParams, theta: float, t_range,
 
 def asymptotic_minima_period(params: ModelParams) -> float:
     """Large-time spacing of the quadrature-variance minima below threshold."""
-    if classify_regime(params).tag is not RegimeTag.SUB or params.k == 0.0:
+    if classify_regime(params) is not RegimeTag.SUB or params.k == 0.0:
         raise RegimeError("asymptotic period pi/k applies below threshold with k != 0")
     return math.pi / (abs(params.k) * params.g)
 
@@ -191,7 +171,6 @@ class SnrReport:
 
     eta: float
     yuen_bound: float
-    mean_a: float
 
 
 def _snr_rho(n0, f: FockPair):
@@ -229,12 +208,11 @@ def snr_rho_min_value(f: FockPair) -> float:
                            / (2.0 + 1.0 / r + 1.0 / s + 1.0 / (r * s)))
 
 
-def snr_rho_extrema(params: ModelParams, f: FockPair,
-                    periods: int = 1) -> list[SnrExtremum]:
-    """Analytic extrema of rho_a over the first ``periods`` revival periods.
+def snr_rho_extrema(params: ModelParams, f: FockPair) -> list[SnrExtremum]:
+    """Analytic extrema of rho_a over the first revival period.
 
     Requires k^2 > 1.  When 0 < r/(s-r+1) < 1/(k^2-1) the half-period
-    extremum is a local maximum flanked by two global minima per period;
+    extremum is a local maximum flanked by two global minima;
     otherwise it is the single global extremum (max for r = 0, min for
     r != 0).  A non-positive denominator s-r+1 counts as violating the
     inequality.
@@ -247,23 +225,16 @@ def snr_rho_extrema(params: ModelParams, f: FockPair,
 
     has_minima = (s - r + 1.0) > 0.0 and r > 0 \
         and r / (s - r + 1.0) < 1.0 / (k2 - 1.0)
-    out = []
-    for period in range(periods):
-        base = period * math.pi
-        if has_minima:
-            asin = math.asin(math.sqrt((k2 - 1.0) * r / (s - r + 1.0)))
-            value = snr_rho_min_value(f)
-            out.append(SnrExtremum(time=(base + asin) * scale, value=value,
-                                   kind="global_min"))
-            out.append(SnrExtremum(time=(base + math.pi / 2.0) * scale,
-                                   value=extremum, kind="local_max"))
-            out.append(SnrExtremum(time=(base + math.pi - asin) * scale,
-                                   value=value, kind="global_min"))
-        else:
-            kind = "global_max" if r == 0 else "global_min"
-            out.append(SnrExtremum(time=(base + math.pi / 2.0) * scale,
-                                   value=extremum, kind=kind))
-    return out
+    half = SnrExtremum(time=math.pi / 2.0 * scale, value=extremum,
+                       kind="local_max" if has_minima
+                       else "global_max" if r == 0 else "global_min")
+    if not has_minima:
+        return [half]
+    asin = math.asin(math.sqrt((k2 - 1.0) * r / (s - r + 1.0)))
+    value = snr_rho_min_value(f)
+    return [SnrExtremum(time=asin * scale, value=value, kind="global_min"), half,
+            SnrExtremum(time=(math.pi - asin) * scale, value=value,
+                        kind="global_min")]
 
 
 def snr_eta_coherent(c: WeiNormanCoefficients, d: DerivedScalars,
@@ -278,9 +249,7 @@ def snr_eta_coherent(c: WeiNormanCoefficients, d: DerivedScalars,
     mean = u * pair.alpha + v * np.conj(pair.beta)
     eta = 2.0 * mean.real ** 2 / (d.n0 + 0.5)
     mean_a, _ = coherent_mean_numbers(c, d, pair)
-    return SnrReport(eta=_real(eta),
-                     yuen_bound=4.0 * mean_a * (mean_a + 1.0),
-                     mean_a=mean_a)
+    return SnrReport(eta=_real(eta), yuen_bound=4.0 * mean_a * (mean_a + 1.0))
 
 
 # -- instantaneous diagonalization -------------------------------------------

@@ -43,17 +43,19 @@ class TruncationError(RuntimeError):
     """Norm leaked past the cutoff; increase the cutoff."""
 
 
+_TAIL_LIMIT = 1e-9  # largest norm deficit accepted before or after evolution
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     cutoff: int = 32
     tol: float = 1e-11
-    tail_limit: float = 1e-9
 
     def __post_init__(self):
         if self.cutoff < 4:
             raise ValueError("cutoff must be at least 4")
-        if self.tol <= 0 or self.tail_limit <= 0:
-            raise ValueError("tol and tail_limit must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -106,12 +108,6 @@ def _pair_amplitudes(cutoff: int, q: int) -> np.ndarray:
     return np.sqrt((j + max(q, 0) + 1.0) * (j + max(-q, 0) + 1.0))
 
 
-def build_generators(cutoff: int, q: int):
-    """Dense pair-creation/annihilation matrices (K+, K-) within block q."""
-    k_plus = np.diag(_pair_amplitudes(cutoff, q), -1)
-    return k_plus, k_plus.T.copy()
-
-
 def fock_state(cutoff: int, r: int, s: int) -> TruncatedState:
     if not (0 <= r <= cutoff and 0 <= s <= cutoff):
         raise ValueError(f"initial occupations ({r}, {s}) outside 0..{cutoff}")
@@ -135,9 +131,8 @@ def _coherent_amps(alpha: complex, n: np.ndarray) -> np.ndarray:
     return np.exp(log_mod) * phase
 
 
-def coherent_state(cutoff: int, alpha: complex, beta: complex,
-                   weight_floor: float = 1e-16) -> TruncatedState:
-    """Truncated product coherent state; blocks below weight_floor are dropped."""
+def coherent_state(cutoff: int, alpha: complex, beta: complex) -> TruncatedState:
+    """Truncated product coherent state; blocks of weight <= 1e-16 are dropped."""
     n = np.arange(cutoff + 1)
     ca = _coherent_amps(alpha, n)
     cb = _coherent_amps(beta, n)
@@ -145,7 +140,7 @@ def coherent_state(cutoff: int, alpha: complex, beta: complex,
     for q in range(-cutoff, cutoff + 1):
         na, nb = state.occupations(q)
         vec = ca[na] * cb[nb]
-        if np.vdot(vec, vec).real > weight_floor:
+        if np.vdot(vec, vec).real > 1e-16:
             state.blocks[q] = vec.astype(complex)
     state.norm_deficit = max(0.0, 1.0 - state.total_norm())
     return state
@@ -230,8 +225,9 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    if initial.norm_deficit > cfg.tail_limit:
-        raise TruncationError("initial state is not normalized within tail_limit")
+    if initial.norm_deficit > _TAIL_LIMIT:
+        raise TruncationError(
+            f"initial norm deficit {initial.norm_deficit:.3e} exceeds {_TAIL_LIMIT:.0e}")
     wsum = params.omega_a + params.omega_b
     result = TruncatedState(cutoff=initial.cutoff)
     if t == 0.0:
@@ -246,10 +242,9 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
 
     deficit = max(0.0, 1.0 - result.total_norm())
     result.norm_deficit = deficit
-    if deficit > cfg.tail_limit:
+    if deficit > _TAIL_LIMIT:
         raise TruncationError(
-            f"norm deficit {deficit:.3e} exceeds tail_limit {cfg.tail_limit:.3e}; "
-            "increase the cutoff")
+            f"norm deficit {deficit:.3e} exceeds {_TAIL_LIMIT:.0e}; increase the cutoff")
     return result
 
 
@@ -280,13 +275,8 @@ def oracle_moment(state: TruncatedState, p: int, q: int, r: int, s: int) -> comp
     return complex(np.sum(np.conj(bra[:rows, :cols]) * ket[:rows, :cols]))
 
 
-def auto_cutoff(expected_mean: float) -> int:
-    """Starting cutoff heuristic: generous multiple of the expected photon number."""
-    return max(16, int(math.ceil(4.0 * expected_mean)))
-
-
-def edge_mass(state: TruncatedState, margin: int = 2) -> float:
-    """Probability mass within ``margin`` levels of the cutoff edge.
+def edge_mass(state: TruncatedState) -> float:
+    """Probability mass on the three levels nearest the cutoff in either mode.
 
     The blockwise generators are anti-Hermitian even after truncation, so
     the integrated norm is conserved exactly and norm_deficit alone cannot
@@ -295,28 +285,28 @@ def edge_mass(state: TruncatedState, margin: int = 2) -> float:
     total = 0.0
     for q, vec in state.blocks.items():
         na, nb = state.occupations(q)
-        near = (na >= state.cutoff - margin) | (nb >= state.cutoff - margin)
+        near = (na >= state.cutoff - 2) | (nb >= state.cutoff - 2)
         total += float(np.sum(np.abs(vec[near]) ** 2))
     return total
 
 
 def evolve_converged(pump: PumpProfile, params: ModelParams, make_initial,
-                     t: float, probe, cfg: OracleConfig = OracleConfig(),
-                     rel_change: float = 1e-9, max_cutoff: int = 4096):
-    """Double the cutoff until ``probe(state)`` stabilizes.
+                     t: float, probe, cfg: OracleConfig = OracleConfig()):
+    """Double the cutoff, from ``cfg.cutoff``, until ``probe(state)`` stabilizes.
 
     ``make_initial(cutoff)`` builds the initial state at a given cutoff and
-    ``probe`` maps an evolved state to the scalar being converged.  Returns
-    (value, state, cutoff).
+    ``probe`` maps an evolved state to the scalar being converged.  Two
+    successive values must agree to 1e-9 * max(1, |value|) before the
+    cutoff passes 4096.  Returns (value, state, cutoff).
     """
     cutoff = cfg.cutoff
     prev = None
-    while cutoff <= max_cutoff:
+    while cutoff <= 4096:
         state = evolve_truncated(pump, params, make_initial(cutoff), t,
                                  replace(cfg, cutoff=cutoff))
         value = probe(state)
-        if prev is not None and abs(value - prev) <= rel_change * max(1.0, abs(value)):
+        if prev is not None and abs(value - prev) <= 1e-9 * max(1.0, abs(value)):
             return value, state, cutoff
         prev = value
         cutoff *= 2
-    raise TruncationError(f"no convergence below cutoff {max_cutoff}")
+    raise TruncationError("no convergence below cutoff 4096")

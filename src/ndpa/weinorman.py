@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_REGIME_EPS, ModelParams, PumpProfile
+from .model import ModelParams, PumpProfile, _regime_split
 
 
 class IntegrationError(RuntimeError):
@@ -32,14 +32,6 @@ class WeiNormanCoefficients:
     a_plus: complex
     a_minus: complex
     a_zero: complex
-
-
-@dataclass(frozen=True)
-class RegimeAngles:
-    """tan(gamma) = k/sqrt(1-k^2) below threshold; coth(delta) = k/sqrt(k^2-1) above."""
-
-    gamma: float | None
-    delta: float | None
 
 
 @dataclass(frozen=True)
@@ -64,16 +56,6 @@ def _real(value):
     return float(value) if value.ndim == 0 else value
 
 
-def regime_angles(params: ModelParams) -> RegimeAngles:
-    k = params.k
-    k2 = k * k
-    if k2 < 1.0 - DEFAULT_REGIME_EPS:
-        return RegimeAngles(gamma=float(np.arctan(k / np.sqrt(1.0 - k2))), delta=None)
-    if k2 > 1.0 + DEFAULT_REGIME_EPS:
-        return RegimeAngles(gamma=None, delta=float(np.arctanh(np.sqrt(k2 - 1.0) / k)))
-    return RegimeAngles(gamma=None, delta=None)
-
-
 def _log_cosh(z):
     """log(cosh(z)) without overflow; valid for complex z."""
     z = np.where(z.real < 0, -z, z)
@@ -91,8 +73,7 @@ def coefficients(k, gt, dtype=np.complex128):
     k, gt = np.broadcast_arrays(np.asarray(k, dtype=real_dtype),
                                 np.asarray(gt, dtype=real_dtype))
     k2 = k * k
-    sub = k2 < 1.0 - DEFAULT_REGIME_EPS
-    sup = k2 > 1.0 + DEFAULT_REGIME_EPS
+    sub, sup = _regime_split(k2)
     crit = ~(sub | sup)
 
     a_minus = np.zeros(k.shape, dtype=dtype)
@@ -222,8 +203,7 @@ def scalars(k, gt):
     k, gt = np.broadcast_arrays(np.asarray(k, dtype=float),
                                 np.asarray(gt, dtype=float))
     k2 = k * k
-    sub = k2 < 1.0 - DEFAULT_REGIME_EPS
-    sup = k2 > 1.0 + DEFAULT_REGIME_EPS
+    sub, sup = _regime_split(k2)
     crit = ~(sub | sup)
 
     log_n0 = np.empty(k.shape, dtype=float)

@@ -202,5 +202,3 @@ def test_pure_amode_state_validation():
         PureAModeState(probs=(0.5, 0.4), phases=(0.0, 0.0))
     with pytest.raises(ValueError):
         PureAModeState(probs=(1.0,), phases=(0.0, 0.0))
-    psi = PureAModeState.fock(2)
-    assert psi.mean_occupation == pytest.approx(2.0)

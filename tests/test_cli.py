@@ -62,7 +62,8 @@ def test_main_zero_mean_mandel_q_errors(capsys):
     ["evolve", "--cutoff", "40"], ["prob", "--tol", "1e-8"],
     ["observable", "--cutoff", "40"], ["sweep", "--param", "k2", "--values", "1",
                                        "--tol", "1e-8"],
-    ["oracle-check", "--steps", "5"], ["oracle-check", "--out", "x.csv"]])
+    ["oracle-check", "--steps", "5"], ["oracle-check", "--out", "x.csv"],
+    ["sweep", "--param", "k2", "--values", "1", "--name", "coefficients"]])
 def test_verbs_reject_options_they_do_not_read(argv):
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
@@ -229,3 +230,14 @@ def test_main_sweep(tmp_path):
     assert code == 0
     header, _ = read_csv(out)
     assert header == ["gt", "k2=0.5", "k2=1.5"]
+
+
+@pytest.mark.parametrize("name", ["probability", "mandel_q"])
+def test_main_sweep_theta_needs_variance(name, tmp_path, capsys):
+    out = tmp_path / "sw.csv"
+    assert main(["sweep", "--name", name, "--param", "theta", "--values", "0,1",
+                 "--initial", "fock:1,1", "--tmax", "1", "--steps", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(name) in err
+    assert not out.exists()

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from ndpa import (CoherentPair, FockOutcome, FockPair, ModelParams,
-                  PureAModeState, amode_prob, coherent_revival_prob,
-                  cross_correlation_fock, cross_correlation_general,
-                  derived_scalars, fock11_prob, mandel_q_coherent,
-                  mandel_q_fock, second_moments, snr_eta_coherent,
-                  snr_rho_fock, solve_analytic, squeezing_kernel, vacuum_prob)
+                  PureAModeState, amode_prob, coherent_mean_numbers,
+                  coherent_revival_prob, cross_correlation_fock,
+                  cross_correlation_general, derived_scalars, fock11_prob,
+                  mandel_q_coherent, mandel_q_fock, second_moments,
+                  snr_eta_coherent, snr_rho_fock, solve_analytic,
+                  squeezing_kernel, vacuum_prob)
 
 TIMES = np.linspace(0.0, 3.0, 31)  # includes gt = 0
 K2S = (0.5, 1.0, 1.5)  # below, at and above threshold
@@ -102,9 +103,13 @@ def test_coherent_observables(k2):
     for pair in COHERENT:
         report = snr_eta_coherent(c, d, pair)
         reports = [snr_eta_coherent(cp, dp, pair) for cp, dp in points]
-        for key in ("eta", "yuen_bound", "mean_a"):
+        for key in ("eta", "yuen_bound"):
             assert_pointwise(getattr(report, key), [getattr(r, key) for r in reports],
                              exact=False)
+        for i in (0, 1):
+            assert_pointwise(coherent_mean_numbers(c, d, pair)[i],
+                             [coherent_mean_numbers(cp, dp, pair)[i]
+                              for cp, dp in points], exact=False)
         tab = second_moments(pair, c)
         tabs = [second_moments(pair, cp) for cp, _ in points]
         assert_pointwise(mandel_q_coherent(tab), [mandel_q_coherent(t) for t in tabs],

@@ -43,23 +43,15 @@ def test_non_finite_params_named(value):
         ModelParams.from_k2(value)
 
 
-def test_config_roundtrip():
-    params = ModelParams(omega_a=3.25, omega_b=2.5, g=0.125, omega=6.0)
-    text = params.to_config()
-    assert ModelParams.from_config(text) == params
-    with pytest.raises(ValueError):
-        ModelParams.from_config("omega_a = 1.0\n")
-
-
 def test_regime_classification():
     mk = lambda k2: ModelParams.from_k2(k2, omega_a=3.0, omega_b=2.0)
-    assert classify_regime(mk(0.5)).tag is RegimeTag.SUB
-    assert classify_regime(mk(1.5)).tag is RegimeTag.SUPER
-    assert classify_regime(mk(1.0)).tag is RegimeTag.CRITICAL
+    assert classify_regime(mk(0.5)) is RegimeTag.SUB
+    assert classify_regime(mk(1.5)) is RegimeTag.SUPER
+    assert classify_regime(mk(1.0)) is RegimeTag.CRITICAL
     # the epsilon band around the critical point
-    assert classify_regime(mk(1.0 + 1e-9)).tag is RegimeTag.CRITICAL
-    assert classify_regime(mk(1.0 - 1e-9)).tag is RegimeTag.CRITICAL
-    assert classify_regime(mk(1.0 + 1e-6)).tag is RegimeTag.SUPER
+    assert classify_regime(mk(1.0 + 1e-9)) is RegimeTag.CRITICAL
+    assert classify_regime(mk(1.0 - 1e-9)) is RegimeTag.CRITICAL
+    assert classify_regime(mk(1.0 + 1e-6)) is RegimeTag.SUPER
 
 
 def test_harmonic_pump_value():

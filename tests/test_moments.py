@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from ndpa.amplitudes import CoherentPair, FockPair
@@ -64,22 +63,6 @@ def test_coherent_moments_match_oracle():
     for pattern in all_patterns():
         assert tab.expect(*pattern) == pytest.approx(
             oracle_moment(state, *pattern), abs=1e-8)
-
-
-def test_number_moments_frame_independent():
-    params = params_for(1.5)
-    c = solve_analytic(params, 0.9)
-    pair = CoherentPair(1.0, 0.5j)
-    bare = second_moments(pair, c)
-    dressed = second_moments(pair, c, params=params)
-    assert dressed.mean_a == pytest.approx(bare.mean_a, abs=1e-12)
-    assert dressed.var_na == pytest.approx(bare.var_na, abs=1e-10)
-    assert dressed.expect(1, 1, 1, 1) == pytest.approx(
-        bare.expect(1, 1, 1, 1), abs=1e-10)
-    # anomalous moments pick up the free-evolution phase
-    phase = np.exp(-1j * params.omega_a * 0.9)
-    assert dressed.expect(0, 1, 0, 0) == pytest.approx(
-        bare.expect(0, 1, 0, 0) * phase, abs=1e-12)
 
 
 def test_charge_difference_conserved():

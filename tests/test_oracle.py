@@ -11,10 +11,10 @@ from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
                              fock_amplitude, reduced_density_a,
                              reduced_density_b, vacuum_prob)
 from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
-from ndpa.oracle import (OracleConfig, TruncationError, amode_state,
-                         auto_cutoff, build_generators, coherent_state,
-                         edge_mass, evolve_converged, evolve_truncated,
-                         fock_state, oracle_moment, oracle_probability)
+from ndpa.oracle import (OracleConfig, TruncationError, _pair_amplitudes,
+                         amode_state, coherent_state, edge_mass,
+                         evolve_converged, evolve_truncated, fock_state,
+                         oracle_moment, oracle_probability)
 from ndpa.weinorman import derived_scalars, solve_analytic
 
 
@@ -27,20 +27,22 @@ def pump_for(params):
 
 
 def test_generator_matrix_elements():
-    k_plus, k_minus = build_generators(2, 0)
-    assert k_plus[1, 0] == pytest.approx(1.0)
-    assert k_plus[2, 1] == pytest.approx(2.0)
-    assert np.allclose(k_minus, k_plus.T)
-    k_plus, _ = build_generators(3, 1)
-    assert k_plus.shape == (3, 3)
-    assert k_plus[1, 0] == pytest.approx(math.sqrt(2.0 * 1.0))
+    amp = _pair_amplitudes(2, 0)  # <j+1| K+ |j> = <j| K- |j+1>
+    assert amp.shape == (2,)
+    assert amp[0] == pytest.approx(1.0)
+    assert amp[1] == pytest.approx(2.0)
+    amp = _pair_amplitudes(3, 1)
+    assert amp.shape == (2,)  # block q = 1 has dimension 3
+    assert amp[0] == pytest.approx(math.sqrt(2.0 * 1.0))
+    assert _pair_amplitudes(3, -1)[0] == pytest.approx(math.sqrt(1.0 * 2.0))
     with pytest.raises(ValueError):
-        build_generators(3, 4)
+        _pair_amplitudes(3, 4)
 
 
 def test_commutator_on_interior():
     cutoff, q = 8, 0
-    k_plus, k_minus = build_generators(cutoff, q)
+    k_plus = np.diag(_pair_amplitudes(cutoff, q), -1)
+    k_minus = k_plus.T
     comm = k_plus @ k_minus - k_minus @ k_plus
     j = np.arange(cutoff)  # interior of the block
     na, nb = j + max(q, 0), j + max(-q, 0)
@@ -284,13 +286,11 @@ def test_evolve_rejects_non_finite_time():
         evolve_truncated(pump_for(params), params, fock_state(16, 1, 1), math.nan)
 
 
-def test_config_validation_and_auto_cutoff():
+def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(cutoff=2)
     with pytest.raises(ValueError):
         OracleConfig(tol=0.0)
-    assert auto_cutoff(1.0) == 16
-    assert auto_cutoff(30.0) == 120
 
 
 def test_coherent_state_construction():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from ndpa.model import CustomPump, HarmonicPump, ModelParams
-from ndpa.weinorman import (coefficients, derived_scalars, regime_angles,
-                            scalars, solve_analytic, solve_ode,
-                            unitarity_residuals)
+from ndpa.weinorman import (coefficients, derived_scalars, scalars,
+                            solve_analytic, solve_ode, unitarity_residuals)
 
 
 def params_for(k2, g=1.0, sign=1):
@@ -123,18 +122,6 @@ def test_critical_scalars():
     d = derived_scalars(params_for(1.0), 2.0)
     assert d.n0 == pytest.approx(4.0, rel=1e-12)
     assert d.x == pytest.approx(5.0, rel=1e-12)
-
-
-def test_regime_angles():
-    ang = regime_angles(params_for(0.5))
-    assert ang.delta is None
-    assert math.tan(ang.gamma) == pytest.approx(math.sqrt(0.5 / 0.5))
-    ang = regime_angles(params_for(1.5))
-    assert ang.gamma is None
-    assert 1.0 / math.tanh(ang.delta) == pytest.approx(
-        math.sqrt(1.5) / math.sqrt(0.5))
-    ang = regime_angles(params_for(1.0))
-    assert ang.gamma is None and ang.delta is None
 
 
 @pytest.mark.parametrize("k2", [0.0, 0.5, 1.0, 1.5, 3.0])
