@@ -1,13 +1,16 @@
 """Transition amplitudes, probabilities and reduced density matrices.
 
-All combinatorial factors go through log-gamma so that outcomes with
-photon numbers ~10^3 (needed for normalization checks) stay finite, and
-every probability is assembled in the log domain before the final exp.
+Every Fock-basis transition probability <m, n| U |r, s> is one Jacobi
+polynomial in 1 - 2y (the SU(1,1) matrix elements; Bargmann, Ann. Math.
+48, 1947), evaluated by ``_transition`` in the log domain:
 
-For an a-mode pure state with the b mode in vacuum, one log term,
-log p_mn = log P_(n-m) + log C(n, m) + m log y - (n-m+1) log x, gives
-``amode_prob`` (its exp), both reduced densities (its logsumexp over n or
-over m) and ``amode_norm`` (its sum per source occupation n - m).
+    p_mn(r, s) = R! (R+a+b)! / ((R+a)! (R+b)!) x^-(b+1) y^a P_R^(a,b)(1-2y)^2
+
+with R = min(r, s, m, n), a = |n - r| and b = |s - r|.  ``fock_amplitude``
+adds its phase.  The vacuum (R = 0, a = n), |1,1> (R = min(1, n)) and
+a-mode |l, 0> (R = 0, a = m, b = l) probabilities are its degree <= 1
+cases; the a-mode log term also gives both reduced densities (its
+logsumexp) and ``amode_norm``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ class CoherentPair:
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+POISSON_MAX_ALPHA = 100.0
+
+
 @dataclass(frozen=True)
 class PureAModeState:
     """Pure a-mode state sqrt(P_s) exp(i phi_s) |s>, with the b mode in vacuum."""
@@ -76,8 +82,14 @@ class PureAModeState:
     @classmethod
     def poisson(cls, alpha: complex) -> "PureAModeState":
         """Poisson distribution with mean mu = |alpha|^2, cut at
-        n = max(24, mu + 12 sqrt(mu + 1)) and renormalized."""
+        n = max(24, mu + 12 sqrt(mu + 1)) and renormalized.
+
+        |alpha| may be at most POISSON_MAX_ALPHA = 100, a support of at
+        most 11 201 occupations."""
         from scipy.special import gammaln
+        if not abs(alpha) <= POISSON_MAX_ALPHA:  # refuses nan and inf too
+            raise ValueError(f"alpha must be finite with |alpha| <= "
+                             f"{POISSON_MAX_ALPHA:g}, got {alpha!r}")
         mu = abs(alpha) ** 2
         n = np.arange(max(24, int(mu + 12.0 * math.sqrt(mu + 1.0))) + 1)
         logp = n * math.log(mu) - gammaln(n + 1.0) - mu if mu > 0 else \
@@ -88,80 +100,105 @@ class PureAModeState:
         return cls(probs=tuple(p), phases=tuple(phases))
 
 
-def _log_pow(base: complex, exponent: int) -> complex:
-    """exponent * log(base) with the 0^0 = 1 convention; -inf magnitude for 0^k."""
-    if exponent == 0:
-        return 0.0
-    if base == 0:
-        return complex(-math.inf, 0.0)
-    return exponent * cmath.log(base)
+_HUGE = 2.0 ** 512  # the recurrence pair is scaled by this once both fall below 1/_HUGE
+
+
+def _transition(R, a, b, y, log_y, log_x):
+    """(log s, f) with the module's p_mn(r, s) = s f^2 and |f| <= 1.
+
+    f = P_R^(a,b)(1-2y) / C(R + max(a, b), R) by scipy's eval_jacobi forward
+    recurrence, after P^(a,b)(z) = (-1)^R P^(b,a)(-z) puts the larger index
+    first.  Labels are ints, or integer arrays while R <= 1 (no recurrence).
+    """
+    hi, lo = (a + b + abs(a - b)) // 2, (a + b - abs(a - b)) // 2  # max, min of a, b
+    swap = a < b
+    # the prefactor times C(R + hi, R)^2 is C(R + hi + lo, hi) C(R + hi, R),
+    # which for R <= 1 is C(hi + lo, lo) ((hi + lo + 1) (hi + 1) / (lo + 1))^R
+    u, w = np.exp(-log_x), y  # (1 + z)/2 = 1/x and (1 - z)/2 = y; never 1 - y
+    if isinstance(a, np.ndarray) or isinstance(R, np.ndarray):  # then R <= 1
+        from scipy.special import gammaln
+        with np.errstate(invalid="ignore"):  # 0 log y at y = 0
+            a_log_y = np.where(a > 0, a * log_y, 0.0)
+        log_c = (gammaln(hi + lo + 1.0) - gammaln(hi + 1.0) - gammaln(lo + 1.0)
+                 + R * np.log((hi + lo + 1.0) * (hi + 1.0) / (lo + 1.0)))
+        u, w = np.where(swap, w, u), np.where(swap, u, w)
+        sign = np.where(swap & (R == 1), -1.0, 1.0)
+    else:  # exact binomials, and Python floats keep the recurrence fast
+        log_c = math.log(math.comb(R + hi + lo, hi) * math.comb(R + hi, R))
+        a_log_y, sign = a * log_y if a else 0.0, -1.0 if swap and R % 2 else 1.0
+        u, w = (w, u) if swap else (u, w)
+        u, w = (u, w) if isinstance(w, np.ndarray) else (float(u), float(w))
+    log_s = log_c + a_log_y - (b + 1) * log_x
+    p = ((hi + 1) * u - (lo + 1) * w) / (hi + 1)  # P_1 / C(1 + hi, 1)
+    if isinstance(R, np.ndarray) or R <= 1:
+        return log_s, sign * p ** R  # p^0 = 1 at degree 0
+    d, shift, grid = -(hi + lo + 2) * w / (hi + 1), 0, isinstance(w, np.ndarray)
+    tiny, hl = 1.0 / _HUGE, hi + lo
+    for k in range(1, R):  # p = P_k / C(k + hi, k), d = its step from k - 1
+        t = 2 * k + hl
+        d = (k * (k + lo) * (t + 2) * d - t * (t + 1) * (t + 2) * w * p) \
+            / ((k + hi + 1) * (k + hl + 1) * t)
+        p = p + d
+        small = (abs(p) < tiny) & (abs(d) < tiny)
+        if small.any() if grid else small:  # keep the pair off underflow
+            p, d, shift = p * _HUGE ** small, d * _HUGE ** small, shift + small
+    mantissa, exponent = np.frexp(p) if grid else math.frexp(p)
+    log_scale = exponent * math.log(2.0) - shift * math.log(_HUGE)
+    return log_s + 2.0 * log_scale, sign * mantissa
 
 
 def fock_amplitude(c: WeiNormanCoefficients, initial: FockPair,
-                   outcome: FockOutcome) -> complex:
-    """<m, n| U_I(t) |r, s>; zero unless m = s - r + n (conserved n_a - n_b)."""
-    from scipy.special import gammaln
-    r, s = initial.r, initial.s
-    m, n = outcome.m, outcome.n
-    if m != s - r + n:
-        return 0j
-    prefactor = 0.5 * (gammaln(r + 1.0) + gammaln(s + 1.0)
-                       + gammaln(m + 1.0) + gammaln(n + 1.0))
-    k_lo = max(0, r - n)
-    k_hi = min(r, s)
-    total = 0j
-    for k in range(k_lo, k_hi + 1):
-        log_term = ((s + r + 1 - 2 * k) * c.a_zero
-                    + _log_pow(c.a_minus, k)
-                    + _log_pow(c.a_plus, n + k - r)
-                    + prefactor
-                    - gammaln(r - k + 1.0) - gammaln(s - k + 1.0)
-                    - gammaln(k + 1.0) - gammaln(n + k - r + 1.0))
-        if log_term.real == -math.inf:
-            continue
-        total += cmath.exp(log_term)
-    return total
+                   outcome: FockOutcome):
+    """<m, n| U_I(t) |r, s>; zero unless m = s - r + n (conserved n_a - n_b).
 
-
-def vacuum_prob(d: DerivedScalars, n) -> float:
-    """p_nn for the initial vacuum: y^n / x (diagonal outcomes only).
-
-    ``n`` may be an integer array when the scalars are not a grid.
+    Scalar coefficients give a complex number, grid coefficients an array.
+    The phase is (2R + b + 1) Im A0 + a arg(A+ if n >= r else A-).
     """
+    r, s, m, n = initial.r, initial.s, outcome.m, outcome.n
+    if m != s - r + n:
+        return 0j * c.a_zero
+    R, a, b = min(r, s, m, n), abs(n - r), abs(s - r)
+    mod_minus, z = abs(c.a_minus), c.a_plus if n >= r else c.a_minus
+    if isinstance(mod_minus, np.ndarray):
+        with np.errstate(divide="ignore"):  # A- = 0 at gt = 0
+            log_y, arg = 2.0 * np.log(mod_minus), np.angle(z)
+    else:  # math on Python numbers: this is the per-point path
+        log_y = 2.0 * math.log(mod_minus) if mod_minus else -math.inf
+        arg = cmath.phase(z)
+    log_s, f = _transition(R, a, b, mod_minus * mod_minus, log_y, -2.0 * c.a_zero.real)
+    amp = np.exp(0.5 * log_s + 1j * ((2 * R + b + 1) * c.a_zero.imag + a * arg)) * f
+    return amp if isinstance(amp, np.ndarray) else complex(amp)
+
+
+def _diagonal_prob(d: DerivedScalars, r: int, n):
+    """p_nn for the initial |r, r> (R = min(r, n), a = |n - r|, b = 0)."""
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("n must be non-negative")
-    with np.errstate(invalid="ignore"):  # y^0 = 1, also at y = 0
-        return _real(np.exp(np.where(n > 0, n * d.log_y, 0.0) - d.log_x))
+    log_s, f = _transition(np.minimum(r, n), abs(n - r), 0, d.y, d.log_y, d.log_x)
+    return _real(np.exp(log_s) * f * f)
+
+
+def vacuum_prob(d: DerivedScalars, n) -> float:
+    """p_nn for the initial vacuum: y^n / x; ``n`` may be an integer array."""
+    return _diagonal_prob(d, 0, n)
 
 
 def fock11_prob(d: DerivedScalars, n) -> float:
-    """p_nn for the initial |1,1> state: y^(n-1) (n/x - y)^2 / x.
-
-    y^(n-1) / x is the vacuum p_(n-1)(n-1).  The n = 0 value reduces to
-    y/x, the vacuum p_11 (the formal 1/y power cancels).
-    """
-    n = np.asarray(n)
-    core = n * np.exp(-d.log_x) - d.y
-    p = vacuum_prob(d, np.where(n == 0, 1, n - 1))
-    return _real(np.where(n == 0, p, p * core * core))
+    """p_nn for the initial |1,1> state: y^(n-1) (n/x - y)^2 / x."""
+    return _diagonal_prob(d, 1, n)
 
 
 def _amode_log_term(d: DerivedScalars, psi: PureAModeState, m, n):
-    """log p_mn = log P_(n-m) + log C(n, m) + m log y - (n-m+1) log x.
-
-    Broadcasts over integer arrays m and n and over grid scalars; -inf
-    where P_(n-m) is zero or n - m is outside the distribution.
-    """
-    from scipy.special import gammaln
+    """log p_mn = log P_(n-m) + log C(n, m) + m log y - (n-m+1) log x, the
+    degree-0 transition |n-m, 0> -> |m, n>; m, n and the scalars broadcast.
+    -inf where P_(n-m) is zero or n - m is outside the distribution."""
     probs = np.asarray(psi.probs, dtype=float)
     m, n = np.asarray(m), np.asarray(n)
     inside = (n >= m) & (n - m < probs.size)
     l = np.where(inside, n - m, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0; 0 log y at y = 0
-        log_p = (np.log(probs[l])
-                 + (gammaln(n + 1.0) - gammaln(l + 1.0) - gammaln(m + 1.0))
-                 + np.where(m > 0, m * d.log_y, 0.0) - (l + 1) * d.log_x)
+    with np.errstate(divide="ignore"):  # log 0
+        log_p = np.log(probs[l]) + _transition(0, m, l, d.y, d.log_y, d.log_x)[0]
     return np.where(inside, log_p, -np.inf)
 
 
@@ -239,49 +276,29 @@ def coherent_mean_numbers(c: WeiNormanCoefficients, d: DerivedScalars,
 _TAIL = 1e-12  # bound on the terms each sum leaves out (times P_l in amode_norm)
 
 
+def _diagonal_norm(d: DerivedScalars, r: int, closed_form: float) -> float:
+    """sum_n p_nn for the |r, r> start, r <= 1: |f| <= 1 bounds p_nn by n^2r
+    y^(n-r) / x, of term ratio <= y ((N+2) / (N+2-r))^2 past N; N doubles till
+    that tail is below _TAIL, or gives way to ``closed_form`` past 2e6 terms."""
+    n_max = 64
+    while n_max <= 2_000_000:
+        ratio = d.y * ((n_max + 2.0) / (n_max + 2.0 - r)) ** 2
+        log_next = 2 * r * math.log(n_max + 1.0) + (n_max + 1 - r) * d.log_y - d.log_x
+        if ratio < 1.0 and log_next - math.log1p(-ratio) < math.log(_TAIL):
+            return float(_diagonal_prob(d, r, np.arange(n_max + 1)).sum())
+        n_max *= 2
+    return closed_form
+
+
 def vacuum_norm(d: DerivedScalars) -> float:
-    """sum_n p_nn for the vacuum start, truncated with a geometric tail < _TAIL."""
-    # tail bound: sum_{n>N} y^n/x = y^(N+1)/(x(1-y)); log(1-y) via expm1
-    # so the bound survives y rounding to 1 deep below threshold
-    log_one_minus_y = math.log(-math.expm1(d.log_y))
-    needed = (math.log(_TAIL) + d.log_x + log_one_minus_y) / d.log_y
-    if needed > 2_000_000:
-        # too many terms to sum directly; the geometric sum in log form
-        return math.exp(-d.log_x - log_one_minus_y
-                        + math.log1p(-math.exp((int(needed) + 1) * d.log_y)))
-    return float(vacuum_prob(d, np.arange(int(needed) + 2)).sum())
-
-
-def _tail_n2_geom(log_y: float, n_from: int) -> float:
-    """Upper bound on sum_{n >= n_from} n^2 y^n (closed form, exact)."""
-    y = math.exp(log_y)
-    # sum n^2 y^n over all n >= n_from via the shifted polylog identities
-    n = n_from
-    a = y ** n
-    one = 1.0 - y
-    return a * (n * n / one + (2 * n + 1) * y / one ** 2 + 2 * y * y / one ** 3
-                + y / one ** 2)
+    """sum_n p_nn for the vacuum start; in closed form 1 / (x (1 - y))."""
+    return _diagonal_norm(d, 0, math.exp(-d.log_x - math.log(-math.expm1(d.log_y))))
 
 
 def fock11_norm(d: DerivedScalars) -> float:
-    """sum_n p_nn for the |1,1> start with a certified polynomial-geometric tail."""
-    if d.log_y == -math.inf:
-        return 1.0
-    if math.exp(d.log_y) == 1.0:
-        # y rounds to 1 deep below threshold; the series sums in closed form
-        # to y/x + (1-y) + y^2 via the geometric moment identities
-        return (math.exp(d.log_y - d.log_x) + math.exp(-d.log_x)
-                + math.exp(2.0 * d.log_y))
-    # p_n <= y^(n-1) * 2 (n^2/x^2 + y^2) / x; choose N so the bound tail < _TAIL
-    n_max = 64
-    while True:
-        bound = 2.0 * math.exp(-d.log_y - 3.0 * d.log_x) \
-            * _tail_n2_geom(d.log_y, n_max + 1) \
-            + 2.0 * math.exp((n_max) * d.log_y)  # crude y^2 branch bound
-        if bound < _TAIL or n_max > 10_000_000:
-            break
-        n_max *= 2
-    return float(fock11_prob(d, np.arange(n_max + 1)).sum())
+    """sum_n p_nn for the |1,1> start; in closed form y/x + (1 - y) + y^2."""
+    return _diagonal_norm(d, 1, math.exp(d.log_y - d.log_x) + math.exp(-d.log_x)
+                          + math.exp(2.0 * d.log_y))
 
 
 def amode_norm(d: DerivedScalars, psi: PureAModeState) -> float:

@@ -28,7 +28,7 @@ from .observables import (cross_correlation_fock, cross_correlation_general,
                           squeezing_kernel)
 from .oracle import (OracleConfig, coherent_state, edge_mass,
                      evolve_truncated, fock_state, oracle_probability)
-from .weinorman import WeiNormanCoefficients, derived_scalars, solve_analytic
+from .weinorman import derived_scalars, solve_analytic
 
 
 class ScenarioError(ValueError):
@@ -128,18 +128,8 @@ def _probability(scn: Scenario, c, d):
         return ["p_return"], [coherent_revival_prob(c, state)[0]]
     m, n = scn.options.get("outcome", (0, 0))
     outcome = FockOutcome(m, n)
-    if not isinstance(state, FockPair):
-        column = amode_prob(d, state, outcome)
-    elif state == FockPair(1, 1) and m == n:
-        column = fock11_prob(d, n)
-    elif state == FockPair(0, 0) and m == n:
-        column = vacuum_prob(d, n)
-    else:  # a scalar alternating sum, mapped over the grid point by point
-        coeffs = zip(c.t.tolist(), c.a_plus.tolist(), c.a_minus.tolist(),
-                     c.a_zero.tolist())
-        column = np.array([abs(fock_amplitude(WeiNormanCoefficients(*point),
-                                              state, outcome)) ** 2
-                           for point in coeffs])
+    column = (np.abs(fock_amplitude(c, state, outcome)) ** 2
+              if isinstance(state, FockPair) else amode_prob(d, state, outcome))
     return [f"p_{m}{n}"], [column]
 
 

@@ -15,8 +15,8 @@ s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
 z(t) = S V exp(i lam t) V^T S^-1 z(0).  Other pumps are integrated with
 DOP853, all blocks zero-padded into one banded system, per kink-free stretch.
 
-scipy loads on first use: for general-Fock and Poisson ``prob``, ``fig3``,
-``oracle-check``, ``solve_ode`` and ``squeezing_extrema``.  The PEP 562
+scipy loads on first use: for Poisson ``prob``, ``fig3``, ``oracle-check``,
+``solve_ode`` and ``squeezing_extrema``.  The PEP 562
 ``__getattr__`` imports ``solve_ivp``; each ODE run reads it, as rebound.
 """
 

@@ -10,7 +10,8 @@ from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
                              fock11_norm, fock11_prob, fock_amplitude,
                              reduced_density_a, reduced_density_b,
                              vacuum_norm, vacuum_prob)
-from ndpa.model import ModelParams
+from ndpa.model import HarmonicPump, ModelParams
+from ndpa.oracle import OracleConfig, evolve_truncated, fock_state, oracle_probability
 from ndpa.weinorman import derived_scalars, solve_analytic
 
 
@@ -30,6 +31,30 @@ def test_fock_amplitude_t0_identity():
     c = solve_analytic(params_for(1.5), 0.0)
     assert fock_amplitude(c, FockPair(2, 1), FockOutcome(1, 2)) == pytest.approx(1.0)
     assert abs(fock_amplitude(c, FockPair(2, 1), FockOutcome(2, 3))) < 1e-15
+
+
+def _outcome_probabilities(c, r, s, n_max):
+    """|<n-q, n| U |r, s>|^2 for every outcome n <= n_max, q = r - s."""
+    q = r - s
+    return np.array([abs(fock_amplitude(c, FockPair(r, s), FockOutcome(n - q, n))) ** 2
+                     for n in range(max(q, 0), n_max + 1)])
+
+
+def test_large_fock_distributions_sum_to_one_and_match_the_oracle():
+    # as a double-precision alternating sum these read 1 + 8.1 and 1 + 7e52
+    params = params_for(1.5)
+    c = solve_analytic(params, 1.0)
+    for r, s in ((40, 40), (120, 100)):
+        assert _outcome_probabilities(c, r, s, 2000).sum() == pytest.approx(1.0, abs=1e-10)
+    pump = HarmonicPump.from_params(params)
+    oracles = [evolve_truncated(pump, params, fock_state(cutoff, 120, 100), 1.0,
+                                OracleConfig(cutoff=cutoff)) for cutoff in (640, 1280)]
+    for n, rounded in ((100, 7.6e-4), (120, 1.6e-3), (140, 1.9e-3)):
+        want = oracle_probability(oracles[0], n - 20, n)
+        assert oracle_probability(oracles[1], n - 20, n) == pytest.approx(want, rel=1e-10)
+        assert want == pytest.approx(rounded, rel=0.04)
+        got = abs(fock_amplitude(c, FockPair(120, 100), FockOutcome(n - 20, n))) ** 2
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_vacuum_prob_matches_amplitude():

@@ -1,6 +1,7 @@
 import csv
 import math
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,21 @@ def test_main_observable_eta(tmp_path):
 def test_main_bad_state_errors(capsys):
     assert main(["prob", "--initial", "bogus:1", "--tmax", "1"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1e6", "inf", "nan"])
+def test_main_poisson_refuses_an_unbounded_support(alpha, capsys):
+    argv = ["prob", "--initial", f"poisson:{alpha}", "--steps", "3", "--tmax", "1",
+            "--m", "0", "--n", "0"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha must be finite" in err
+    assert peak < 2_000_000  # no support sized by alpha was allocated
 
 
 @pytest.mark.parametrize("name", ["mean", "mandel_q", "correlation"])

@@ -17,15 +17,20 @@ from ndpa import (CoherentPair, FockOutcome, FockPair, ModelParams,
                   PureAModeState, amode_prob, coherent_mean_numbers,
                   coherent_revival_prob, cross_correlation_fock,
                   cross_correlation_general, derived_scalars, fock11_prob,
-                  mandel_q_coherent, mandel_q_fock, second_moments,
-                  snr_eta_coherent, snr_rho_fock, solve_analytic,
-                  squeezing_kernel, vacuum_prob)
+                  fock_amplitude, mandel_q_coherent, mandel_q_fock,
+                  second_moments, snr_eta_coherent, snr_rho_fock,
+                  solve_analytic, squeezing_kernel, vacuum_prob)
 
 TIMES = np.linspace(0.0, 3.0, 31)  # includes gt = 0
 K2S = (0.5, 1.0, 1.5)  # below, at and above threshold
 FOCK = (FockPair(0, 0), FockPair(1, 0), FockPair(0, 1), FockPair(2, 1),
         FockPair(50, 10), FockPair(100, 1))
 COHERENT = (CoherentPair(1.0, 1.0), CoherentPair(0.6 + 0.2j, -1.5j))
+# (initial, outcome): degree 0, then n < r, n = r and n > r, then a < b,
+# where the Jacobi indices swap
+TRANSITIONS = ((FockPair(0, 0), FockOutcome(2, 2)), (FockPair(8, 6), FockOutcome(3, 5)),
+               (FockPair(8, 6), FockOutcome(6, 8)), (FockPair(8, 6), FockOutcome(9, 11)),
+               (FockPair(2, 7), FockOutcome(9, 4)))
 COMPLEX_TOL = 1e-12
 
 
@@ -70,6 +75,11 @@ def test_probabilities(k2):
             assert_pointwise(coherent_revival_prob(c, pair)[i],
                              [coherent_revival_prob(cp, pair)[i] for cp, _ in points],
                              exact=False)
+    for initial, outcome in TRANSITIONS:  # complex values, compared to COMPLEX_TOL
+        amps = [fock_amplitude(cp, initial, outcome) for cp, _ in points]
+        assert all(type(v) is complex for v in amps)
+        np.testing.assert_allclose(fock_amplitude(c, initial, outcome), amps,
+                                   rtol=COMPLEX_TOL, atol=COMPLEX_TOL)
 
 
 @pytest.mark.parametrize("k2", K2S)
