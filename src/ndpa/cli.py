@@ -69,10 +69,9 @@ class Scenario:
 
 
 def write_csv(path, header, rows):
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    def emit(fh):  # rows hold numbers, which csv.writer writes as their repr
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
     if path is None or path == "-":
         emit(sys.stdout)

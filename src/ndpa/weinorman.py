@@ -3,9 +3,9 @@
 The interaction-picture evolution operator factorizes as
 ``exp(A+ K+) exp(2 A0 K0) exp(A- K-)`` where the three complex coefficient
 functions satisfy a Riccati-type ODE system.  For the harmonic pump the
-solutions are closed-form and split into three regimes by k^2.  The
-implementation below keeps Im A0 continuous in t (no principal-branch
-jumps) and evaluates all large-argument hyperbolics in log form.
+solutions are closed-form, split into three regimes by k^2 once, in
+``_regime_kernel``: real transcendentals only, hyperbolics in log form, and
+the winding that keeps Im A0 continuous in t (no principal-branch jumps).
 """
 
 from __future__ import annotations
@@ -56,61 +56,70 @@ def _real(value):
     return float(value) if value.ndim == 0 else value
 
 
-def _log_cosh(z):
-    """log(cosh(z)) without overflow; valid for complex z."""
-    z = np.where(z.real < 0, -z, z)
-    return z - np.log(2.0) + np.log1p(np.exp(-2.0 * z))
+def _softplus(v):
+    """log(1 + e^v) without overflow."""
+    out = np.abs(v)
+    np.log1p(np.exp(np.negative(out, out=out), out=out), out=out)
+    return np.add(out, np.maximum(v, 0.0), out=out)
+
+
+def _regime_kernel(k, gt):
+    """The harmonic closed forms' regime split, in real arithmetic, on a (k, gt) grid.
+
+    With q = sqrt|1 - k^2| (1 at threshold), u = q gt, T = tanh u, tan u or u
+    below, above and at threshold, and C = cosh u, cos u or 1, returns the k
+    of the forms (its sign at threshold, so k^2 + q^2 = 1), the winding
+    s (u - arctan T) = s n pi of -arg C above threshold (0 elsewhere, s = sign k),
+    w = T/q and log n0 = 2 log|w C|.  Grid arrays are written in place.
+    """
+    k2 = k * k
+    sub, sup = _regime_split(k2)
+    crit = ~(sub | sup)
+    q = np.where(crit, 1.0, np.sqrt(np.abs(1.0 - k2)))
+    u = q * gt
+    t = np.tan(u, out=u.copy(), where=sup)
+    np.tanh(u, out=t, where=sub)
+    a = np.abs(t)
+    with np.errstate(divide="ignore"):
+        log_s = np.log(a)
+    # log|C| = |u| - log1p|tanh u| below threshold, -log1p(tan^2 u)/2 above
+    np.log1p(np.square(a, out=a, where=sup), out=a)
+    np.subtract(log_s, np.multiply(a, 0.5, out=a, where=sup), out=log_s, where=~crit)
+    np.add(log_s, np.abs(u, out=a, where=sub), out=log_s, where=sub)
+    log_s -= np.log(q)
+    np.subtract(u, np.arctan(t, out=a, where=sup), out=u, where=sup)
+    u *= np.sign(k) * sup
+    t /= q
+    return np.where(crit, np.sign(k), k), u, t, np.multiply(log_s, 2.0, out=log_s)
 
 
 def coefficients(k, gt, dtype=np.complex128):
     """Vectorized analytic (A+, A-, A0) as functions of k and g*t.
 
-    Valid for the harmonic pump only.  Broadcasts over k and gt.  Pass
-    ``dtype=np.complex256`` to verify the unitarity identities beyond
-    double rounding (the r3 residual is conditioned like x(t)*eps).
+    Valid for the harmonic pump only.  Broadcasts over k and gt; scalar k and
+    gt give numpy scalars.  ``dtype=np.complex256`` checks the unitarity
+    identities beyond double rounding (r3 is conditioned like x(t)*eps).  In
+    real arithmetic, from ``_regime_kernel``: A- = w / (1 - i k w), Re A0 =
+    -log(1 + n0)/2, Im A0 = arctan(k w) + winding - k gt, continuous in t (k gt
+    is the Omega t/2 secular phase), and A+ = -exp(-2i k gt) A- via tan(k gt).
     """
     real_dtype = np.finfo(dtype).dtype
-    k, gt = np.broadcast_arrays(np.asarray(k, dtype=real_dtype),
-                                np.asarray(gt, dtype=real_dtype))
-    k2 = k * k
-    sub, sup = _regime_split(k2)
-    crit = ~(sub | sup)
-
-    a_minus = np.zeros(k.shape, dtype=dtype)
-    a_zero = np.zeros(k.shape, dtype=dtype)
-
-    if np.any(sub):
-        ks, gts = k[sub], gt[sub]
-        q = np.sqrt(1.0 - ks * ks)
-        tau = gts * q
-        gamma = np.arctan(ks / q)
-        z = tau - 1j * gamma
-        a_minus[sub] = q * np.tanh(z) + 1j * ks
-        a_zero[sub] = -_log_cosh(z) + np.log(np.cos(gamma))
-
-    if np.any(sup):
-        ks, gts = k[sup], gt[sup]
-        q = np.sqrt(ks * ks - 1.0)
-        u = gts * q
-        a_minus[sup] = q / np.tan(u + 1j * np.arctanh(q / ks)) + 1j * ks
-        # sin(u + i*delta)/sin(i*delta) = cos(u) - i*coth(delta)*sin(u);
-        # factor out exp(-i*s*u) to keep the log continuous in t.
-        s = np.sign(ks)
-        cmag = np.abs(ks) / q
-        rho = (1.0 - cmag) / (1.0 + cmag)
-        log_ratio = (np.log((1.0 + cmag) / 2.0) - 1j * s * u
-                     + np.log1p(rho * np.exp(2j * s * u)))
-        a_zero[sup] = -log_ratio
-
-    if np.any(crit):
-        ks, gts = k[crit], gt[crit]
-        s = np.sign(ks)
-        a_minus[crit] = 1.0 / (gts + 1j * s) + 1j * s
-        a_zero[crit] = -np.log(1.0 - 1j * s * gts)
-
-    a_zero = a_zero - 1j * k * gt  # the -i*Omega*t/2 secular phase
-    a_plus = -np.exp(-2j * k * gt) * a_minus
-    return a_plus, a_minus, a_zero
+    k, gt = np.asarray(k, dtype=real_dtype), np.asarray(gt, dtype=real_dtype)
+    k_c, winding, w, log_n0 = _regime_kernel(np.atleast_1d(k), gt)
+    a_minus, a_zero = np.empty(w.shape, dtype), np.empty(w.shape, dtype)
+    np.multiply(_softplus(log_n0), -0.5, out=a_zero.real)
+    kw = np.multiply(k_c, w, out=log_n0)
+    d = np.square(kw)
+    np.divide(w, np.add(d, 1.0, out=d), out=a_minus.real)
+    np.multiply(kw, a_minus.real, out=a_minus.imag)
+    np.add(np.arctan(kw, out=kw), winding, out=kw)
+    np.subtract(kw, np.multiply(k, gt, out=winding), out=a_zero.imag)
+    tan = np.tan(winding, out=winding)
+    a_plus = np.square(tan + 1j)  # -exp(-2i k gt) (1 + tan^2 k gt)
+    a_plus /= np.add(np.square(tan, out=d), 1.0, out=d)
+    a_plus *= a_minus
+    shape = np.broadcast_shapes(k.shape, gt.shape)
+    return tuple(a.reshape(shape)[()] for a in (a_plus, a_minus, a_zero))
 
 
 def solve_analytic(params: ModelParams, t) -> WeiNormanCoefficients:
@@ -177,56 +186,48 @@ def bogoliubov_pair(c: WeiNormanCoefficients):
 
 
 def unitarity_residuals(c: WeiNormanCoefficients):
-    """Residuals of the three unitarity constraints; all ~0 for exact coefficients."""
-    ap, am, a0 = c.a_plus, c.a_minus, c.a_zero
-    det = np.exp(2.0 * a0) - am * ap
-    r1 = np.abs(np.conj(ap) + am / det)
-    r2 = np.abs(np.conj(am) + ap / det)
-    r3 = np.abs(np.exp(-a0 - np.conj(a0)) * (1.0 - np.abs(am) ** 2) - 1.0)
-    return r1, r2, r3
+    """Residuals of the three unitarity constraints; all ~0 for exact coefficients.
 
-
-def _log_sinh(t):
-    """log(sinh(t)) for t >= 0, stable for large t; -inf at t = 0."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        return t - np.log(2.0) + np.log1p(-np.exp(-2.0 * t))
+    r1 = |conj A+ + A-/D|, r2 = |conj A- + A+/D| with D = exp(2 A0) - A- A+,
+    and r3 = |x (1 - |A-|^2) - 1| with x = exp(-2 Re A0), which is formed in
+    logs so that it is never nan for finite input where x overflows.
+    """
+    shape = np.broadcast_shapes(*(np.shape(f) for f in (c.a_plus, c.a_minus, c.a_zero)))
+    ap, am, a0 = np.broadcast_arrays(*np.atleast_1d(c.a_plus, c.a_minus, c.a_zero))
+    tan = np.tan(a0.imag)
+    det = np.square(1.0 + 1j * tan)  # exp(2 A0) = det exp(2 Re A0) / (1 + tan^2 Im A0)
+    det *= np.exp(2.0 * a0.real) / np.add(np.square(tan, out=tan), 1.0, out=tan)
+    det -= np.multiply(am, ap)
+    # r1 = |conj(A+) D + A-| / |D| and r2 = |conj(A-) D + A+| / |D|
+    num, mod_d = np.empty_like(det), np.abs(det, out=tan)
+    r1, r2 = (np.abs(np.add(np.multiply(np.conj(a, out=num), det, out=num), b, out=num))
+              / mod_d for a, b in ((ap, am), (am, ap)))
+    del num, det
+    m = np.abs(am)
+    np.subtract(1.0, np.square(m, out=m), out=m)
+    with np.errstate(divide="ignore", over="ignore"):
+        r3 = np.log(np.abs(m))
+        np.exp(np.subtract(r3, np.multiply(a0.real, 2.0, out=mod_d), out=r3), out=r3)
+    r3 = np.abs(np.subtract(np.copysign(r3, m, out=r3), 1.0, out=r3), out=r3)
+    return tuple(r.reshape(shape)[()] for r in (r1, r2, r3))
 
 
 def scalars(k, gt):
     """Vectorized (x, y, n0, log_x, log_y, log_n0) as functions of k and g*t.
 
-    x = (sinh^2(gt*sqrt(1-k^2)) + 1 - k^2) / (1 - k^2) continued through
-    k^2 = 1 (where it becomes 1 + (gt)^2) and into k^2 > 1 (where sinh^2
-    turns into -sin^2).
+    n0 = sinh^2(gt q)/q^2 with q^2 = 1 - k^2, continued through k^2 = 1
+    (where it is (gt)^2) and into k^2 > 1 (where sinh^2 turns into -sin^2);
+    x = 1 + n0, y = n0/x.  The logs stay finite where x overflows.
     """
-    k, gt = np.broadcast_arrays(np.asarray(k, dtype=float),
-                                np.asarray(gt, dtype=float))
-    k2 = k * k
-    sub, sup = _regime_split(k2)
-    crit = ~(sub | sup)
-
-    log_n0 = np.empty(k.shape, dtype=float)
-    with np.errstate(divide="ignore"):
-        if np.any(sub):
-            tau = np.abs(gt[sub]) * np.sqrt(1.0 - k2[sub])
-            log_n0[sub] = 2.0 * _log_sinh(tau) - np.log(1.0 - k2[sub])
-        if np.any(sup):
-            u = gt[sup] * np.sqrt(k2[sup] - 1.0)
-            log_n0[sup] = 2.0 * np.log(np.abs(np.sin(u))) - np.log(k2[sup] - 1.0)
-        if np.any(crit):
-            log_n0[crit] = 2.0 * np.log(np.abs(gt[crit]))
-
-    log_x = np.logaddexp(0.0, log_n0)
+    k, gt = np.asarray(k, dtype=float), np.asarray(gt, dtype=float)
+    *_, log_n0 = _regime_kernel(np.atleast_1d(k), gt)
+    with np.errstate(over="ignore", divide="ignore"):
+        n0 = np.exp(log_n0)
+        inv = 1.0 / n0
     # log y = -log(1 + 1/n0); the direct difference log_n0 - log_x loses all
     # precision once both exceed ~1/eps deep below threshold
-    with np.errstate(over="ignore"):
-        log_y = -np.log1p(np.exp(-log_n0))
-    with np.errstate(over="ignore"):
-        n0 = np.exp(log_n0)
-        x = np.exp(log_x)
-    y = -np.expm1(-log_x)
-    return x, y, n0, log_x, log_y, log_n0
+    return tuple(v.reshape(np.broadcast_shapes(k.shape, gt.shape))[()] for v in (
+        n0 + 1.0, 1.0 / (1.0 + inv), n0, _softplus(log_n0), -np.log1p(inv), log_n0))
 
 
 def derived_scalars(params: ModelParams, t) -> DerivedScalars:

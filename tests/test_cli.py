@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import shlex
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ndpa.cli import (FIGURE_NAMES, Scenario, ScenarioError, build_parser, main,
-                      run, run_figure, sweep)
+                      run, run_figure, sweep, write_csv)
 from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState
 from ndpa.model import ModelParams
 
@@ -16,6 +17,20 @@ def read_csv(path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path, capsys):
+    header = ["gt", "p_00", "label, quoted"]
+    rows = [[0.0, -0.0, 5e-324], [math.nan, math.inf, -math.inf],
+            [0.1, 1e300, -2.5e-17], [3.0, 1.0 / 3.0, 7]]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_csv(str(tmp_path / "t.csv"), header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
+    write_csv("-", header, rows)
+    assert capsys.readouterr().out == expected.getvalue()
 
 
 def test_scenario_validation():
