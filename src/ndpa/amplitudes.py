@@ -7,16 +7,19 @@ polynomial in 1 - 2y (the SU(1,1) matrix elements; Bargmann, Ann. Math.
     p_mn(r, s) = R! (R+a+b)! / ((R+a)! (R+b)!) x^-(b+1) y^a P_R^(a,b)(1-2y)^2
 
 with R = min(r, s, m, n), a = |n - r| and b = |s - r|.  ``fock_amplitude``
-adds its phase.  The vacuum (R = 0, a = n), |1,1> (R = min(1, n)) and
-a-mode |l, 0> (R = 0, a = m, b = l) probabilities are its degree <= 1
-cases; the a-mode log term also gives both reduced densities (its
-logsumexp) and ``amode_norm``.
+adds its phase.  A scalar call at R >= 2 runs the recurrence in scipy's C
+code (eval_jacobi at an int degree); grids, and labels whose binomial
+overflows, run it in a rescaled Python loop.  The vacuum (R = 0, a = n),
+|1,1> (R = min(1, n)) and a-mode |l, 0> (R = 0, a = m, b = l) probabilities
+are its degree <= 1 cases; the a-mode log term also gives both reduced
+densities (its logsumexp) and ``amode_norm``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +109,14 @@ _HUGE = 2.0 ** 512  # the recurrence pair is scaled by this once both fall below
 def _transition(R, a, b, y, log_y, log_x):
     """(log s, f) with the module's p_mn(r, s) = s f^2 and |f| <= 1.
 
-    f = P_R^(a,b)(1-2y) / C(R + max(a, b), R) by scipy's eval_jacobi forward
-    recurrence, after P^(a,b)(z) = (-1)^R P^(b,a)(-z) puts the larger index
-    first.  Labels are ints, or integer arrays while R <= 1 (no recurrence).
+    f = P_R^(a,b)(1-2y) / C(R + max(a, b), R), after P^(a,b)(z) = (-1)^R
+    P^(b,a)(-z) puts the larger index first.  Scalar y at R >= 2 takes scipy's
+    compiled eval_jacobi over its own binom: at an int R it runs this forward
+    recurrence in C and multiplies by that binom, which the division cancels
+    exactly (so R is passed as an int: a float R selects scipy's hypergeometric
+    form, a different sum).  Grids, and labels where that binom is inf or f is
+    not a normal float, take the loop below, which rescales off underflow.
+    Labels are ints, or integer arrays while R <= 1 (no recurrence).
     """
     hi, lo = (a + b + abs(a - b)) // 2, (a + b - abs(a - b)) // 2  # max, min of a, b
     swap = a < b
@@ -133,6 +141,12 @@ def _transition(R, a, b, y, log_y, log_x):
     if isinstance(R, np.ndarray) or R <= 1:
         return log_s, sign * p ** R  # p^0 = 1 at degree 0
     d, shift, grid = -(hi + lo + 2) * w / (hi + 1), 0, isinstance(w, np.ndarray)
+    if not grid:
+        from scipy.special.cython_special import binom, eval_jacobi
+        c = binom(R + hi, R)
+        f = eval_jacobi(int(R), hi, lo, u - w) / c if c < math.inf else 0.0
+        if sys.float_info.min <= abs(f) < math.inf:  # normal, else the loop below
+            return log_s, sign * f
     tiny, hl = 1.0 / _HUGE, hi + lo
     for k in range(1, R):  # p = P_k / C(k + hi, k), d = its step from k - 1
         t = 2 * k + hl

@@ -106,6 +106,7 @@ def coefficients(k, gt, dtype=np.complex128):
     real_dtype = np.finfo(dtype).dtype
     k, gt = np.asarray(k, dtype=real_dtype), np.asarray(gt, dtype=real_dtype)
     k_c, winding, w, log_n0 = _regime_kernel(np.atleast_1d(k), gt)
+    np.clip(w, -2.0 ** 511, 2.0 ** 511, out=w)  # (kw)^2 finite; moves A- < 2^-511
     a_minus, a_zero = np.empty(w.shape, dtype), np.empty(w.shape, dtype)
     np.multiply(_softplus(log_n0), -0.5, out=a_zero.real)
     kw = np.multiply(k_c, w, out=log_n0)

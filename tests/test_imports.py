@@ -37,12 +37,14 @@ out = ["--out", {str(tmp_path / "out.csv")!r}]
 loaded = {{"import": scipy_modules()}}
 for argv in (["figure", "fig6"], ["evolve", "--steps", "11"],
              ["observable", "--name", "mandel_q", "--initial", "coherent:1,1",
-              "--steps", "11"]):
+              "--steps", "11"],
+             ["prob", "--initial", "fock:8,6", "--m", "7", "--n", "9"]):
     assert ndpa.cli.main(argv + out) == 0, argv
     loaded[argv[0]] = scipy_modules()
 print(json.dumps(loaded))
 """)
-    assert loaded == {"import": [], "figure": [], "evolve": [], "observable": []}
+    assert loaded == {"import": [], "figure": [], "evolve": [], "observable": [],
+                      "prob": []}
 
 
 def test_oracle_solve_ivp_loads_on_first_read_and_stays_rebindable():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,19 @@ def test_residuals_defined_where_x_overflows(k, gt):
     assert derived_scalars(params, gt).x == math.inf
     assert r1 <= 1e-12 and r2 <= 1e-12
     assert not math.isnan(r3)  # r3 <= 64 eps x holds with x = inf
+
+
+@pytest.mark.parametrize("k", [1.0, -1.0])
+@pytest.mark.parametrize("gt", [1e200, 1e300])
+def test_threshold_coefficients_where_kw_squared_would_overflow(k, gt):
+    # at threshold w = gt, so (k w)^2 passes the largest double past gt ~ 1.3e154;
+    # A- = w / (1 - i k w) tends to i sign(k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a_plus, a_minus, a_zero = coefficients(k, gt)
+        r1, r2, _ = unitarity_residuals(WeiNormanCoefficients(gt, a_plus, a_minus, a_zero))
+    assert abs(a_minus - 1j * math.copysign(1.0, k)) <= 1e-12
+    assert r1 <= 1e-12 and r2 <= 1e-12
 
 
 def test_scalar_input_gives_scalars():
