@@ -10,9 +10,9 @@ the cutoff and watching the probe value stabilize.
 import math
 
 from ndpa import (CoherentPair, FockPair, HarmonicPump, ModelParams,
-                  OracleConfig, coherent_revival_prob, derived_scalars,
-                  edge_mass, evolve_converged, evolve_truncated, fock11_prob,
-                  fock_state, oracle_probability, solve_analytic)
+                  OracleConfig, coherent_revival_prob, edge_mass,
+                  evolve_converged, evolve_truncated, fock11_prob, fock_state,
+                  oracle_probability, solve_analytic)
 
 
 def main():
@@ -21,8 +21,8 @@ def main():
     t = 2.0
 
     print("Probability p_11 from |1,1> at k^2 = 0.5, gt = 2:")
-    d = derived_scalars(params, t)
-    print("  closed form          : %.12f" % fock11_prob(d, 1))
+    print("  closed form          : %.12f"
+          % fock11_prob(solve_analytic(params, t), 1))
     value, state, cutoff = evolve_converged(
         pump, params, lambda c: fock_state(c, 1, 1), t,
         lambda s: oracle_probability(s, 1, 1),

@@ -11,17 +11,17 @@ import math
 import numpy as np
 
 from ndpa import (CoherentPair, ModelParams, coherent_revival_params,
-                  coherent_revival_prob, derived_scalars, fock11_prob,
-                  fock_revival_times, solve_analytic)
+                  coherent_revival_prob, fock11_prob, fock_revival_times,
+                  solve_analytic)
 
 
 def main():
     params = ModelParams.from_k2(1.5, g=1.0, omega_a=3.0, omega_b=2.0)
     print("Fock revivals at k^2 = 1.5 (initial state |1,1>)")
     for spec in fock_revival_times(params, n_max=3):
-        d = derived_scalars(params, spec.t_rev)
+        s = solve_analytic(params, spec.t_rev)
         print("  gt = %8.5f   p_11 = %.12f   p_33 = %.3e"
-              % (spec.t_rev, fock11_prob(d, 1), fock11_prob(d, 3)))
+              % (spec.t_rev, fock11_prob(s, 1), fock11_prob(s, 3)))
 
     print()
     rev = coherent_revival_params(6, 4)

@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from ndpa import (CoherentPair, FockPair, ModelParams, derived_scalars,
-                  snr_eta_coherent, snr_rho_extrema, snr_rho_fock,
-                  snr_rho_limit, solve_analytic)
+from ndpa import (CoherentPair, FockPair, ModelParams, snr_eta_coherent,
+                  snr_rho_extrema, snr_rho_fock, snr_rho_limit,
+                  solve_analytic)
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
     f = FockPair(100, 1)
     print("rho for |100,1> below threshold approaches a constant:")
     for gt in (2.0, 10.0, 25.0 / math.sqrt(0.5)):
-        rho = snr_rho_fock(derived_scalars(params, gt), f)
+        rho = snr_rho_fock(solve_analytic(params, gt), f)
         print("  gt = %7.3f   rho = %.6f" % (gt, rho))
     print("  asymptote: (r+s+1)/sqrt(2rs+r+s+1) = %.6f" % snr_rho_limit(f))
 
@@ -42,8 +42,8 @@ def main():
     print("eta for coherent input (alpha=0, beta=3) at k^2 = 10:")
     best = (0.0, 0.0, 0.0)
     for t in np.linspace(1e-3, 14.0, 7000):
-        rep = snr_eta_coherent(solve_analytic(params, t),
-                               derived_scalars(params, t), pair)
+        s = solve_analytic(params, t)
+        rep = snr_eta_coherent(s, s, pair)
         if rep.eta > best[0]:
             best = (rep.eta, rep.yuen_bound, t)
     print("  max eta = %.4f at gt = %.3f" % (best[0], best[2]))

@@ -15,7 +15,7 @@ from .model import (CoherentRevival, CustomPump, HarmonicPump, ModelParams,
                     ParityError, PumpProfile, RegimeError, RegimeTag,
                     RevivalSpec, TabulatedPump, classify_regime,
                     coherent_revival_params, fock_revival_times)
-from .weinorman import (DerivedScalars, IntegrationError,
+from .weinorman import (AnalyticSolution, IntegrationError,
                         WeiNormanCoefficients, coefficients, derived_scalars,
                         scalars, solve_analytic, solve_ode,
                         unitarity_residuals)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weinorman import (DerivedScalars, WeiNormanCoefficients, _real,
+from .weinorman import (AnalyticSolution, WeiNormanCoefficients, _real,
                         bogoliubov_pair)
 
 
@@ -184,7 +184,7 @@ def fock_amplitude(c: WeiNormanCoefficients, initial: FockPair,
     return amp if isinstance(amp, np.ndarray) else complex(amp)
 
 
-def _diagonal_prob(d: DerivedScalars, r: int, n):
+def _diagonal_prob(d: AnalyticSolution, r: int, n):
     """p_nn for the initial |r, r> (R = min(r, n), a = |n - r|, b = 0)."""
     n = np.asarray(n)
     if np.any(n < 0):
@@ -193,17 +193,17 @@ def _diagonal_prob(d: DerivedScalars, r: int, n):
     return _real(np.exp(log_s) * f * f)
 
 
-def vacuum_prob(d: DerivedScalars, n) -> float:
+def vacuum_prob(d: AnalyticSolution, n) -> float:
     """p_nn for the initial vacuum: y^n / x; ``n`` may be an integer array."""
     return _diagonal_prob(d, 0, n)
 
 
-def fock11_prob(d: DerivedScalars, n) -> float:
+def fock11_prob(d: AnalyticSolution, n) -> float:
     """p_nn for the initial |1,1> state: y^(n-1) (n/x - y)^2 / x."""
     return _diagonal_prob(d, 1, n)
 
 
-def _amode_log_term(d: DerivedScalars, psi: PureAModeState, m, n):
+def _amode_log_term(d: AnalyticSolution, psi: PureAModeState, m, n):
     """log p_mn = log P_(n-m) + log C(n, m) + m log y - (n-m+1) log x, the
     degree-0 transition |n-m, 0> -> |m, n>; m, n and the scalars broadcast.
     -inf where P_(n-m) is zero or n - m is outside the distribution."""
@@ -216,13 +216,13 @@ def _amode_log_term(d: DerivedScalars, psi: PureAModeState, m, n):
     return np.where(inside, log_p, -np.inf)
 
 
-def amode_prob(d: DerivedScalars, psi: PureAModeState,
+def amode_prob(d: AnalyticSolution, psi: PureAModeState,
                outcome: FockOutcome) -> float:
     """p_mn for |psi>_a (x) |0>_b; phase-independent by construction."""
     return _real(np.exp(_amode_log_term(d, psi, outcome.m, outcome.n)))
 
 
-def reduced_density_b(d: DerivedScalars, psi: PureAModeState, m: int) -> float:
+def reduced_density_b(d: AnalyticSolution, psi: PureAModeState, m: int) -> float:
     """Diagonal b-mode reduced matrix element sum_n p_mn."""
     from scipy.special import logsumexp
     if m < 0:
@@ -231,7 +231,7 @@ def reduced_density_b(d: DerivedScalars, psi: PureAModeState, m: int) -> float:
     return float(np.exp(logsumexp(_amode_log_term(d, psi, m, n))))
 
 
-def reduced_density_a(d: DerivedScalars, psi: PureAModeState, n: int) -> float:
+def reduced_density_a(d: AnalyticSolution, psi: PureAModeState, n: int) -> float:
     """Diagonal a-mode reduced matrix element sum_m p_mn."""
     from scipy.special import logsumexp
     if n < 0:
@@ -274,7 +274,7 @@ def coherent_revival_prob(c: WeiNormanCoefficients,
             _real(np.abs(2.0 - 2.0 * np.real(np.exp(c.a_zero)))))
 
 
-def coherent_mean_numbers(c: WeiNormanCoefficients, d: DerivedScalars,
+def coherent_mean_numbers(c: WeiNormanCoefficients, d: AnalyticSolution,
                           pair: CoherentPair) -> tuple[float, float]:
     """Mean photon numbers (mode a, mode b) for an initial coherent pair.
 
@@ -290,7 +290,7 @@ def coherent_mean_numbers(c: WeiNormanCoefficients, d: DerivedScalars,
 _TAIL = 1e-12  # bound on the terms each sum leaves out (times P_l in amode_norm)
 
 
-def _diagonal_norm(d: DerivedScalars, r: int, closed_form: float) -> float:
+def _diagonal_norm(d: AnalyticSolution, r: int, closed_form: float) -> float:
     """sum_n p_nn for the |r, r> start, r <= 1: |f| <= 1 bounds p_nn by n^2r
     y^(n-r) / x, of term ratio <= y ((N+2) / (N+2-r))^2 past N; N doubles till
     that tail is below _TAIL, or gives way to ``closed_form`` past 2e6 terms."""
@@ -304,18 +304,18 @@ def _diagonal_norm(d: DerivedScalars, r: int, closed_form: float) -> float:
     return closed_form
 
 
-def vacuum_norm(d: DerivedScalars) -> float:
+def vacuum_norm(d: AnalyticSolution) -> float:
     """sum_n p_nn for the vacuum start; in closed form 1 / (x (1 - y))."""
     return _diagonal_norm(d, 0, math.exp(-d.log_x - math.log(-math.expm1(d.log_y))))
 
 
-def fock11_norm(d: DerivedScalars) -> float:
+def fock11_norm(d: AnalyticSolution) -> float:
     """sum_n p_nn for the |1,1> start; in closed form y/x + (1 - y) + y^2."""
     return _diagonal_norm(d, 1, math.exp(d.log_y - d.log_x) + math.exp(-d.log_x)
                           + math.exp(2.0 * d.log_y))
 
 
-def amode_norm(d: DerivedScalars, psi: PureAModeState) -> float:
+def amode_norm(d: AnalyticSolution, psi: PureAModeState) -> float:
     """sum_{m,n} p_mn for an a-mode pure state, summed per source occupation l.
 
     The terms m = 0, 1, ... of source l = n - m sum to P_l analytically;

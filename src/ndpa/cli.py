@@ -13,7 +13,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .observables import (cross_correlation_fock, cross_correlation_general,
                           squeezing_kernel)
 from .oracle import (OracleConfig, coherent_state, edge_mass,
                      evolve_truncated, fock_state, oracle_probability)
-from .weinorman import derived_scalars, solve_analytic
+from .weinorman import solve_analytic
 
 
 class ScenarioError(ValueError):
@@ -50,7 +50,8 @@ class Scenario:
     observable: str
     grid: tuple[float, float, int]
     output: str | None = None
-    options: dict = field(default_factory=dict)
+    theta: float = 0.0
+    outcome: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         t0, t1, steps = self.grid
@@ -60,8 +61,8 @@ class Scenario:
             raise ScenarioError("grid needs at least 2 steps")
         if not t1 > t0:
             raise ScenarioError("grid end must exceed grid start")
-        if not math.isfinite(self.options.get("theta", 0.0)):
-            raise ScenarioError(f"theta must be finite, got {self.options['theta']!r}")
+        if not math.isfinite(self.theta):
+            raise ScenarioError(f"theta must be finite, got {self.theta!r}")
 
     def times(self) -> np.ndarray:
         t0, t1, steps = self.grid
@@ -85,11 +86,6 @@ def _write(path, header, columns):
     rows = np.column_stack(columns).tolist()
     write_csv(path, header, rows)
     return header, rows
-
-
-def _grid(params: ModelParams, times):
-    """Coefficients and derived scalars over a whole time grid."""
-    return solve_analytic(params, times), derived_scalars(params, times)
 
 
 def _default_params(args) -> ModelParams:
@@ -121,14 +117,14 @@ def _parse_state(args):
 # -- scenario columns --------------------------------------------------------
 
 
-def _probability(scn: Scenario, c, d):
+def _probability(scn: Scenario, s):
     state = scn.initial
     if isinstance(state, CoherentPair):
-        return ["p_return"], [coherent_revival_prob(c, state)[0]]
-    m, n = scn.options.get("outcome", (0, 0))
+        return ["p_return"], [coherent_revival_prob(s, state)[0]]
+    m, n = scn.outcome
     outcome = FockOutcome(m, n)
-    column = (np.abs(fock_amplitude(c, state, outcome)) ** 2
-              if isinstance(state, FockPair) else amode_prob(d, state, outcome))
+    column = (np.abs(fock_amplitude(s, state, outcome)) ** 2
+              if isinstance(state, FockPair) else amode_prob(s, state, outcome))
     return [f"p_{m}{n}"], [column]
 
 
@@ -138,25 +134,25 @@ _OBSERVABLES = ("correlation", "eta", "mandel_q", "mean", "rho", "variance")
 def _columns(scn: Scenario):
     """(labels, value columns) of the scenario over its whole time grid."""
     name, state = scn.observable, scn.initial
-    c, d = _grid(scn.params, scn.times())
+    s = solve_analytic(scn.params, scn.times())
     if name == "coefficients":  # the evolve table; reads no initial state
         return (["re_a_plus", "im_a_plus", "re_a_minus", "im_a_minus",
                  "re_a_zero", "im_a_zero", "x", "y", "n0"],
-                [c.a_plus.real, c.a_plus.imag, c.a_minus.real, c.a_minus.imag,
-                 c.a_zero.real, c.a_zero.imag, d.x, d.y, d.n0])
+                [s.a_plus.real, s.a_plus.imag, s.a_minus.real, s.a_minus.imag,
+                 s.a_zero.real, s.a_zero.imag, s.x, s.y, s.n0])
     if name == "probability":
-        return _probability(scn, c, d)
+        return _probability(scn, s)
     if name == "variance":
-        kernel = squeezing_kernel(scn.params, scn.options.get("theta", 0.0), c.t)
+        kernel = squeezing_kernel(scn.params, scn.theta, s.t)
         return ["var_x"], [quadrature_variance(kernel, state)]
     if name == "rho":
         if not isinstance(state, FockPair):
             raise ScenarioError("rho is defined for Fock initial states")
-        return ["rho"], [snr_rho_fock(d, state)]
+        return ["rho"], [snr_rho_fock(s, state)]
     if name == "eta":
         if not isinstance(state, CoherentPair):
             raise ScenarioError("eta is defined for coherent initial states")
-        report = snr_eta_coherent(c, d, state)
+        report = snr_eta_coherent(s, s, state)
         return ["eta", "yuen_bound"], [report.eta, report.yuen_bound]
     if name not in _OBSERVABLES:
         raise ScenarioError(f"unknown observable {name!r}")
@@ -164,14 +160,14 @@ def _columns(scn: Scenario):
     if not (fock or isinstance(state, CoherentPair)):
         raise ScenarioError(f"{name} needs a Fock or coherent initial state, "
                             f"not {type(state).__name__}")
-    tab = None if fock else second_moments(state, c)
+    tab = None if fock else second_moments(state, s)
     if name == "mean":
-        means = mean_photon_fock(d, state) if fock else (tab.mean_a, tab.mean_b)
+        means = mean_photon_fock(s, state) if fock else (tab.mean_a, tab.mean_b)
         return ["mean_a", "mean_b"], list(means)
     if name == "mandel_q":
-        return ["mandel_q"], [mandel_q_fock(d, state) if fock
+        return ["mandel_q"], [mandel_q_fock(s, state) if fock
                               else mandel_q_coherent(tab)]
-    return ["f", "F"], list(cross_correlation_fock(d, state) if fock
+    return ["f", "F"], list(cross_correlation_fock(s, state) if fock
                             else cross_correlation_general(tab))
 
 
@@ -196,8 +192,7 @@ def sweep(scenario: Scenario, parameter: str, values):
                                          omega_b=base.omega_b)
             subs.append((f"k2={value}", replace(scenario, params=params)))
         elif parameter == "theta":
-            options = dict(scenario.options, theta=float(value))
-            subs.append((f"theta={value}", replace(scenario, options=options)))
+            subs.append((f"theta={value}", replace(scenario, theta=float(value))))
         else:
             raise ScenarioError(f"unknown sweep parameter {parameter!r}")
     header = ["gt"] + [label for label, _ in subs]
@@ -208,7 +203,7 @@ def sweep(scenario: Scenario, parameter: str, values):
 # -- figure presets ----------------------------------------------------------
 #
 # A preset is a time grid (g = 1, so t = gt) and its columns.  A column is
-# (label, k^2, function of the params, grid coefficients and derived scalars).
+# (label, k^2, function of the params and their AnalyticSolution on the grid).
 
 
 def _par(k2):
@@ -217,36 +212,36 @@ def _par(k2):
 
 def _fock11(k2, tmax):
     return np.linspace(0.0, tmax, 1201), [
-        ("p_11", k2, lambda p, c, d: fock11_prob(d, 1)),
-        ("p_33", k2, lambda p, c, d: fock11_prob(d, 3))]
+        ("p_11", k2, lambda p, sol: fock11_prob(sol, 1)),
+        ("p_33", k2, lambda p, sol: fock11_prob(sol, 3))]
 
 
-def _t_sq(p, c, theta):
-    return squeezing_kernel(p, theta, c.t).t_sq
+def _t_sq(p, sol, theta):
+    return squeezing_kernel(p, theta, sol.t).t_sq
 
 
 def _squeezing(k2, tmax):
     return np.linspace(0.0, tmax, 1501), [
-        ("dx_0", k2, lambda p, c, d: np.sqrt(_t_sq(p, c, 0.0))),
-        ("dx_90", k2, lambda p, c, d: np.sqrt(_t_sq(p, c, math.pi / 2.0))),
-        ("product", k2, lambda p, c, d: np.sqrt(_t_sq(p, c, 0.0)
-                                                * _t_sq(p, c, math.pi / 2.0)))]
+        ("dx_0", k2, lambda p, sol: np.sqrt(_t_sq(p, sol, 0.0))),
+        ("dx_90", k2, lambda p, sol: np.sqrt(_t_sq(p, sol, math.pi / 2.0))),
+        ("product", k2, lambda p, sol: np.sqrt(_t_sq(p, sol, 0.0)
+                                              * _t_sq(p, sol, math.pi / 2.0)))]
 
 
-def _p12(p, c, d):
-    return amode_prob(d, PureAModeState.poisson(0.85), FockOutcome(1, 2))
+def _p12(p, sol):
+    return amode_prob(sol, PureAModeState.poisson(0.85), FockOutcome(1, 2))
 
 
 def _big_f(r, s):
-    return lambda p, c, d: cross_correlation_fock(d, FockPair(r, s))[1]
+    return lambda p, sol: cross_correlation_fock(sol, FockPair(r, s))[1]
 
 
 def _rho(r, s):
-    return lambda p, c, d: snr_rho_fock(d, FockPair(r, s))
+    return lambda p, sol: snr_rho_fock(sol, FockPair(r, s))
 
 
 def _eta(key):
-    return lambda p, c, d: getattr(snr_eta_coherent(c, d, CoherentPair(0.0, 3.0)), key)
+    return lambda p, sol: getattr(snr_eta_coherent(sol, sol, CoherentPair(0.0, 3.0)), key)
 
 
 _FIGURES = {
@@ -260,12 +255,12 @@ _FIGURES = {
         ("F_1_1", 1.5, _big_f(1, 1))]),
     "fig5": (np.linspace(0.01, 50.0, 5000), [
         ("p_return_k2_1.8", 9.0 / 5.0,
-         lambda p, c, d: coherent_revival_prob(c, CoherentPair(1.0, 1.0))[0]),
+         lambda p, sol: coherent_revival_prob(sol, CoherentPair(1.0, 1.0))[0]),
         ("p_return_k2_pi", math.pi,
-         lambda p, c, d: coherent_revival_prob(c, CoherentPair(5.0, 5.0))[0])]),
+         lambda p, sol: coherent_revival_prob(sol, CoherentPair(5.0, 5.0))[0])]),
     "fig6": (np.linspace(0.01, 10.0, 1000), [
-        ("q_10", 1.5, lambda p, c, d: mandel_q_fock(d, FockPair(1, 0))),
-        ("q_01", 1.5, lambda p, c, d: mandel_q_fock(d, FockPair(0, 1))),
+        ("q_10", 1.5, lambda p, sol: mandel_q_fock(sol, FockPair(1, 0))),
+        ("q_01", 1.5, lambda p, sol: mandel_q_fock(sol, FockPair(0, 1))),
         ("F_10", 1.5, _big_f(1, 0)),
         ("F_01", 1.5, _big_f(0, 1))]),
     "fig7": _squeezing(9.0 / 5.0, 15.0),
@@ -286,9 +281,9 @@ def run_figure(name: str, output=None):
     if name not in _FIGURES:
         raise ScenarioError(f"unknown figure preset {name!r}")
     times, columns = _FIGURES[name]
-    grids = {k2: _grid(_par(k2), times) for k2 in {k2 for _, k2, _ in columns}}
+    grids = {k2: solve_analytic(_par(k2), times) for k2 in {k2 for _, k2, _ in columns}}
     return _write(output, ["gt"] + [label for label, _, _ in columns],
-                  [times] + [fn(_par(k2), *grids[k2]) for _, k2, fn in columns])
+                  [times] + [fn(_par(k2), grids[k2]) for _, k2, fn in columns])
 
 
 # -- oracle cross-check ------------------------------------------------------
@@ -305,16 +300,16 @@ def oracle_check(params: ModelParams, t: float, cutoff: int):
     pair = CoherentPair(0.8, 0.5)
 
     vacuum = evolve_truncated(pump, params, fock_state(cutoff, 0, 0), t, cfg)
-    d = derived_scalars(params, t)  # after evolve_truncated has checked t
-    results = [(f"vacuum p_{n}{n}", vacuum_prob(d, n),
+    s = solve_analytic(params, t)  # after evolve_truncated has checked t
+    results = [(f"vacuum p_{n}{n}", vacuum_prob(s, n),
                 oracle_probability(vacuum, n, n)) for n in (0, 1, 3)]
     fock11 = evolve_truncated(pump, params, fock_state(cutoff, 1, 1), t, cfg)
-    results += [(f"fock(1,1) p_{n}{n}", fock11_prob(d, n),
+    results += [(f"fock(1,1) p_{n}{n}", fock11_prob(s, n),
                  oracle_probability(fock11, n, n)) for n in (1, 2)]
     start = coherent_state(cutoff, pair.alpha, pair.beta)
     coherent = evolve_truncated(pump, params, start, t, cfg)
     results.append(("coherent p_return",
-                    coherent_revival_prob(solve_analytic(params, t), pair)[0],
+                    coherent_revival_prob(s, pair)[0],
                     abs(start.overlap(coherent)) ** 2))
     return ([(label, a, b, abs(a - b)) for label, a, b in results],
             max(edge_mass(state) for state in (vacuum, fock11, coherent)))
@@ -378,17 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_from_args(args) -> Scenario:
-    options = {}
-    if hasattr(args, "m"):
-        options["outcome"] = (args.m, args.n)
-    if hasattr(args, "theta"):
-        options["theta"] = args.theta
     return Scenario(params=_default_params(args),
                     initial=_parse_state(args),
                     observable="probability" if args.verb == "prob" else args.name,
                     grid=(0.0, args.tmax, args.steps),
                     output=args.out,
-                    options=options)
+                    theta=getattr(args, "theta", 0.0),
+                    outcome=(getattr(args, "m", 0), getattr(args, "n", 0)))
 
 
 def main(argv=None) -> int:

@@ -154,11 +154,10 @@ PumpProfile = HarmonicPump | TabulatedPump | CustomPump
 
 @dataclass(frozen=True)
 class RevivalSpec:
-    """A predicted revival time; p is set only for the coherent case."""
+    """A predicted revival time."""
 
     n: int
     t_rev: float
-    p: int | None = None
 
 
 def fock_revival_times(params: ModelParams, n_max: int) -> list[RevivalSpec]:

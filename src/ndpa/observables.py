@@ -12,11 +12,11 @@ import numpy as np
 from .amplitudes import CoherentPair, FockPair, coherent_mean_numbers
 from .model import ModelParams, RegimeError, RegimeTag, classify_regime
 from .moments import MomentTable
-from .weinorman import (DerivedScalars, WeiNormanCoefficients, _real,
+from .weinorman import (AnalyticSolution, WeiNormanCoefficients, _real,
                         bogoliubov_pair, solve_analytic)
 
 
-def mean_photon_fock(d: DerivedScalars, f: FockPair) -> tuple[float, float]:
+def mean_photon_fock(d: AnalyticSolution, f: FockPair) -> tuple[float, float]:
     """(mean_a, mean_b) = (r, s) + n0 (r+s+1); the difference is conserved."""
     pumped = d.n0 * (f.r + f.s + 1.0)
     return f.r + pumped, f.s + pumped
@@ -31,7 +31,7 @@ def _mandel_q(n0, f: FockPair):
         return _real(np.where(n0 == 0.0, -1.0 if r > 0 else 0.0, num / den))
 
 
-def mandel_q_fock(d: DerivedScalars, f: FockPair) -> float:
+def mandel_q_fock(d: AnalyticSolution, f: FockPair) -> float:
     """Mandel Q of the a mode for an initial Fock pair.
 
     Q(0) is -1 for r != 0 and 0 for r = 0 (the latter taken as the
@@ -64,7 +64,7 @@ def _ratio_f(f_value, mean_a, mean_b):
     return _real(f_value), _real(big_f)
 
 
-def cross_correlation_fock(d: DerivedScalars, f: FockPair) -> tuple[float, float]:
+def cross_correlation_fock(d: AnalyticSolution, f: FockPair) -> tuple[float, float]:
     """(f, F) for an initial Fock pair from the closed form.
 
     F = f / sqrt(mean_a mean_b) is NaN whenever a mean vanishes (e.g. at
@@ -138,13 +138,12 @@ def squeezing_extrema(params: ModelParams, theta: float, t_range,
     ts = np.linspace(t0, t1, n_grid)
     vals = squeezing_kernel(params, theta, ts).t_sq
     minima = []
-    for i in range(1, n_grid - 1):
-        if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
-            res = minimize_scalar(lambda t: squeezing_kernel(params, theta, t).t_sq,
-                                  bounds=(ts[i - 1], ts[i + 1]),
-                                  method="bounded",
-                                  options={"xatol": 1e-12})
-            minima.append((float(res.x), float(res.fun)))
+    for i in np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1:
+        res = minimize_scalar(lambda t: squeezing_kernel(params, theta, t).t_sq,
+                              bounds=(ts[i - 1], ts[i + 1]),
+                              method="bounded",
+                              options={"xatol": 1e-12})
+        minima.append((float(res.x), float(res.fun)))
     return minima
 
 
@@ -183,7 +182,7 @@ def _snr_rho(n0, f: FockPair):
     return _real(np.where(n0 == 0.0, math.inf if r > 0 else 0.0, rho))
 
 
-def snr_rho_fock(d: DerivedScalars, f: FockPair) -> float:
+def snr_rho_fock(d: AnalyticSolution, f: FockPair) -> float:
     """rho_a = mean / std of n_a(t); +inf at n0 = 0 with r > 0 (no Fock variance)."""
     return _snr_rho(d.n0, f)
 
@@ -237,7 +236,7 @@ def snr_rho_extrema(params: ModelParams, f: FockPair) -> list[SnrExtremum]:
                         kind="global_min")]
 
 
-def snr_eta_coherent(c: WeiNormanCoefficients, d: DerivedScalars,
+def snr_eta_coherent(c: WeiNormanCoefficients, d: AnalyticSolution,
                      pair: CoherentPair) -> SnrReport:
     """Quadrature SNR eta_a for a coherent pair, with the Yuen bound.
 

@@ -1,11 +1,12 @@
 """Disentangled evolution-operator coefficients A+(t), A-(t), A0(t).
 
 The interaction-picture evolution operator factorizes as
-``exp(A+ K+) exp(2 A0 K0) exp(A- K-)`` where the three complex coefficient
-functions satisfy a Riccati-type ODE system.  For the harmonic pump the
-solutions are closed-form, split into three regimes by k^2 once, in
-``_regime_kernel``: real transcendentals only, hyperbolics in log form, and
-the winding that keeps Im A0 continuous in t (no principal-branch jumps).
+``exp(A+ K+) exp(2 A0 K0) exp(A- K-)`` (Wei & Norman, J. Math. Phys. 4, 575,
+1963), whose coefficients satisfy a Riccati-type ODE system.  For the harmonic
+pump ``_regime_kernel`` splits the closed forms into three regimes by k^2 once:
+real transcendentals only, hyperbolics in log form, and the winding that keeps
+Im A0 continuous in t.  ``solve_analytic`` builds from one kernel pass the
+coefficients and x = 1 + n0, y = n0/x and n0, as one ``AnalyticSolution``.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ class WeiNormanCoefficients:
 
 
 @dataclass(frozen=True)
-class DerivedScalars:
-    """x = exp(-2 Re A0), y = |A-|^2 and the vacuum mean photon number n0.
-
-    Satisfy x*y = n0 and x = 1 + n0.  The log fields stay finite deep in
-    the sub-threshold regime where x itself overflows.
+class AnalyticSolution(WeiNormanCoefficients):
+    """(A+, A-, A0) with x = exp(-2 Re A0) = 1 + n0, y = |A-|^2 = n0/x and the
+    vacuum mean photon number n0, from one kernel pass.  The log fields stay
+    finite deep in the sub-threshold regime where x itself overflows.
     """
 
     x: float
@@ -93,19 +93,8 @@ def _regime_kernel(k, gt):
     return np.where(crit, np.sign(k), k), u, t, np.multiply(log_s, 2.0, out=log_s)
 
 
-def coefficients(k, gt, dtype=np.complex128):
-    """Vectorized analytic (A+, A-, A0) as functions of k and g*t.
-
-    Valid for the harmonic pump only.  Broadcasts over k and gt; scalar k and
-    gt give numpy scalars.  ``dtype=np.complex256`` checks the unitarity
-    identities beyond double rounding (r3 is conditioned like x(t)*eps).  In
-    real arithmetic, from ``_regime_kernel``: A- = w / (1 - i k w), Re A0 =
-    -log(1 + n0)/2, Im A0 = arctan(k w) + winding - k gt, continuous in t (k gt
-    is the Omega t/2 secular phase), and A+ = -exp(-2i k gt) A- via tan(k gt).
-    """
-    real_dtype = np.finfo(dtype).dtype
-    k, gt = np.asarray(k, dtype=real_dtype), np.asarray(gt, dtype=real_dtype)
-    k_c, winding, w, log_n0 = _regime_kernel(np.atleast_1d(k), gt)
+def _coefficients(k, gt, k_c, winding, w, log_n0, dtype):
+    """Flat (A+, A-, A0) from the kernel output on (k, gt); writes over it."""
     np.clip(w, -2.0 ** 511, 2.0 ** 511, out=w)  # (kw)^2 finite; moves A- < 2^-511
     a_minus, a_zero = np.empty(w.shape, dtype), np.empty(w.shape, dtype)
     np.multiply(_softplus(log_n0), -0.5, out=a_zero.real)
@@ -119,20 +108,67 @@ def coefficients(k, gt, dtype=np.complex128):
     a_plus = np.square(tan + 1j)  # -exp(-2i k gt) (1 + tan^2 k gt)
     a_plus /= np.add(np.square(tan, out=d), 1.0, out=d)
     a_plus *= a_minus
-    shape = np.broadcast_shapes(k.shape, gt.shape)
-    return tuple(a.reshape(shape)[()] for a in (a_plus, a_minus, a_zero))
+    return a_plus, a_minus, a_zero
 
 
-def solve_analytic(params: ModelParams, t) -> WeiNormanCoefficients:
-    """Closed-form coefficients for the harmonic pump.
+def _scalars(log_n0):
+    """Flat (x, y, n0, log_x, log_y, log_n0) from log n0."""
+    with np.errstate(over="ignore", divide="ignore"):
+        n0 = np.exp(log_n0)
+        inv = 1.0 / n0
+    # log y = -log(1 + 1/n0); the direct difference log_n0 - log_x loses all
+    # precision once both exceed ~1/eps deep below threshold
+    return n0 + 1.0, 1.0 / (1.0 + inv), n0, _softplus(log_n0), -np.log1p(inv), log_n0
 
-    A scalar time gives complex fields; an array of times gives arrays.
+
+def _shaped(values, shape):
+    return tuple(v.reshape(shape)[()] for v in values)
+
+
+def coefficients(k, gt, dtype=np.complex128):
+    """Vectorized analytic (A+, A-, A0) as functions of k and g*t.
+
+    Valid for the harmonic pump only.  Broadcasts over k and gt; scalar k and
+    gt give numpy scalars.  ``dtype=np.complex256`` checks the unitarity
+    identities beyond double rounding (r3 is conditioned like x(t)*eps).  In
+    real arithmetic, from ``_regime_kernel``: A- = w / (1 - i k w), Re A0 =
+    -log(1 + n0)/2, Im A0 = arctan(k w) + winding - k gt, continuous in t (k gt
+    is the Omega t/2 secular phase), and A+ = -exp(-2i k gt) A- via tan(k gt).
+    """
+    k, gt = (np.asarray(v, dtype=np.finfo(dtype).dtype) for v in (k, gt))
+    fields = _coefficients(k, gt, *_regime_kernel(np.atleast_1d(k), gt), dtype)
+    return _shaped(fields, np.broadcast_shapes(k.shape, gt.shape))
+
+
+def scalars(k, gt):
+    """Vectorized (x, y, n0, log_x, log_y, log_n0) as functions of k and g*t.
+
+    n0 = sinh^2(gt q)/q^2 with q^2 = 1 - k^2, continued through k^2 = 1
+    (where it is (gt)^2) and into k^2 > 1 (where sinh^2 turns into -sin^2);
+    x = 1 + n0, y = n0/x.  The logs stay finite where x overflows.
+    """
+    k, gt = np.asarray(k, dtype=float), np.asarray(gt, dtype=float)
+    # every kernel array lives to the end: freeing them early raises peak RSS (glibc reuse)
+    kernel = _regime_kernel(np.atleast_1d(k), gt)
+    return _shaped(_scalars(kernel[3]), np.broadcast_shapes(k.shape, gt.shape))
+
+
+def solve_analytic(params: ModelParams, t) -> AnalyticSolution:
+    """Closed-form coefficients and scalars for the harmonic pump, one kernel pass.
+
+    A scalar time gives complex and float fields; an array of times gives arrays.
     """
     t = np.asarray(t, dtype=float)
-    fields = coefficients(params.k, params.g * t)
-    if t.ndim == 0:
-        return WeiNormanCoefficients(float(t), *(complex(f) for f in fields))
-    return WeiNormanCoefficients(t, *fields)
+    gt = params.g * t
+    kernel = _regime_kernel(np.atleast_1d(params.k), gt)
+    reals = _scalars(kernel[3].copy())  # _coefficients writes over log n0
+    fields = _coefficients(params.k, gt, *kernel, np.complex128) + reals
+    if t.ndim == 0:  # one-element arrays
+        return AnalyticSolution(float(t), *(f.item() for f in fields))
+    return AnalyticSolution(t, *fields)
+
+
+derived_scalars = solve_analytic  # the former scalar half's name; perfbench calls it
 
 
 def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
@@ -210,31 +246,4 @@ def unitarity_residuals(c: WeiNormanCoefficients):
         r3 = np.log(np.abs(m))
         np.exp(np.subtract(r3, np.multiply(a0.real, 2.0, out=mod_d), out=r3), out=r3)
     r3 = np.abs(np.subtract(np.copysign(r3, m, out=r3), 1.0, out=r3), out=r3)
-    return tuple(r.reshape(shape)[()] for r in (r1, r2, r3))
-
-
-def scalars(k, gt):
-    """Vectorized (x, y, n0, log_x, log_y, log_n0) as functions of k and g*t.
-
-    n0 = sinh^2(gt q)/q^2 with q^2 = 1 - k^2, continued through k^2 = 1
-    (where it is (gt)^2) and into k^2 > 1 (where sinh^2 turns into -sin^2);
-    x = 1 + n0, y = n0/x.  The logs stay finite where x overflows.
-    """
-    k, gt = np.asarray(k, dtype=float), np.asarray(gt, dtype=float)
-    *_, log_n0 = _regime_kernel(np.atleast_1d(k), gt)
-    with np.errstate(over="ignore", divide="ignore"):
-        n0 = np.exp(log_n0)
-        inv = 1.0 / n0
-    # log y = -log(1 + 1/n0); the direct difference log_n0 - log_x loses all
-    # precision once both exceed ~1/eps deep below threshold
-    return tuple(v.reshape(np.broadcast_shapes(k.shape, gt.shape))[()] for v in (
-        n0 + 1.0, 1.0 / (1.0 + inv), n0, _softplus(log_n0), -np.log1p(inv), log_n0))
-
-
-def derived_scalars(params: ModelParams, t) -> DerivedScalars:
-    """The real triple (x, y, n0) entering every probability formula.
-
-    A scalar time gives float fields; an array of times gives arrays.
-    """
-    gt = params.g * np.asarray(t, dtype=float)
-    return DerivedScalars(*(_real(value) for value in scalars(params.k, gt)))
+    return _shaped((r1, r2, r3), shape)

@@ -48,7 +48,7 @@ def test_run_probability_csv(tmp_path):
     params = ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0)
     scn = Scenario(params=params, initial=FockPair(1, 1),
                    observable="probability", grid=(0.0, 2.0, 3),
-                   output=str(out), options={"outcome": (1, 1)})
+                   output=str(out), outcome=(1, 1))
     header, rows = run(scn)
     assert header == ["gt", "p_11"]
     file_header, file_rows = read_csv(out)
@@ -110,7 +110,7 @@ def test_sweep_k2(tmp_path):
     params = ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0)
     scn = Scenario(params=params, initial=FockPair(1, 1),
                    observable="probability", grid=(0.0, 2.0, 5),
-                   output=str(out), options={"outcome": (1, 1)})
+                   output=str(out), outcome=(1, 1))
     header, rows = sweep(scn, "k2", [0.5, 1.0, 1.5])
     assert header == ["gt", "k2=0.5", "k2=1.0", "k2=1.5"]
     assert all(len(r) == 4 for r in rows)

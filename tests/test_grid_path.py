@@ -16,7 +16,7 @@ import pytest
 from ndpa import (CoherentPair, FockOutcome, FockPair, ModelParams,
                   PureAModeState, amode_prob, coherent_mean_numbers,
                   coherent_revival_prob, cross_correlation_fock,
-                  cross_correlation_general, derived_scalars, fock11_prob,
+                  cross_correlation_general, fock11_prob,
                   fock_amplitude, mandel_q_coherent, mandel_q_fock,
                   second_moments, snr_eta_coherent, snr_rho_fock,
                   solve_analytic, squeezing_kernel, vacuum_prob)
@@ -39,11 +39,11 @@ def params_for(k2):
 
 
 def on_grid(params):
-    return solve_analytic(params, TIMES), derived_scalars(params, TIMES)
+    return solve_analytic(params, TIMES)
 
 
 def at_points(params):
-    return [(solve_analytic(params, t), derived_scalars(params, t)) for t in TIMES]
+    return [solve_analytic(params, t) for t in TIMES]
 
 
 def assert_pointwise(grid_value, point_values, exact=True):
@@ -60,39 +60,39 @@ def assert_pointwise(grid_value, point_values, exact=True):
 @pytest.mark.parametrize("k2", K2S)
 def test_probabilities(k2):
     params = params_for(k2)
-    c, d = on_grid(params)
+    s = on_grid(params)
     points = at_points(params)
     for n in (0, 1, 3):
-        assert_pointwise(vacuum_prob(d, n), [vacuum_prob(dp, n) for _, dp in points])
-        assert_pointwise(fock11_prob(d, n), [fock11_prob(dp, n) for _, dp in points])
+        assert_pointwise(vacuum_prob(s, n), [vacuum_prob(sp, n) for sp in points])
+        assert_pointwise(fock11_prob(s, n), [fock11_prob(sp, n) for sp in points])
     psi = PureAModeState.poisson(0.85)
     for m, n in ((0, 0), (1, 2), (2, 1), (0, 3)):
         out = FockOutcome(m, n)
-        assert_pointwise(amode_prob(d, psi, out),
-                         [amode_prob(dp, psi, out) for _, dp in points])
+        assert_pointwise(amode_prob(s, psi, out),
+                         [amode_prob(sp, psi, out) for sp in points])
     for pair in COHERENT:
         for i in (0, 1):
-            assert_pointwise(coherent_revival_prob(c, pair)[i],
-                             [coherent_revival_prob(cp, pair)[i] for cp, _ in points],
+            assert_pointwise(coherent_revival_prob(s, pair)[i],
+                             [coherent_revival_prob(sp, pair)[i] for sp in points],
                              exact=False)
     for initial, outcome in TRANSITIONS:  # complex values, compared to COMPLEX_TOL
-        amps = [fock_amplitude(cp, initial, outcome) for cp, _ in points]
+        amps = [fock_amplitude(sp, initial, outcome) for sp in points]
         assert all(type(v) is complex for v in amps)
-        np.testing.assert_allclose(fock_amplitude(c, initial, outcome), amps,
+        np.testing.assert_allclose(fock_amplitude(s, initial, outcome), amps,
                                    rtol=COMPLEX_TOL, atol=COMPLEX_TOL)
 
 
 @pytest.mark.parametrize("k2", K2S)
 def test_fock_observables(k2):
     params = params_for(k2)
-    c, d = on_grid(params)
+    s = on_grid(params)
     points = at_points(params)
     for f in FOCK:
-        assert_pointwise(mandel_q_fock(d, f), [mandel_q_fock(dp, f) for _, dp in points])
-        assert_pointwise(snr_rho_fock(d, f), [snr_rho_fock(dp, f) for _, dp in points])
+        assert_pointwise(mandel_q_fock(s, f), [mandel_q_fock(sp, f) for sp in points])
+        assert_pointwise(snr_rho_fock(s, f), [snr_rho_fock(sp, f) for sp in points])
         for i in (0, 1):
-            assert_pointwise(cross_correlation_fock(d, f)[i],
-                             [cross_correlation_fock(dp, f)[i] for _, dp in points])
+            assert_pointwise(cross_correlation_fock(s, f)[i],
+                             [cross_correlation_fock(sp, f)[i] for sp in points])
 
 
 @pytest.mark.parametrize("k2", K2S)
@@ -108,20 +108,20 @@ def test_squeezing_kernel(k2):
 @pytest.mark.parametrize("k2", K2S)
 def test_coherent_observables(k2):
     params = params_for(k2)
-    c, d = on_grid(params)
+    s = on_grid(params)
     points = at_points(params)
     for pair in COHERENT:
-        report = snr_eta_coherent(c, d, pair)
-        reports = [snr_eta_coherent(cp, dp, pair) for cp, dp in points]
+        report = snr_eta_coherent(s, s, pair)
+        reports = [snr_eta_coherent(sp, sp, pair) for sp in points]
         for key in ("eta", "yuen_bound"):
             assert_pointwise(getattr(report, key), [getattr(r, key) for r in reports],
                              exact=False)
         for i in (0, 1):
-            assert_pointwise(coherent_mean_numbers(c, d, pair)[i],
-                             [coherent_mean_numbers(cp, dp, pair)[i]
-                              for cp, dp in points], exact=False)
-        tab = second_moments(pair, c)
-        tabs = [second_moments(pair, cp) for cp, _ in points]
+            assert_pointwise(coherent_mean_numbers(s, s, pair)[i],
+                             [coherent_mean_numbers(sp, sp, pair)[i]
+                              for sp in points], exact=False)
+        tab = second_moments(pair, s)
+        tabs = [second_moments(pair, sp) for sp in points]
         assert_pointwise(mandel_q_coherent(tab), [mandel_q_coherent(t) for t in tabs],
                          exact=False)
         for i in (0, 1):
@@ -130,17 +130,17 @@ def test_coherent_observables(k2):
 
 
 def test_edge_values_at_gt_zero():
-    _, d = on_grid(params_for(1.5))
-    assert snr_rho_fock(d, FockPair(2, 1))[0] == math.inf
-    assert snr_rho_fock(d, FockPair(0, 1))[0] == 0.0
-    assert math.isnan(cross_correlation_fock(d, FockPair(1, 0))[1][0])
-    assert mandel_q_fock(d, FockPair(2, 1))[0] == -1.0
-    assert mandel_q_fock(d, FockPair(0, 5))[0] == 0.0
-    assert fock11_prob(d, 1)[0] == 1.0
-    assert np.all(np.isfinite(cross_correlation_fock(d, FockPair(1, 0))[1][1:]))
+    s = on_grid(params_for(1.5))
+    assert snr_rho_fock(s, FockPair(2, 1))[0] == math.inf
+    assert snr_rho_fock(s, FockPair(0, 1))[0] == 0.0
+    assert math.isnan(cross_correlation_fock(s, FockPair(1, 0))[1][0])
+    assert mandel_q_fock(s, FockPair(2, 1))[0] == -1.0
+    assert mandel_q_fock(s, FockPair(0, 5))[0] == 0.0
+    assert fock11_prob(s, 1)[0] == 1.0
+    assert np.all(np.isfinite(cross_correlation_fock(s, FockPair(1, 0))[1][1:]))
 
 
 def test_coherent_mandel_q_rejects_a_zero_mean_anywhere_on_the_grid():
-    c, _ = on_grid(params_for(1.5))
+    s = on_grid(params_for(1.5))
     with pytest.raises(ValueError):
-        mandel_q_coherent(second_moments(CoherentPair(0.0, 0.5), c))
+        mandel_q_coherent(second_moments(CoherentPair(0.0, 0.5), s))

@@ -266,6 +266,15 @@ def test_squeezing_minima_asymptotic_period():
         asymptotic_minima_period(params_for(1.5))
 
 
+def test_squeezing_extrema_refine_every_strict_grid_minimum_in_order():
+    params, ts = params_for(0.5), np.linspace(20.0, 36.0, 801)
+    vals = squeezing_kernel(params, 0.0, ts).t_sq
+    loop = [i for i in range(1, ts.size - 1) if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]]
+    minima = squeezing_extrema(params, 0.0, (20.0, 36.0), n_grid=801)
+    assert len(minima) == len(loop) > 1
+    assert all(ts[i - 1] <= t <= ts[i + 1] for (t, _), i in zip(minima, loop))
+
+
 def test_variance_moment_engine_agreement():
     # two-mode quadrature variance from the moment engine equals the kernel
     params = params_for(0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ndpa import weinorman
 from ndpa.model import CustomPump, HarmonicPump, ModelParams
 from ndpa.weinorman import (WeiNormanCoefficients, coefficients, derived_scalars,
                             scalars, solve_analytic, solve_ode, unitarity_residuals)
@@ -255,6 +257,38 @@ def test_threshold_coefficients_where_kw_squared_would_overflow(k, gt):
         r1, r2, _ = unitarity_residuals(WeiNormanCoefficients(gt, a_plus, a_minus, a_zero))
     assert abs(a_minus - 1j * math.copysign(1.0, k)) <= 1e-12
     assert r1 <= 1e-12 and r2 <= 1e-12
+
+
+@pytest.mark.parametrize("t", [1.3, np.linspace(0.0, 3.0, 7)])
+def test_solve_analytic_runs_the_kernel_once(monkeypatch, t):
+    calls, kernel = [], weinorman._regime_kernel
+    monkeypatch.setattr(weinorman, "_regime_kernel",
+                        lambda k, gt: calls.append(gt) or kernel(k, gt))
+    solve_analytic(params_for(0.5), t)
+    assert len(calls) == 1
+
+
+def _solution_fields(s):
+    return [getattr(s, f.name) for f in dataclasses.fields(s)[1:]]
+
+
+def test_solution_equals_coefficients_and_scalars():
+    # g = 1, so t = gt; omega_a + omega_b = 1, so k = (omega - 1) / 2
+    k, gt = _threshold_grid()
+    cases = [(ModelParams(omega_a=0.5, omega_b=0.5, g=1.0, omega=1.0 + 2.0 * kv), gt.ravel())
+             for kv in k.ravel()] + [(params_for(0.5), 600.0)]
+    for params, t in cases:
+        want = coefficients(params.k, t) + scalars(params.k, t)
+        for got, value in zip(_solution_fields(solve_analytic(params, t)), want, strict=True):
+            np.testing.assert_array_equal(got, value)
+    assert solve_analytic(params_for(0.5), 600.0).x == math.inf
+
+
+def test_solution_of_a_scalar_time_holds_python_numbers():
+    s = solve_analytic(params_for(0.5), 1.0)
+    assert type(s.t) is float
+    assert [type(v) for v in _solution_fields(s)] == [complex] * 3 + [float] * 6
+    assert derived_scalars is solve_analytic
 
 
 def test_scalar_input_gives_scalars():
