@@ -119,18 +119,24 @@ class TabulatedPump:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("need at least two pump samples")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("pump sample times must be strictly increasing")
         if len(self.values) != t.size:
             raise ValueError("times and values must have equal length")
         vals = np.asarray(self.values, dtype=complex)
+        for name, arr in (("times", t), ("values", vals)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ValueError(f"pump sample {name}[{bad[0]}] = {arr[bad[0]]} is not finite")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("pump sample times must be strictly increasing")
         object.__setattr__(self, "_arrays", (t, vals.real.copy(), vals.imag.copy()))
 
     def value(self, t):
         times, re, im = self._arrays
         t = np.asarray(t, dtype=float)
-        if ((t < times[0]) | (t > times[-1])).any():
-            raise ValueError("pump evaluated outside tabulated range")
+        inside = (t >= times[0]) & (t <= times[-1])  # False at nan
+        if not inside.all():
+            raise ValueError(f"pump evaluated at t = {t[~inside].flat[0]}, outside the "
+                             f"tabulated range [{times[0]}, {times[-1]}]")
         return np.interp(t, times, re) + 1j * np.interp(t, times, im)
 
 

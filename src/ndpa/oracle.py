@@ -11,9 +11,10 @@ A ``HarmonicPump`` g exp(i omega t) is propagated exactly: in the frame
 y_j = exp(i W j t) z_j, W = omega_a + omega_b - omega, the generator of
 z' = (-i W j + g K- - conj(g) K+) z is constant, and the gauge z_j = s^j w_j,
 s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
--W j, off-diagonal |g| sqrt((n_a+1)(n_b+1))), so with M = V diag(lam) V^T,
-z(t) = S V exp(i lam t) V^T S^-1 z(0).  Other pumps are integrated with
-DOP853, all blocks zero-padded into one banded system, per kink-free stretch.
+-W j, off-diagonal |g| sqrt((n_a+1)(n_b+1)), alike for q and -q), so with
+M = V diag(lam) V^T, found once per |q|, z(t) = S V exp(i lam t) V^T S^-1 z(0).
+Other pumps are integrated with DOP853, all blocks zero-padded into one
+banded system, per kink-free stretch, on which a tabulated pump is linear.
 
 scipy loads on first use: for Poisson ``prob``, ``fig3``, ``oracle-check``,
 ``solve_ode`` and ``squeezing_extrema``.  The PEP 562
@@ -22,6 +23,7 @@ scipy loads on first use: for Poisson ``prob``, ``fig3``, ``oracle-check``,
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -170,11 +172,13 @@ def _propagate_harmonic(pump: HarmonicPump, w: float, initial: TruncatedState, t
     """Exact propagation of every block; w is W of the module docstring."""
     from scipy.linalg import eigh_tridiagonal
     turn = 0.5 * np.pi - np.angle(pump.g)  # arg s of the gauge s = i conj(g)/|g|
+    cut = initial.cutoff
+    eig = {a: eigh_tridiagonal(-w * np.arange(cut + 1 - a), abs(pump.g) * _pair_amplitudes(cut, a))
+           for a in {abs(q) for q in initial.blocks}}  # blocks q and -q share one generator
     out = {}
     for q, vec in initial.blocks.items():
-        amp = _pair_amplitudes(initial.cutoff, q)
-        j = np.arange(amp.size + 1)
-        lam, v = eigh_tridiagonal(-w * j, abs(pump.g) * amp)
+        lam, v = eig[abs(q)]
+        j = np.arange(vec.size)
         rotated = v @ (np.exp(1j * lam * t) * (v.T @ (np.exp(-1j * turn * j) * vec)))
         out[q] = np.exp(1j * (w * t + turn) * j) * rotated
     return out
@@ -191,20 +195,27 @@ def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, t
 
     def rhs(time, flat):
         y = flat.reshape(amp.shape[0], cutoff + 1)
-        gt = pump.value(time) * np.exp(-1j * wsum * time)
+        g = line[0] + line[1] * (time - line[2]) if tabulated else pump.value(time)
+        gt = g * cmath.exp(-1j * wsum * time)
         dy = np.zeros_like(y)
         dy[:, :-1] = gt * amp * y[:, 1:]
         dy[:, 1:] -= np.conj(gt) * amp * y[:, :-1]
         return dy.ravel()
 
     # stepping across a kink costs the integrator rejected steps and accuracy;
-    # t_eval keeps only each solve's end state, not all its steps, in memory
-    kinks = np.asarray(pump.times) if isinstance(pump, TabulatedPump) else np.empty(0)
+    # t_eval keeps only each solve's end state, not all its steps, in memory;
+    # error control shrinks a first step spanning the whole stretch if it must
+    tabulated = isinstance(pump, TabulatedPump)
+    kinks = np.asarray(pump.times) if tabulated else np.empty(0)
     knots = [0.0, *kinks[(kinks > 0.0) & (kinks < t)], float(t)]
+    ends = pump.value(knots).tolist() if tabulated else None  # g is straight between knots
     flat = y.ravel()
-    for t0, t1 in zip(knots, knots[1:]):
+    for i, (t0, t1) in enumerate(zip(knots, knots[1:])):
+        if tabulated:  # (g0, slope, t0) on this stretch
+            line = (ends[i], (ends[i + 1] - ends[i]) / (t1 - t0), t0)
         res = sys.modules[__name__].solve_ivp(rhs, (t0, t1), flat, method="DOP853",
-                                              t_eval=(t1,), rtol=tol, atol=tol * 1e-2)
+                                              t_eval=(t1,), first_step=abs(t1 - t0),
+                                              rtol=tol, atol=tol * 1e-2)
         if not res.success:
             raise TruncationError(
                 f"integrator failed on [{t0:.6g}, {t1:.6g}]: {res.message}")
@@ -218,10 +229,10 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
                      cfg: OracleConfig = OracleConfig()) -> TruncatedState:
     """Solve i d/dt psi = H_I(t) psi for every charge block up to time t.
 
-    Exact for a ``HarmonicPump``: one eigendecomposition per block of the
+    Exact for a ``HarmonicPump``: one eigendecomposition per pair +-q of the
     gauged rotating-frame generator (module docstring); ``cfg.tol`` unused.
     Other pumps: DOP853 at relative tolerance ``cfg.tol``, one ``solve_ivp``
-    call per stretch between ``TabulatedPump`` sample times in (0, t).
+    call per straight stretch between ``TabulatedPump`` samples in (0, t).
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")

@@ -72,6 +72,34 @@ def test_tabulated_pump_interpolates():
         TabulatedPump(times=(0.0, 0.0), values=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("times, values, entry", [
+    ((0.0, math.nan, 1.0), (1.0, 1.0, 1.0), r"times\[1\] = nan"),
+    ((0.0, 1.0, math.inf), (1.0, 1.0, 1.0), r"times\[2\] = inf"),
+    ((0.0, 1.0, 2.0), (1.0, complex(math.inf, 0.0), 1.0), r"values\[1\] = \(inf\+0j\)"),
+    ((0.0, 1.0, 2.0), (1.0, 1.0, complex(1.0, math.nan)), r"values\[2\] = \S*nanj\S*"),
+])
+def test_tabulated_pump_rejects_non_finite_samples(times, values, entry):
+    with pytest.raises(ValueError, match=entry + " is not finite"):
+        TabulatedPump(times=times, values=values)
+
+
+def test_tabulated_pump_rejects_non_finite_time():
+    pump = TabulatedPump(times=(0.0, 1.0), values=(1.0, 2.0))
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"at t = {t}, outside"):
+            pump.value(t)
+    with pytest.raises(ValueError, match="at t = nan"):
+        pump.value(np.array([0.5, math.nan]))
+
+
+def test_tabulated_pump_range_error_names_time_and_range():
+    pump = TabulatedPump(times=(0.25, 0.5, 1.0), values=(1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match=r"at t = 1\.5, outside the tabulated range \[0\.25, 1\.0\]"):
+        pump.value(1.5)
+    with pytest.raises(ValueError, match=r"at t = 0\.1, outside .* \[0\.25, 1\.0\]"):
+        pump.value([0.3, 0.1, 2.0])  # the first time outside is named
+
+
 def test_custom_pump():
     pump = CustomPump(fn=lambda t: 2.0 * t)
     assert pump.value(1.5) == pytest.approx(3.0)

@@ -141,6 +141,116 @@ def test_tabulated_pump_tolerance_refinement(monkeypatch):
     assert np.max(np.abs(coarse.blocks[1] - fine.blocks[1])) < 1e-10
 
 
+def _modulated_pump(params, t_end=0.5, n=101, depth=0.1):
+    """A harmonic pump times 1 + depth sin(2 pi t / t_end), sampled n times."""
+    samples = np.linspace(0.0, t_end, n)
+    values = pump_for(params).value(samples) * (1.0 + depth * np.sin(2 * math.pi * samples / t_end))
+    return TabulatedPump(times=tuple(samples), values=tuple(values))
+
+
+def _interpolating_reference(pump, params, initial, t, tol):
+    """The same stretches as the oracle, with np.interp at every RHS call."""
+    blocks, cutoff = initial.blocks, initial.cutoff
+    amp = np.zeros((len(blocks), cutoff))
+    y = np.zeros((len(blocks), cutoff + 1), dtype=complex)
+    for row, (q, vec) in enumerate(blocks.items()):
+        amp[row, :vec.size - 1] = _pair_amplitudes(cutoff, q)
+        y[row, :vec.size] = vec
+    wsum = params.omega_a + params.omega_b
+
+    def rhs(time, flat):
+        y = flat.reshape(amp.shape[0], cutoff + 1)
+        gt = pump.value(time) * np.exp(-1j * wsum * time)
+        dy = np.zeros_like(y)
+        dy[:, :-1] = gt * amp * y[:, 1:]
+        dy[:, 1:] -= np.conj(gt) * amp * y[:, :-1]
+        return dy.ravel()
+
+    kinks = np.asarray(pump.times)
+    knots = [0.0, *kinks[(kinks > 0.0) & (kinks < t)], t]
+    flat = y.ravel()
+    for t0, t1 in zip(knots, knots[1:]):
+        flat = oracle.solve_ivp(rhs, (t0, t1), flat, method="DOP853", t_eval=(t1,),
+                                rtol=tol, atol=tol * 1e-2).y[:, -1]
+    y = flat.reshape(y.shape)
+    return {q: y[row, :vec.size] for row, (q, vec) in enumerate(blocks.items())}
+
+
+@pytest.mark.parametrize("initial, t", [(fock_state(24, 2, 1), 0.5),
+                                        (coherent_state(24, 0.8, 0.5 + 0.3j), 0.37)])
+def test_tabulated_stretches_match_interpolating_reference(initial, t):
+    # on each stretch the pump is the straight line through its end samples
+    params = params_for(1.5)
+    tab = _modulated_pump(params)
+    cfg = OracleConfig(cutoff=24, tol=1e-11)
+    out = evolve_truncated(tab, params, initial, t, cfg)
+    want = _interpolating_reference(tab, params, initial, t, cfg.tol)
+    assert set(out.blocks) == set(want)
+    for q, vec in want.items():
+        assert np.max(np.abs(out.blocks[q] - vec)) < 1e-12, q
+
+
+def test_tabulated_pump_evaluated_once(monkeypatch):
+    params = params_for(1.5)
+    tab = _modulated_pump(params)
+    calls, value = [], TabulatedPump.value
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return value(self, t)
+
+    monkeypatch.setattr(TabulatedPump, "value", counted)
+    evolve_truncated(tab, params, fock_state(24, 2, 1), 0.5, OracleConfig(cutoff=24))
+    assert calls == [101]  # 0, the 99 interior samples and t, in one call
+    evolve_truncated(tab, params, fock_state(24, 2, 1), 0.25, OracleConfig(cutoff=24))
+    assert calls == [101, 51]
+
+
+def test_tabulated_pump_fails_before_integrating(monkeypatch):
+    # t past the last sample is refused before any stretch is integrated
+    params = params_for(1.5)
+    calls = _count_solve_ivp(monkeypatch)
+    with pytest.raises(ValueError, match=r"t = 0\.7, outside the tabulated range \[0\.0, 0\.5\]"):
+        evolve_truncated(_modulated_pump(params), params, fock_state(16, 1, 1), 0.7)
+    assert calls == []
+
+
+def test_harmonic_path_diagonalizes_once_per_charge_pair(monkeypatch):
+    import scipy.linalg
+    calls, eigh_tridiagonal = [], scipy.linalg.eigh_tridiagonal
+
+    def counted(d, e, *args, **kwargs):
+        calls.append(d.size)
+        return eigh_tridiagonal(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    params = params_for(1.5)
+    start = coherent_state(32, 0.8, 0.5 + 0.3j)
+    charges = {abs(q) for q in start.blocks}
+    assert len(charges) < len(start.blocks)  # the start holds pairs +-q
+    for rounds in (1, 2):  # nothing is kept from one call to the next
+        evolve_truncated(pump_for(params), params, start, 1.3, OracleConfig(cutoff=32))
+        assert sorted(calls) == sorted(rounds * [33 - a for a in charges])
+
+
+def test_custom_pump_memory_stays_flat():
+    # each solve keeps only its end state, not every accepted step
+    import gc
+    import tracemalloc
+    params = params_for(1.5)
+    pump = CustomPump(fn=pump_for(params).value)
+    start = coherent_state(24, 0.8, 0.5 + 0.3j)
+    evolve_truncated(pump, params, start, 0.1, OracleConfig(cutoff=24))  # loads scipy
+    gc.collect()
+    tracemalloc.start()
+    try:
+        evolve_truncated(pump, params, start, 2.0, OracleConfig(cutoff=24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_overlap_sums_shared_blocks():
     coh = coherent_state(12, 0.7, 0.4j)
     assert coh.overlap(coh) == pytest.approx(coh.total_norm())
