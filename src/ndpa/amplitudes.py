@@ -19,13 +19,22 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _require_finite
 from .weinorman import (AnalyticSolution, WeiNormanCoefficients, _real,
                         bogoliubov_pair)
+
+
+def _check_occupations(**occupations) -> None:
+    for name, value in occupations.items():  # operator.index admits numpy integers
+        if not hasattr(type(value), "__index__") or operator.index(value) < 0:
+            raise ValueError(f"occupation {name} must be a non-negative integer, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +45,7 @@ class FockPair:
     s: int
 
     def __post_init__(self):
-        if self.r < 0 or self.s < 0:
-            raise ValueError("occupations must be non-negative")
+        _check_occupations(r=self.r, s=self.s)
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,7 @@ class FockOutcome:
     n: int
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise ValueError("occupations must be non-negative")
+        _check_occupations(m=self.m, n=self.n)
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,8 @@ class PureAModeState:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
+        _require_finite("probs", p)
+        _require_finite("phases", np.asarray(self.phases, dtype=float))
         if np.any(p < 0):
             raise ValueError("probabilities must be non-negative")
         if abs(p.sum() - 1.0) > 1e-12:

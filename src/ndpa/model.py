@@ -27,6 +27,13 @@ class ParityError(ValueError):
 DEFAULT_REGIME_EPS = 1e-8
 
 
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    """Refuse an array with a nan or infinite entry, naming the first one."""
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{name}[{bad[0]}] = {arr[bad[0]]} is not finite")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Primitive model parameters; Omega and k are always derived."""
@@ -61,7 +68,9 @@ class ModelParams:
     @classmethod
     def from_k2(cls, k2: float, g: float = 1.0, omega_a: float = 1.0,
                 omega_b: float = 1.0, sign: int = 1) -> "ModelParams":
-        """Construct parameters from k^2 >= 0; the sign of k defaults to +."""
+        """Construct parameters from k^2 >= 0; the sign of k, +1 or -1, defaults to +."""
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         if not 0 <= k2 < math.inf:
             raise ValueError(f"k2 must be finite and non-negative, got {k2!r}")
         return cls(omega_a=omega_a, omega_b=omega_b, g=g,
@@ -122,10 +131,8 @@ class TabulatedPump:
         if len(self.values) != t.size:
             raise ValueError("times and values must have equal length")
         vals = np.asarray(self.values, dtype=complex)
-        for name, arr in (("times", t), ("values", vals)):
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise ValueError(f"pump sample {name}[{bad[0]}] = {arr[bad[0]]} is not finite")
+        _require_finite("pump sample times", t)
+        _require_finite("pump sample values", vals)
         if np.any(np.diff(t) <= 0):
             raise ValueError("pump sample times must be strictly increasing")
         object.__setattr__(self, "_arrays", (t, vals.real.copy(), vals.imag.copy()))

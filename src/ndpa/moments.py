@@ -1,75 +1,65 @@
 """Normal-ordered moments of the Heisenberg-picture mode operators.
 
-Each Heisenberg operator is a linear combination of the four elementary
-operators {a, a+, b, b+}; a product of up to four of them expands into a
-handful of elementary words, which are normal-ordered by a small rewriting
-table and evaluated on Fock or coherent product states.  No symbolic
-algebra package is involved.
+With a(t) = u a + v b+ and b(t) = u b + v a+ (``bogoliubov_pair``), the
+two terms of each operator commute, so each power expands binomially:
+a+(t)^p = sum_i C(p, i) conj(u)^i conj(v)^(p-i) a+^i b^(p-i), and likewise
+for a(t)^q, b+(t)^r and b(t)^s.  A term of <a+(t)^p a(t)^q b+(t)^r b(t)^s>
+is then an a-mode word a+^i a^m a+^n times a b-mode word b^g b+^h b^l, and
+each word is put in normal order by the one identity
+
+    c^m c+^n = sum_x C(m, x) C(n, x) x! c+^(n-x) c^(m-x).
+
+On a Fock state <n| c+^d c^d |n> = n!/(n-d)!, exact in integers; on a
+coherent state <z| c+^d c^e |z> = conj(z)^d z^e.  Only the coefficient
+products conj(u)^A conj(v)^C u^B v^D touch the time grid.  Each moment,
+of any degree, is computed when it is asked for.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .amplitudes import CoherentPair, FockPair
 from .weinorman import WeiNormanCoefficients, bogoliubov_pair
 
-# elementary symbols: ("a", False) = a, ("a", True) = a-dagger, same for b
 
-
-@lru_cache(maxsize=None)
-def _normal_order(word: tuple) -> tuple:
-    """Normal order a single-mode word of (dagger: bool) flags.
-
-    Returns a tuple of (coeff, n_dagger, n_lower) monomials a+^m a^n.
-    """
-    word = list(word)
-    for i in range(len(word) - 1):
-        if word[i] is False and word[i + 1] is True:  # a a+ -> a+ a + 1
-            swapped = tuple(word[:i] + [True, False] + word[i + 2:])
-            dropped = tuple(word[:i] + word[i + 2:])
-            out: dict = {}
-            for coeff, m, n in _normal_order(swapped) + _normal_order(dropped):
-                key = (m, n)
-                out[key] = out.get(key, 0) + coeff
-            return tuple((c, m, n) for (m, n), c in out.items() if c != 0)
-    m = sum(1 for flag in word if flag)
-    return ((1, m, len(word) - m),)
-
-
-def _expect_fock(word: tuple, occ: int) -> float:
-    """<occ| word |occ> for a single-mode word."""
-    total = 0.0
-    for coeff, m, n in _normal_order(word):
-        if m != n or n > occ:
-            continue
-        val = 1.0
-        for j in range(n):
-            val *= occ - j
-        total += coeff * val
-    return total
-
-
-def _expect_coherent(word: tuple, alpha: complex) -> complex:
-    """<alpha| word |alpha> for a single-mode word."""
-    total = 0j
-    for coeff, m, n in _normal_order(word):
-        total += coeff * np.conj(alpha) ** m * alpha ** n
-    return total
+def _word(lead: int, m: int, n: int, trail: int, mode) -> complex:
+    """<c+^lead c^m c+^n c^trail> on one mode, where mode(d, e) = <c+^d c^e>."""
+    return sum(math.comb(m, x) * math.comb(n, x) * math.factorial(x)
+               * mode(lead + n - x, m - x + trail) for x in range(min(m, n) + 1))
 
 
 @dataclass(frozen=True)
 class MomentTable:
-    """All normal-ordered moments <a+(t)^p a(t)^q b+(t)^r b(t)^s>, p+q+r+s <= 4."""
+    """Normal-ordered moments <a+(t)^p a(t)^q b+(t)^r b(t)^s> of any degree."""
 
-    values: dict
+    u: complex | np.ndarray
+    v: complex | np.ndarray
+    state: FockPair | CoherentPair
 
     def expect(self, p: int, q: int, r: int, s: int) -> complex:
-        return self.values[(p, q, r, s)]
+        if min(p, q, r, s) < 0:
+            raise ValueError(f"moment pattern {(p, q, r, s)} has a negative power")
+        st = self.state
+        if isinstance(st, FockPair):
+            mode_a, mode_b = (lambda d, e, n=n: math.perm(n, d) if d == e else 0
+                              for n in (st.r, st.s))
+        else:
+            mode_a, mode_b = (lambda d, e, z=complex(z): z.conjugate() ** d * z ** e
+                              for z in (st.alpha, st.beta))
+        weights: dict = {}  # (power of conj(u), power of u) -> weight
+        for i, j, k, l in np.ndindex(p + 1, q + 1, r + 1, s + 1):
+            w = (math.comb(p, i) * math.comb(q, j) * math.comb(r, k) * math.comb(s, l)
+                 * _word(i, j + r - k, s - l, 0, mode_a)
+                 * _word(0, p - i, q - j + k, l, mode_b))
+            weights[i + k, j + l] = weights.get((i + k, j + l), 0) + w
+        u, v = self.u, self.v
+        ub, vb = np.conj(u), np.conj(v)
+        return sum((complex(w) * ub ** n_ub * vb ** (p + r - n_ub) * u ** n_u * v ** (q + s - n_u)
+                    for (n_ub, n_u), w in weights.items() if w), 0j)
 
     @property
     def mean_a(self) -> float:
@@ -92,44 +82,14 @@ class MomentTable:
 
 def second_moments(state: FockPair | CoherentPair,
                    c: WeiNormanCoefficients) -> MomentTable:
-    """Moment table on a product initial state, in the interaction picture.
+    """Moments on a product initial state, in the interaction picture.
 
     The frame matches the truncated propagator's; photon-number moments
     are the same in the lab frame, where the other moments pick up the
     free phases exp(-i omega t).  Coefficients on a time grid give moments
     that are arrays over the grid.
     """
-    u, v = bogoliubov_pair(c)
-    # a(t) = u a + v b+ ; b(t) = u b + v a+
-    combos = {
-        "a": ((u, ("a", False)), (v, ("b", True))),
-        "ad": ((np.conj(u), ("a", True)), (np.conj(v), ("b", False))),
-        "b": ((u, ("b", False)), (v, ("a", True))),
-        "bd": ((np.conj(u), ("b", True)), (np.conj(v), ("a", False))),
-    }
-
-    if isinstance(state, FockPair):
-        def eval_mode(word_a, word_b):
-            return _expect_fock(word_a, state.r) * _expect_fock(word_b, state.s)
-    else:
-        def eval_mode(word_a, word_b):
-            return (_expect_coherent(word_a, state.alpha)
-                    * _expect_coherent(word_b, state.beta))
-
-    values = {}
-    for degree in range(5):  # p + q + r + s <= 4
-        for p in range(degree + 1):
-            for q in range(degree + 1 - p):
-                for r in range(degree + 1 - p - q):
-                    s = degree - p - q - r
-                    ops = (["ad"] * p + ["a"] * q + ["bd"] * r + ["b"] * s)
-                    total = 0j
-                    for pick in itertools.product(*(combos[o] for o in ops)):
-                        coeff = 1.0 + 0j
-                        word_a, word_b = [], []
-                        for factor, (mode, dag) in pick:
-                            coeff *= factor
-                            (word_a if mode == "a" else word_b).append(dag)
-                        total += coeff * eval_mode(tuple(word_a), tuple(word_b))
-                    values[(p, q, r, s)] = total
-    return MomentTable(values=values)
+    if not isinstance(state, (FockPair, CoherentPair)):
+        raise TypeError(f"moments need a Fock or coherent product state, "
+                        f"not {type(state).__name__}")
+    return MomentTable(*bogoliubov_pair(c), state)

@@ -201,8 +201,10 @@ def snr_rho_extremum_value(params: ModelParams, f: FockPair) -> float:
 
 
 def snr_rho_min_value(f: FockPair) -> float:
-    """Global-minimum value, independent of the detuning."""
+    """Global-minimum value, independent of the detuning; needs r, s > 0."""
     r, s = f.r, f.s
+    if r == 0 or s == 0:
+        raise ValueError(f"the minimum of rho needs r, s > 0, got |{r},{s}>")
     return 2.0 * math.sqrt((1.0 + 1.0 / s)
                            / (2.0 + 1.0 / r + 1.0 / s + 1.0 / (r * s)))
 

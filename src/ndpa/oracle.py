@@ -30,7 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import HarmonicPump, ModelParams, PumpProfile, TabulatedPump
+from .model import (HarmonicPump, ModelParams, PumpProfile, TabulatedPump,
+                    _require_finite)
 
 
 def __getattr__(name):
@@ -156,6 +157,8 @@ def amode_state(cutoff: int, probs, phases=None) -> TruncatedState:
     if phases is None:
         phases = np.zeros(probs.size)
     phases = np.asarray(phases, dtype=float)
+    _require_finite("probs", probs)
+    _require_finite("phases", phases)
     state = TruncatedState(cutoff=cutoff)
     for s_occ, p in enumerate(probs):
         if p == 0.0:

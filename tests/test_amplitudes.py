@@ -227,3 +227,24 @@ def test_pure_amode_state_validation():
         PureAModeState(probs=(0.5, 0.4), phases=(0.0, 0.0))
     with pytest.raises(ValueError):
         PureAModeState(probs=(1.0,), phases=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("cls", [FockPair, FockOutcome])
+def test_fock_labels_refuse_non_integer_occupations(cls):
+    with pytest.raises(ValueError, match="must be a non-negative integer, got 1.5"):
+        cls(1.5, 0)
+    with pytest.raises(ValueError, match="must be a non-negative integer, got 2.0"):
+        cls(0, 2.0)
+    with pytest.raises(ValueError, match="must be a non-negative integer, got -3"):
+        cls(1, -3)
+    label = cls(np.int64(2), np.int32(1))  # numpy integers are occupations too
+    assert label == cls(2, 1)
+
+
+@pytest.mark.parametrize("probs, phases, entry", [
+    ((math.nan, 1.0), (0.0, 0.0), r"probs\[0\] = nan"),
+    ((0.5, 0.5), (0.0, math.inf), r"phases\[1\] = inf"),
+])
+def test_pure_amode_state_refuses_non_finite_entries(probs, phases, entry):
+    with pytest.raises(ValueError, match=entry + " is not finite"):
+        PureAModeState(probs=probs, phases=phases)

@@ -24,6 +24,12 @@ def test_from_k2_roundtrip():
     assert neg.k == pytest.approx(-math.sqrt(1.5))
 
 
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5, math.nan])
+def test_from_k2_refuses_a_sign_other_than_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match=f"sign must be \\+1 or -1, got {sign}"):
+        ModelParams.from_k2(1.5, sign=sign)
+
+
 def test_invalid_params():
     with pytest.raises(ValueError):
         ModelParams(omega_a=3.0, omega_b=2.0, g=0.0, omega=5.0)

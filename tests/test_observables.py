@@ -306,6 +306,12 @@ def test_rho_sentinels():
     assert snr_rho_fock(d0, FockPair(0, 1)) == 0.0
 
 
+@pytest.mark.parametrize("r, s", [(1, 0), (0, 3), (0, 0)])
+def test_rho_min_value_needs_both_modes_occupied(r, s):
+    with pytest.raises(ValueError, match=f"needs r, s > 0, got \\|{r},{s}>"):
+        snr_rho_min_value(FockPair(r, s))
+
+
 def test_rho_asymptotic_limit():
     params = params_for(0.5)
     t = 25.0 / (math.sqrt(0.5))

@@ -418,3 +418,10 @@ def test_irrational_detuning_peak_oracle_value():
     prob, _ = coherent_revival_prob(solve_analytic(params, 40.79),
                                     CoherentPair(5.0, 5.0))
     assert prob == pytest.approx(0.9281, abs=2e-4)
+
+
+def test_amode_state_refuses_non_finite_entries():
+    with pytest.raises(ValueError, match=r"probs\[0\] = nan is not finite"):
+        amode_state(8, [math.nan, 1.0])
+    with pytest.raises(ValueError, match=r"phases\[1\] = -inf is not finite"):
+        amode_state(8, [0.5, 0.5], [0.0, -math.inf])
