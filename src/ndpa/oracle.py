@@ -15,15 +15,22 @@ s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
 M = V diag(lam) V^T, found once per |q|, z(t) = S V exp(i lam t) V^T S^-1 z(0).
 Other pumps are integrated with DOP853, all blocks zero-padded into one
 banded system, per kink-free stretch, on which a tabulated pump is linear.
+A tabulated stretch spans one sample interval, usually one step or a few,
+so its solve keeps its steps and the state is read off the last: asking for
+the end state through ``t_eval`` would build a dense output, 3 more RHS
+calls per step, to interpolate where the step already ends.  Any other pump is one solve over
+[0, t] of many steps, and ``t_eval`` keeps only its end state in memory.
+Each spent solver is cyclic garbage and is collected at once.
 
-scipy loads on first use: for Poisson ``prob``, ``fig3``, ``oracle-check``,
-``solve_ode`` and ``squeezing_extrema``.  The PEP 562
-``__getattr__`` imports ``solve_ivp``; each ODE run reads it, as rebound.
+Building a state loads no scipy.  The harmonic path loads ``scipy.linalg``;
+the ODE path ``scipy.integrate``, whose ``solve_ivp`` the PEP 562
+``__getattr__`` imports; each ODE run reads it, as rebound.
 """
 
 from __future__ import annotations
 
 import cmath
+import gc
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -123,13 +130,12 @@ def fock_state(cutoff: int, r: int, s: int) -> TruncatedState:
 
 
 def _coherent_amps(alpha: complex, n: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
     if alpha == 0:
         out = np.zeros(n.size, dtype=complex)
         out[n == 0] = 1.0
         return out
-    log_mod = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) \
-        - 0.5 * abs(alpha) ** 2
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n.tolist()])
+    log_mod = n * math.log(abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2
     phase = np.exp(1j * n * np.angle(alpha))
     return np.exp(log_mod) * phase
 
@@ -137,14 +143,12 @@ def _coherent_amps(alpha: complex, n: np.ndarray) -> np.ndarray:
 def coherent_state(cutoff: int, alpha: complex, beta: complex) -> TruncatedState:
     """Truncated product coherent state; blocks of weight <= 1e-16 are dropped."""
     n = np.arange(cutoff + 1)
-    ca = _coherent_amps(alpha, n)
-    cb = _coherent_amps(beta, n)
+    pairs = np.outer(_coherent_amps(alpha, n), _coherent_amps(beta, n))  # [n_a, n_b]
     state = TruncatedState(cutoff=cutoff)
     for q in range(-cutoff, cutoff + 1):
-        na, nb = state.occupations(q)
-        vec = ca[na] * cb[nb]
+        vec = pairs.diagonal(-q)  # n_a - n_b = q
         if np.vdot(vec, vec).real > 1e-16:
-            state.blocks[q] = vec.astype(complex)
+            state.blocks[q] = vec.copy()
     state.norm_deficit = max(0.0, 1.0 - state.total_norm())
     return state
 
@@ -206,8 +210,8 @@ def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, t
         return dy.ravel()
 
     # stepping across a kink costs the integrator rejected steps and accuracy;
-    # t_eval keeps only each solve's end state, not all its steps, in memory;
-    # error control shrinks a first step spanning the whole stretch if it must
+    # error control shrinks a first step spanning the whole stretch if it must;
+    # only the one long solve of a non-tabulated pump drops its steps (t_eval)
     tabulated = isinstance(pump, TabulatedPump)
     kinks = np.asarray(pump.times) if tabulated else np.empty(0)
     knots = [0.0, *kinks[(kinks > 0.0) & (kinks < t)], float(t)]
@@ -217,8 +221,10 @@ def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, t
         if tabulated:  # (g0, slope, t0) on this stretch
             line = (ends[i], (ends[i + 1] - ends[i]) / (t1 - t0), t0)
         res = sys.modules[__name__].solve_ivp(rhs, (t0, t1), flat, method="DOP853",
-                                              t_eval=(t1,), first_step=abs(t1 - t0),
+                                              t_eval=None if tabulated else (t1,),
+                                              first_step=abs(t1 - t0),
                                               rtol=tol, atol=tol * 1e-2)
+        gc.collect(0)  # the spent solver is cyclic garbage holding its stage arrays
         if not res.success:
             raise TruncationError(
                 f"integrator failed on [{t0:.6g}, {t1:.6g}]: {res.message}")
@@ -235,7 +241,9 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
     Exact for a ``HarmonicPump``: one eigendecomposition per pair +-q of the
     gauged rotating-frame generator (module docstring); ``cfg.tol`` unused.
     Other pumps: DOP853 at relative tolerance ``cfg.tol``, one ``solve_ivp``
-    call per straight stretch between ``TabulatedPump`` samples in (0, t).
+    call per straight stretch between ``TabulatedPump`` samples in (0, t),
+    which keeps its few steps, or else one call over [0, t] that keeps only
+    its end state.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")

@@ -89,3 +89,26 @@ print(json.dumps({
     assert result["calls"] == [[0.0, 0.5], [0.5, 1.0]]
     assert result["ode_error"] < 1e-8
     assert result["minima"] > 0
+
+
+def test_truncated_states_load_no_scipy_special():
+    # a truncated state loads no scipy; oracle-check, all harmonic, adds
+    # scipy.linalg for its eigendecompositions and nothing else
+    loaded = run_fresh("""
+import contextlib, io, json, sys
+import ndpa.cli
+from ndpa.oracle import coherent_state
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and m.count(".") == 1)
+
+state = coherent_state(24, 0.8, 0.5 + 0.3j)
+loaded = {"coherent_state": scipy_modules()}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert ndpa.cli.main(["oracle-check", "--tmax", "0.5", "--cutoff", "24"]) == 0
+loaded["oracle-check"] = scipy_modules()
+print(json.dumps(loaded))
+""")
+    assert loaded["coherent_state"] == []
+    assert "scipy.linalg" in loaded["oracle-check"]
+    assert not {"scipy.special", "scipy.integrate"} & set(loaded["oracle-check"])

@@ -98,21 +98,24 @@ def test_coherent_revival_probability():
 
 
 def _count_solve_ivp(monkeypatch):
-    """Record the span of every ``solve_ivp`` call the oracle makes."""
-    calls, solve_ivp = [], oracle.solve_ivp
+    """Record the span and the RHS evaluation count of every ``solve_ivp``
+    call the oracle makes, in two lists."""
+    calls, nfev, solve_ivp = [], [], oracle.solve_ivp
 
     def counted(fun, t_span, y0, **kwargs):
         calls.append(t_span)
-        return solve_ivp(fun, t_span, y0, **kwargs)
+        res = solve_ivp(fun, t_span, y0, **kwargs)
+        nfev.append(res.nfev)
+        return res
 
     monkeypatch.setattr(oracle, "solve_ivp", counted)
-    return calls
+    return calls, nfev
 
 
 def test_harmonic_path_matches_batched_ode(monkeypatch):
     # the exact harmonic propagator against the ODE path for the same pump
     params = params_for(1.5)
-    calls = _count_solve_ivp(monkeypatch)
+    calls, _ = _count_solve_ivp(monkeypatch)
     start = coherent_state(32, 0.8, 0.5 + 0.3j)
     cfg = OracleConfig(cutoff=32, tol=1e-12)
     for pump in (pump_for(params),
@@ -133,7 +136,7 @@ def test_tabulated_pump_tolerance_refinement(monkeypatch):
     samples = np.linspace(0.0, 0.5, 101)
     values = pump_for(params).value(samples) * (1.0 + 0.1 * np.sin(2 * math.pi * samples / 0.5))
     tab = TabulatedPump(times=tuple(samples), values=tuple(values))
-    calls = _count_solve_ivp(monkeypatch)
+    calls, _ = _count_solve_ivp(monkeypatch)
     coarse, fine = (evolve_truncated(tab, params, fock_state(24, 2, 1), 0.5,
                                      OracleConfig(cutoff=24, tol=tol))
                     for tol in (1e-11, 1e-13))
@@ -190,6 +193,17 @@ def test_tabulated_stretches_match_interpolating_reference(initial, t):
         assert np.max(np.abs(out.blocks[q] - vec)) < 1e-12, q
 
 
+def test_tabulated_stretch_builds_no_dense_output(monkeypatch):
+    # each stretch is one DOP853 step: 1 RHS call at its start and 12 for the
+    # step; a dense output for t_eval would add 3 more to every stretch
+    params = params_for(1.5)
+    calls, nfev = _count_solve_ivp(monkeypatch)
+    evolve_truncated(_modulated_pump(params), params, fock_state(24, 2, 1), 0.5,
+                     OracleConfig(cutoff=24, tol=1e-11))
+    assert len(calls) == 100
+    assert sum(nfev) == 13 * 100
+
+
 def test_tabulated_pump_evaluated_once(monkeypatch):
     params = params_for(1.5)
     tab = _modulated_pump(params)
@@ -209,7 +223,7 @@ def test_tabulated_pump_evaluated_once(monkeypatch):
 def test_tabulated_pump_fails_before_integrating(monkeypatch):
     # t past the last sample is refused before any stretch is integrated
     params = params_for(1.5)
-    calls = _count_solve_ivp(monkeypatch)
+    calls, _ = _count_solve_ivp(monkeypatch)
     with pytest.raises(ValueError, match=r"t = 0\.7, outside the tabulated range \[0\.0, 0\.5\]"):
         evolve_truncated(_modulated_pump(params), params, fock_state(16, 1, 1), 0.7)
     assert calls == []
@@ -233,22 +247,36 @@ def test_harmonic_path_diagonalizes_once_per_charge_pair(monkeypatch):
         assert sorted(calls) == sorted(rounds * [33 - a for a in charges])
 
 
-def test_custom_pump_memory_stays_flat():
-    # each solve keeps only its end state, not every accepted step
+def _traced_peak(pump, params, start, t):
+    """Peak ``tracemalloc`` bytes of one ``evolve_truncated`` call to t."""
     import gc
     import tracemalloc
-    params = params_for(1.5)
-    pump = CustomPump(fn=pump_for(params).value)
-    start = coherent_state(24, 0.8, 0.5 + 0.3j)
-    evolve_truncated(pump, params, start, 0.1, OracleConfig(cutoff=24))  # loads scipy
+    cfg = OracleConfig(cutoff=start.cutoff)
+    evolve_truncated(pump, params, start, 0.1, cfg)  # loads scipy
     gc.collect()
     tracemalloc.start()
     try:
-        evolve_truncated(pump, params, start, 2.0, OracleConfig(cutoff=24))
-        peak = tracemalloc.get_traced_memory()[1]
+        evolve_truncated(pump, params, start, t, cfg)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2e6
+
+
+def test_custom_pump_memory_stays_flat():
+    # each solve keeps only its end state, not every accepted step
+    params = params_for(1.5)
+    pump = CustomPump(fn=pump_for(params).value)
+    assert _traced_peak(pump, params, coherent_state(24, 0.8, 0.5 + 0.3j), 2.0) < 2e6
+
+
+@pytest.mark.parametrize("n, t", [(201, 1.0), (2, 2.0)])
+def test_tabulated_pump_memory_stays_flat(n, t):
+    # 201 samples: each spent solver is freed before the next stretch starts;
+    # 2 samples: one long stretch keeps its accepted steps, and stays small
+    params = params_for(1.5)
+    samples = np.linspace(0.0, t, n)
+    tab = TabulatedPump(times=tuple(samples), values=tuple(pump_for(params).value(samples)))
+    assert _traced_peak(tab, params, coherent_state(24, 0.8, 0.5), t) < 2e6
 
 
 def test_overlap_sums_shared_blocks():
@@ -408,6 +436,27 @@ def test_coherent_state_construction():
     assert st.total_norm() == pytest.approx(1.0, abs=1e-12)
     assert abs(st.amplitude(0, 0)) ** 2 == pytest.approx(
         math.exp(-1.0) * math.exp(-0.25))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.8, 0.5 + 0.3j), (0.0, 1.2), (1.5j, 0.0),
+                                         (0.0, 0.0), (2.0, 0.3)])
+def test_coherent_state_blocks_are_amplitude_products(alpha, beta):
+    # block q holds ca[n_a] cb[n_b] on n_a - n_b = q, kept above weight 1e-16
+    cutoff = 40
+    n = np.arange(cutoff + 1)
+    ca, cb = oracle._coherent_amps(alpha, n), oracle._coherent_amps(beta, n)
+    st = coherent_state(cutoff, alpha, beta)
+    want = {}
+    for q in range(-cutoff, cutoff + 1):
+        na, nb = st.occupations(q)
+        vec = ca[na] * cb[nb]
+        if np.vdot(vec, vec).real > 1e-16:
+            want[q] = vec
+    assert set(st.blocks) == set(want)
+    assert len(want) < 2 * cutoff + 1  # some blocks are dropped
+    for q, vec in want.items():
+        assert st.blocks[q].dtype == complex and st.blocks[q].flags.writeable
+        assert np.array_equal(st.blocks[q], vec), q
 
 
 def test_irrational_detuning_peak_oracle_value():
