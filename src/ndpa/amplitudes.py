@@ -11,8 +11,9 @@ adds its phase.  A scalar call at R >= 2 runs the recurrence in scipy's C
 code (eval_jacobi at an int degree); grids, and labels whose binomial
 overflows, run it in a rescaled Python loop.  The vacuum (R = 0, a = n),
 |1,1> (R = min(1, n)) and a-mode |l, 0> (R = 0, a = m, b = l) probabilities
-are its degree <= 1 cases; the a-mode log term also gives both reduced
-densities (its logsumexp) and ``amode_norm``.
+are its degree <= 1 cases, each on the outcome line of one start; the a-mode
+log term also gives both reduced densities (its logsumexp).  ``_line_norm``
+sums such a line with a certified tail for all three normalization sums.
 """
 
 from __future__ import annotations
@@ -98,13 +99,13 @@ class PureAModeState:
 
         |alpha| may be at most POISSON_MAX_ALPHA = 100, a support of at
         most 11 201 occupations."""
-        from scipy.special import gammaln
         if not abs(alpha) <= POISSON_MAX_ALPHA:  # refuses nan and inf too
             raise ValueError(f"alpha must be finite with |alpha| <= "
                              f"{POISSON_MAX_ALPHA:g}, got {alpha!r}")
         mu = abs(alpha) ** 2
         n = np.arange(max(24, int(mu + 12.0 * math.sqrt(mu + 1.0))) + 1)
-        logp = n * math.log(mu) - gammaln(n + 1.0) - mu if mu > 0 else \
+        log_fact = np.array([math.lgamma(k + 1.0) for k in n.tolist()])
+        logp = n * math.log(mu) - log_fact - mu if mu > 0 else \
             np.where(n == 0, 0.0, -np.inf)
         p = np.exp(logp)
         p /= p.sum()
@@ -193,12 +194,18 @@ def fock_amplitude(c: WeiNormanCoefficients, initial: FockPair,
     return amp if isinstance(amp, np.ndarray) else complex(amp)
 
 
+def _line_terms(d: AnalyticSolution, r: int, s: int, k):
+    """(log s, f) of the outcomes |k, k + r - s> of the start |r, s>, r >= s <= 1:
+    R = min(s, k) <= 1, a = |k - s| and b = r - s."""
+    return _transition(np.minimum(s, k), abs(k - s), r - s, d.y, d.log_y, d.log_x)
+
+
 def _diagonal_prob(d: AnalyticSolution, r: int, n):
-    """p_nn for the initial |r, r> (R = min(r, n), a = |n - r|, b = 0)."""
+    """p_nn for the initial |r, r>."""
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("n must be non-negative")
-    log_s, f = _transition(np.minimum(r, n), abs(n - r), 0, d.y, d.log_y, d.log_x)
+    log_s, f = _line_terms(d, r, r, n)
     return _real(np.exp(log_s) * f * f)
 
 
@@ -217,11 +224,13 @@ def _amode_log_term(d: AnalyticSolution, psi: PureAModeState, m, n):
     degree-0 transition |n-m, 0> -> |m, n>; m, n and the scalars broadcast.
     -inf where P_(n-m) is zero or n - m is outside the distribution."""
     probs = np.asarray(psi.probs, dtype=float)
-    m, n = np.asarray(m), np.asarray(n)
+    m, n = np.broadcast_arrays(m, n)
     inside = (n >= m) & (n - m < probs.size)
     l = np.where(inside, n - m, 0)
+    if not l.ndim:  # Python ints keep _transition on its exact math.comb branch
+        m, l = int(m), int(l)
     with np.errstate(divide="ignore"):  # log 0
-        log_p = np.log(probs[l]) + _transition(0, m, l, d.y, d.log_y, d.log_x)[0]
+        log_p = np.log(probs[l]) + _line_terms(d, l, 0, m)[0]
     return np.where(inside, log_p, -np.inf)
 
 
@@ -299,53 +308,33 @@ def coherent_mean_numbers(c: WeiNormanCoefficients, d: AnalyticSolution,
 _TAIL = 1e-12  # bound on the terms each sum leaves out (times P_l in amode_norm)
 
 
-def _diagonal_norm(d: AnalyticSolution, r: int, closed_form: float) -> float:
-    """sum_n p_nn for the |r, r> start, r <= 1: |f| <= 1 bounds p_nn by n^2r
-    y^(n-r) / x, of term ratio <= y ((N+2) / (N+2-r))^2 past N; N doubles till
-    that tail is below _TAIL, or gives way to ``closed_form`` past 2e6 terms."""
-    n_max = 64
+def _line_norm(d: AnalyticSolution, r: int, s: int) -> float:
+    """sum_k p over the outcomes |k, k + r - s> of |r, s>, r >= s <= 1.  Past
+    k = s, |f| <= 1 bounds each term by its envelope s, whose ratio to the next,
+    y (R+a+b+1)(R+a+1)/(a+1)^2 = y (k+b+1)(k+1)/(k-s+1)^2, falls as k grows; so
+    the terms past N sum to at most s / (1 - ratio), both at k = N + 1.  N doubles
+    from 64 till that is below _TAIL; past 2e6 terms (x (1 - y))^-(b+1) stands in."""
+    b, n_max = r - s, 64
     while n_max <= 2_000_000:
-        ratio = d.y * ((n_max + 2.0) / (n_max + 2.0 - r)) ** 2
-        log_next = 2 * r * math.log(n_max + 1.0) + (n_max + 1 - r) * d.log_y - d.log_x
-        if ratio < 1.0 and log_next - math.log1p(-ratio) < math.log(_TAIL):
-            return float(_diagonal_prob(d, r, np.arange(n_max + 1)).sum())
+        ratio = d.y * (n_max + 2 + b) * (n_max + 2) / (n_max + 2 - s) ** 2
+        if ratio < 1.0 and (_line_terms(d, r, s, np.array([n_max + 1]))[0][0]
+                            - math.log1p(-ratio) < math.log(_TAIL)):  # array: no big ints
+            log_s, f = _line_terms(d, r, s, np.arange(n_max + 1))
+            return float(np.sum(np.exp(log_s) * f * f))
         n_max *= 2
-    return closed_form
+    return math.exp(-(b + 1) * (d.log_x + math.log(-math.expm1(d.log_y))))
 
 
 def vacuum_norm(d: AnalyticSolution) -> float:
-    """sum_n p_nn for the vacuum start; in closed form 1 / (x (1 - y))."""
-    return _diagonal_norm(d, 0, math.exp(-d.log_x - math.log(-math.expm1(d.log_y))))
+    """sum_n p_nn for the vacuum start, certified by ``_line_norm``."""
+    return _line_norm(d, 0, 0)
 
 
 def fock11_norm(d: AnalyticSolution) -> float:
-    """sum_n p_nn for the |1,1> start; in closed form y/x + (1 - y) + y^2."""
-    return _diagonal_norm(d, 1, math.exp(d.log_y - d.log_x) + math.exp(-d.log_x)
-                          + math.exp(2.0 * d.log_y))
+    """sum_n p_nn for the |1,1> start, certified by ``_line_norm``."""
+    return _line_norm(d, 1, 1)
 
 
 def amode_norm(d: AnalyticSolution, psi: PureAModeState) -> float:
-    """sum_{m,n} p_mn for an a-mode pure state, summed per source occupation l.
-
-    The terms m = 0, 1, ... of source l = n - m sum to P_l analytically;
-    m_max doubles until the geometric bound on the terms past it, with
-    ratio y (1 + l/(m+1)) < 1, is below _TAIL * P_l.
-    """
-    from scipy.special import logsumexp
-    total = 0.0
-    for l, p_src in enumerate(psi.probs):
-        if p_src == 0.0:
-            continue
-        m_max = 64
-        while True:
-            ratio = d.y * (1.0 + l / (m_max + 1.0))
-            if ratio < 1.0:
-                log_next = _amode_log_term(d, psi, m_max + 1, l + m_max + 1)
-                if log_next - math.log1p(-ratio) < math.log(_TAIL) + math.log(p_src):
-                    break
-            if m_max > 50_000_000:
-                break
-            m_max *= 2
-        m = np.arange(m_max + 1)
-        total += float(np.exp(logsumexp(_amode_log_term(d, psi, m, l + m))))
-    return total
+    """sum_{m,n} p_mn for an a-mode pure state: sum_l P_l ``_line_norm`` of |l, 0>."""
+    return float(sum(p * _line_norm(d, l, 0) for l, p in enumerate(psi.probs) if p))

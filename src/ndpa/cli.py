@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -372,6 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call rather than at import."""
+    return build_parser()
+
+
 def _scenario_from_args(args) -> Scenario:
     return Scenario(params=_default_params(args),
                     initial=_parse_state(args),
@@ -383,7 +390,7 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.verb == "evolve":
             run(Scenario(params=_default_params(args), initial=None,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,38 @@ def test_normalization_deep_sub_log_domain():
     d = derived_scalars(params, t)
     assert vacuum_norm(d) == pytest.approx(1.0, abs=1e-8)
     assert fock11_norm(d) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("gt", [8.0, 12.0, 30.0 / math.sqrt(0.5)])
+def test_amode_norm_deep_below_threshold_stays_small(gt):
+    # 1 - y <= 2.5e-5 here: no source certifies within 2e6 terms
+    d = derived_scalars(params_for(0.5), gt)
+    psi = PureAModeState.poisson(0.85)
+    tracemalloc.start()
+    try:
+        norm = amode_norm(d, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm == pytest.approx(1.0, abs=1e-8)
+    assert peak < 64e6
+
+
+@pytest.mark.parametrize("k2, gt", [(0.5, 6.0), (1.0, 6.0), (1.5, 3.0)])
+def test_diagonal_norms_are_their_outcome_sums(k2, gt):
+    d = derived_scalars(params_for(k2), gt)
+    n = np.arange(2 ** 18)
+    assert vacuum_norm(d) == pytest.approx(vacuum_prob(d, n).sum(), abs=1e-12)
+    assert fock11_norm(d) == pytest.approx(fock11_prob(d, n).sum(), abs=1e-12)
+
+
+@pytest.mark.parametrize("k2", [0.5, 1.5])
+def test_amode_norm_is_its_outcome_sum(k2):
+    d = derived_scalars(params_for(k2), 1.0)
+    psi = PureAModeState.poisson(0.85)
+    direct = sum(amode_prob(d, psi, FockOutcome(m, n)) for m in range(256)
+                 for n in range(m, m + len(psi.probs)))
+    assert amode_norm(d, psi) == pytest.approx(direct, abs=1e-12)
 
 
 def test_pure_amode_state_validation():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import ndpa.cli
 from ndpa.cli import (FIGURE_NAMES, Scenario, ScenarioError, build_parser, main,
                       run, run_figure, sweep, write_csv)
 from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState
@@ -92,6 +93,21 @@ def test_readme_examples_parse():
     assert len(commands) >= 6
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path):
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(ndpa.cli, "build_parser", counted)
+    ndpa.cli._parser.cache_clear()  # as if main had never run in this process
+    argv = ["prob", "--tmax", "1", "--steps", "3", "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert len(built) == 1
 
 
 def test_infinite_rho_serialized_as_inf(tmp_path):

@@ -35,12 +35,13 @@ def scipy_modules():
 
 out = ["--out", {str(tmp_path / "out.csv")!r}]
 loaded = {{"import": scipy_modules()}}
-for argv in (["figure", "fig6"], ["evolve", "--steps", "11"],
+for argv in (["figure", "fig6"], ["figure", "fig3"], ["evolve", "--steps", "11"],
              ["observable", "--name", "mandel_q", "--initial", "coherent:1,1",
               "--steps", "11"],
-             ["prob", "--initial", "fock:8,6", "--m", "7", "--n", "9"]):
+             ["prob", "--initial", "fock:8,6", "--m", "7", "--n", "9"],
+             ["prob", "--initial", "poisson:0.85", "--m", "1", "--n", "2"]):
     assert ndpa.cli.main(argv + out) == 0, argv
-    loaded[argv[0]] = scipy_modules()
+    loaded[argv[0]] = scipy_modules()  # sys.modules only grows: the last run counts
 print(json.dumps(loaded))
 """)
     assert loaded == {"import": [], "figure": [], "evolve": [], "observable": [],
