@@ -1,11 +1,13 @@
 import math
+import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
-                             PureAModeState, amode_norm, amode_prob,
+                             PureAModeState, _line_norm, amode_norm, amode_prob,
                              coherent_mean_numbers, coherent_revival_prob,
                              coherent_transition_prob, effective_temperature,
                              fock11_norm, fock11_prob, fock_amplitude,
@@ -238,6 +240,39 @@ def test_amode_norm_deep_below_threshold_stays_small(gt):
     assert peak < 64e6
 
 
+def test_certified_sums_stay_small_at_a_million_terms():
+    # 1 - y = 1.0e-4 here: each line needs some 10^5 to 10^6 terms, which
+    # are summed a fixed-size chunk at a time (56.6 to 113 MiB in one piece)
+    d = derived_scalars(params_for(0.5), 7.0)
+    psi = PureAModeState.poisson(0.85)
+    for norm in (lambda: vacuum_norm(d), lambda: fock11_norm(d), lambda: amode_norm(d, psi)):
+        tracemalloc.start()
+        try:
+            value = norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert peak < 16 * 2 ** 20
+
+
+def test_amode_norm_of_a_wide_source_matches_its_closed_form():
+    # poisson(100) has some 7 700 sources with P_l > 0; the smallest are left
+    # out whole, and each line sums only where its terms are above the budget.
+    # Each line |l, 0> sums to (x (1 - y))^-(l+1) over all outcomes, which is
+    # 1 + O(l eps) on the doubles x, y: evaluated here at 30 digits
+    d = derived_scalars(params_for(1.5), 1.0)
+    psi = PureAModeState.poisson(100)
+    with mpmath.workdps(30):
+        rate = mpmath.mpf(d.log_x) + mpmath.log(1 - mpmath.exp(mpmath.mpf(d.log_y)))
+        want = float(mpmath.fsum(mpmath.mpf(p) * mpmath.exp(-(l + 1) * rate)
+                                 for l, p in enumerate(psi.probs)))
+        lines = {l: float(mpmath.exp(-(l + 1) * rate)) for l in (3000, 11_200)}
+    assert amode_norm(d, psi) == pytest.approx(want, abs=1e-13)
+    for l, line in lines.items():  # one source each, the largest poisson(100) has
+        assert _line_norm(d, l, 0) == pytest.approx(line, abs=1e-13)
+
+
 @pytest.mark.parametrize("k2, gt", [(0.5, 6.0), (1.0, 6.0), (1.5, 3.0)])
 def test_diagonal_norms_are_their_outcome_sums(k2, gt):
     d = derived_scalars(params_for(k2), gt)
@@ -272,6 +307,54 @@ def test_fock_labels_refuse_non_integer_occupations(cls):
         cls(1, -3)
     label = cls(np.int64(2), np.int32(1))  # numpy integers are occupations too
     assert label == cls(2, 1)
+
+
+@pytest.mark.parametrize("call, name, bad", [
+    (lambda d, psi, v: vacuum_prob(d, v), "n", np.array([1.5, 2.0])),
+    (lambda d, psi, v: vacuum_prob(d, v), "n", 2.5),
+    (lambda d, psi, v: vacuum_prob(d, v), "n", np.array([3, -1])),
+    (lambda d, psi, v: fock11_prob(d, v), "n", math.nan),
+    (lambda d, psi, v: fock11_prob(d, v), "n", True),
+    (lambda d, psi, v: fock11_prob(d, v), "n", np.True_),
+    (lambda d, psi, v: reduced_density_a(d, psi, v), "n", 1.5),
+    (lambda d, psi, v: reduced_density_b(d, psi, v), "m", 1.5),
+    (lambda d, psi, v: reduced_density_b(d, psi, v), "m", np.array([1, 2])),
+    (lambda d, psi, v: FockPair(v, 0), "r", True),
+    (lambda d, psi, v: FockPair(0, v), "s", np.arange(3)),
+    (lambda d, psi, v: FockOutcome(v, 1), "m", np.array([0.0, 1.0])),
+])
+def test_occupations_refuse_anything_but_non_negative_integers(call, name, bad):
+    d = derived_scalars(params_for(1.5), 1.0)
+    psi = PureAModeState.poisson(0.85)
+    message = f"occupation {name} must be a non-negative integer, got {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        call(d, psi, bad)
+
+
+def test_integer_arrays_are_occupations():
+    d = derived_scalars(params_for(1.5), 1.0)
+    n = np.array([0, 3, 7], dtype=np.int32)
+    np.testing.assert_allclose(vacuum_prob(d, n), [vacuum_prob(d, int(v)) for v in n],
+                               rtol=1e-14)
+    np.testing.assert_allclose(fock11_prob(d, n.astype(np.uint8)),
+                               [fock11_prob(d, int(v)) for v in n], rtol=1e-14)
+    assert vacuum_prob(d, np.int64(3)) == vacuum_prob(d, 3)
+    assert FockOutcome(np.int64(2), np.uint16(1)).m == 2
+
+
+def test_outcome_arrays_give_one_amplitude_per_outcome():
+    c = solve_analytic(params_for(1.5), 0.8)
+    start = FockPair(5, 3)
+    m, n = np.array([0, 1, 2, 5, 9, 3]), np.array([2, 3, 4, 7, 11, 3])  # the last is off the line
+    got = fock_amplitude(c, start, FockOutcome(m, n))
+    want = [fock_amplitude(c, start, FockOutcome(int(i), int(j))) for i, j in zip(m, n)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    assert got[-1] == 0j
+    grid = solve_analytic(params_for(1.5), np.array([0.5, 0.8, 1.1]))
+    for call in (lambda: fock_amplitude(grid, start, FockOutcome(m[:3], n[:3])),
+                 lambda: vacuum_prob(grid, np.arange(3))):  # not paired time by time
+        with pytest.raises(ValueError, match="outcome array takes scalar coefficients"):
+            call()
 
 
 @pytest.mark.parametrize("probs, phases, entry", [

@@ -42,10 +42,17 @@ for argv in (["figure", "fig6"], ["figure", "fig3"], ["evolve", "--steps", "11"]
              ["prob", "--initial", "poisson:0.85", "--m", "1", "--n", "2"]):
     assert ndpa.cli.main(argv + out) == 0, argv
     loaded[argv[0]] = scipy_modules()  # sys.modules only grows: the last run counts
+# one outcome at Jacobi degree R <= 1, then one outcome array of any degree
+c = ndpa.solve_analytic(ndpa.ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0), 1.0)
+for start, outcome in ((ndpa.FockPair(0, 0), ndpa.FockOutcome(3, 3)),
+                       (ndpa.FockPair(2, 1), ndpa.FockOutcome(1, 2)),
+                       (ndpa.FockPair(7, 4), ndpa.FockOutcome(range(0, 9), range(3, 12)))):
+    ndpa.fock_amplitude(c, start, outcome)
+loaded["fock_amplitude"] = scipy_modules()
 print(json.dumps(loaded))
 """)
     assert loaded == {"import": [], "figure": [], "evolve": [], "observable": [],
-                      "prob": []}
+                      "prob": [], "fock_amplitude": []}
 
 
 def test_oracle_solve_ivp_loads_on_first_read_and_stays_rebindable():

@@ -7,7 +7,9 @@ complex amplitude, phase included, matches the terminating sum
 evaluated with mpmath at 50 digits.  Near r, s = 200 the amplitude
 moduli on both sides of C(R + max(a, b), R) = 1e308, where the scalar
 path hands over from scipy's eval_jacobi to the rescaled loop, match
-mpmath.jacobi at 60 digits, and grid calls match scalar calls there.
+mpmath.jacobi at 60 digits, from single outcomes and from one outcome
+array, and grid calls match scalar calls there.  The sums to one ask for
+each start's outcomes as one array and check 20 of them one by one.
 """
 
 import itertools
@@ -64,12 +66,19 @@ def test_outcome_probabilities_sum_to_one(r, s, k2, n0):
     # probabilities fall off like y^n; 60 / log(1/y) more terms cover that
     levels = int(3.0 * (r + d.n0 * (r + s + 1)) - 60.0 / d.log_y) + 1
     q = r - s
+    n = np.arange(max(q, 0), max(q, 0) + levels)
+    sampled = np.random.default_rng([r, s]).choice(n, size=min(20, n.size), replace=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        probs = np.array([abs(fock_amplitude(c, FockPair(r, s), FockOutcome(n - q, n))) ** 2
-                          for n in range(max(q, 0), max(q, 0) + levels)])
+        amps = fock_amplitude(c, FockPair(r, s), FockOutcome(n - q, n))
+        one_by_one = [fock_amplitude(c, FockPair(r, s), FockOutcome(int(i) - q, int(i)))
+                      for i in sampled]
+    probs = np.abs(amps) ** 2
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) <= 1e-10
+    # the outcome array runs the recurrence and a Stirling-form prefactor, a
+    # single outcome scipy's eval_jacobi (or the loop) and exact math.comb
+    np.testing.assert_allclose(amps[sampled - max(q, 0)], one_by_one, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -115,11 +124,14 @@ def test_moduli_match_60_digit_jacobi_where_the_binomial_overflows(r, s, k2):
     assert min(binomials) < 1e308 and max(binomials) > sys.float_info.max
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for out in outcomes:
+        array = fock_amplitude(c, FockPair(r, s), FockOutcome(np.array([o.m for o in outcomes]),
+                                                              np.array([o.n for o in outcomes])))
+        for out, got_in_array in zip(outcomes, array):
             got = fock_amplitude(c, FockPair(r, s), out)
             want = modulus_mp(c, r, s, out.m, out.n)
             assert want > 1e-4  # the outcomes carry probability
             assert abs(abs(got) - want) <= 1e-12
+            assert abs(abs(got_in_array) - want) <= 1e-12
             np.testing.assert_allclose(fock_amplitude(grid, FockPair(r, s), out),
                                        [fock_amplitude(c_half, FockPair(r, s), out), got],
                                        rtol=0, atol=1e-12)
@@ -134,5 +146,5 @@ def test_scalar_recurrence_is_scipys_integer_degree_eval_jacobi(R, a, b):
     from scipy.special import binom, eval_jacobi
     y, x = 0.75, 4.0  # 1/x = 0.25 exactly, so z = 1/x - y = -0.5
     hi, lo, z, sign = (a, b, -0.5, 1.0) if a >= b else (b, a, 0.5, (-1.0) ** int(R))
-    _, f = _transition(R, a, b, y, math.log(y), math.log(x))
+    _, f = _transition(R, a, b, y, math.log(y), math.log(x), 1.0 / x)
     assert f == sign * eval_jacobi(int(R), hi, lo, z) / binom(R + hi, R)
