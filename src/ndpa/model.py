@@ -8,6 +8,7 @@ dimensionless ratio ``k = Omega / (2 g)``.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -154,9 +155,12 @@ class CustomPump:
     fn: Callable[[float], complex]
 
     def value(self, t):
-        if np.ndim(t) == 0:
-            return complex(self.fn(float(t)))
-        return np.array([complex(self.fn(float(ti))) for ti in np.ravel(t)]).reshape(np.shape(t))
+        if np.ndim(t) != 0:
+            return np.array([self.value(ti) for ti in np.ravel(t)]).reshape(np.shape(t))
+        value = complex(self.fn(float(t)))
+        if not cmath.isfinite(value):
+            raise ValueError(f"pump value at t = {t} is {value}, not finite")
+        return value
 
 
 PumpProfile = HarmonicPump | TabulatedPump | CustomPump

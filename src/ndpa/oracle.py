@@ -13,14 +13,14 @@ z' = (-i W j + g K- - conj(g) K+) z is constant, and the gauge z_j = s^j w_j,
 s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
 -W j, off-diagonal |g| sqrt((n_a+1)(n_b+1)), alike for q and -q), so with
 M = V diag(lam) V^T, found once per |q|, z(t) = S V exp(i lam t) V^T S^-1 z(0).
-Other pumps are integrated with DOP853, all blocks zero-padded into one
-banded system, per kink-free stretch, on which a tabulated pump is linear.
-A tabulated stretch spans one sample interval, usually one step or a few,
-so its solve keeps its steps and the state is read off the last: asking for
-the end state through ``t_eval`` would build a dense output, 3 more RHS
-calls per step, to interpolate where the step already ends.  Any other pump is one solve over
-[0, t] of many steps, and ``t_eval`` keeps only its end state in memory.
-Each spent solver is cyclic garbage and is collected at once.
+Any other pump is integrated with DOP853 by ``_integrate``, the stretch loop
+that ``weinorman.solve_ode`` also runs on, here with all blocks zero-padded
+into one banded system.  It makes one solve per kink-free stretch, on which
+a tabulated pump is linear.  A tabulated stretch spans one sample interval,
+one step or a few, so its solve keeps its steps and the state is read off
+the last (``t_eval`` would build a dense output, 3 more RHS calls per step);
+any other solve keeps only its output states (``t_eval``).  Each spent
+solver is collected at once; a failed solve raises ``IntegrationError``.
 
 Building a state loads no scipy.  The harmonic path loads ``scipy.linalg``;
 the ODE path ``scipy.integrate``, whose ``solve_ivp`` the PEP 562
@@ -51,6 +51,10 @@ def __getattr__(name):
 
 class TruncationError(RuntimeError):
     """Norm leaked past the cutoff; increase the cutoff."""
+
+
+class IntegrationError(RuntimeError):
+    """The integrator failed on a stretch; the message names it and scipy's reason."""
 
 
 _TAIL_LIMIT = 1e-9  # largest norm deficit accepted before or after evolution
@@ -191,8 +195,44 @@ def _propagate_harmonic(pump: HarmonicPump, w: float, initial: TruncatedState, t
     return out
 
 
+def _integrate(pump: PumpProfile, wsum: float, f, y0: np.ndarray, times, rtol, atol):
+    """States of y' = f(G(t), y), y(0) = y0, G(t) = g(t) exp(-i wsum t), at the
+    monotone float list ``times`` from 0 to its end; the module docstring's loop."""
+    end = times[-1]
+
+    def rhs(time, y):
+        g = line[0] + line[1] * (time - line[2]) if tabulated else pump.value(time)
+        return f(g * cmath.exp(-1j * wsum * time), y)
+
+    # stepping across a kink costs the integrator rejected steps and accuracy;
+    # error control shrinks a first step spanning the whole stretch if it must;
+    # an output strictly inside a stretch goes into its t_eval
+    tabulated = isinstance(pump, TabulatedPump)
+    kinks = np.asarray(pump.times) if tabulated else np.empty(0)
+    knots = [0.0, *kinks[(kinks > 0.0) & (kinks < end)], end] if end else [0.0]
+    ends = pump.value(knots).tolist() if tabulated else None  # g is straight between knots
+    y, states = y0, [y0] * int(times[0] == 0.0)
+    for i, (t0, t1) in enumerate(zip(knots, knots[1:])):
+        if tabulated:  # (g0, slope, t0) on this stretch
+            line = (ends[i], (ends[i + 1] - ends[i]) / (t1 - t0), t0)
+        inside = [t for t in times if (t - t0) * (t - t1) < 0.0]
+        res = sys.modules[__name__].solve_ivp(
+            rhs, (t0, t1), y, method="DOP853",
+            t_eval=None if tabulated and not inside else (*inside, t1),
+            first_step=abs(t1 - t0), rtol=rtol, atol=atol)
+        gc.collect(0)  # the spent solver is cyclic garbage holding its stage arrays
+        if not (res.success and np.isfinite(res.y).all()):  # scipy may "succeed" on nan
+            why = res.message if not res.success else "the state is not finite"
+            raise IntegrationError(f"integrator failed on [{t0:.6g}, {t1:.6g}]: {why}")
+        states.extend(res.y.T[:len(inside)])
+        y = res.y[:, -1]
+        if t1 in times:
+            states.append(y)
+    return states
+
+
 def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, tol):
-    """All blocks as one zero-padded ODE system, one solve per kink-free stretch."""
+    """All blocks as one zero-padded ODE system on the stretches of ``_integrate``."""
     blocks, cutoff = initial.blocks, initial.cutoff
     amp = np.zeros((len(blocks), cutoff))  # zero past each block's last pair
     y = np.zeros((len(blocks), cutoff + 1), dtype=complex)
@@ -200,36 +240,14 @@ def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, t
         amp[row, :vec.size - 1] = _pair_amplitudes(cutoff, q)
         y[row, :vec.size] = vec
 
-    def rhs(time, flat):
+    def rhs(gt, flat):
         y = flat.reshape(amp.shape[0], cutoff + 1)
-        g = line[0] + line[1] * (time - line[2]) if tabulated else pump.value(time)
-        gt = g * cmath.exp(-1j * wsum * time)
         dy = np.zeros_like(y)
         dy[:, :-1] = gt * amp * y[:, 1:]
         dy[:, 1:] -= np.conj(gt) * amp * y[:, :-1]
         return dy.ravel()
 
-    # stepping across a kink costs the integrator rejected steps and accuracy;
-    # error control shrinks a first step spanning the whole stretch if it must;
-    # only the one long solve of a non-tabulated pump drops its steps (t_eval)
-    tabulated = isinstance(pump, TabulatedPump)
-    kinks = np.asarray(pump.times) if tabulated else np.empty(0)
-    knots = [0.0, *kinks[(kinks > 0.0) & (kinks < t)], float(t)]
-    ends = pump.value(knots).tolist() if tabulated else None  # g is straight between knots
-    flat = y.ravel()
-    for i, (t0, t1) in enumerate(zip(knots, knots[1:])):
-        if tabulated:  # (g0, slope, t0) on this stretch
-            line = (ends[i], (ends[i + 1] - ends[i]) / (t1 - t0), t0)
-        res = sys.modules[__name__].solve_ivp(rhs, (t0, t1), flat, method="DOP853",
-                                              t_eval=None if tabulated else (t1,),
-                                              first_step=abs(t1 - t0),
-                                              rtol=tol, atol=tol * 1e-2)
-        gc.collect(0)  # the spent solver is cyclic garbage holding its stage arrays
-        if not res.success:
-            raise TruncationError(
-                f"integrator failed on [{t0:.6g}, {t1:.6g}]: {res.message}")
-        flat = res.y[:, -1]
-    y = flat.reshape(y.shape)
+    y = _integrate(pump, wsum, rhs, y.ravel(), [float(t)], tol, tol * 1e-2)[-1].reshape(y.shape)
     return {q: y[row, :vec.size].copy() for row, (q, vec) in enumerate(blocks.items())}
 
 
@@ -240,10 +258,7 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
 
     Exact for a ``HarmonicPump``: one eigendecomposition per pair +-q of the
     gauged rotating-frame generator (module docstring); ``cfg.tol`` unused.
-    Other pumps: DOP853 at relative tolerance ``cfg.tol``, one ``solve_ivp``
-    call per straight stretch between ``TabulatedPump`` samples in (0, t),
-    which keeps its few steps, or else one call over [0, t] that keeps only
-    its end state.
+    Other pumps: ``_integrate`` at relative tolerance ``cfg.tol``.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
@@ -262,8 +277,7 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
     else:
         result.blocks = _propagate_ode(pump, wsum, initial, t, cfg.tol)
 
-    deficit = max(0.0, 1.0 - result.total_norm())
-    result.norm_deficit = deficit
+    result.norm_deficit = deficit = max(0.0, 1.0 - result.total_norm())
     if deficit > _TAIL_LIMIT:
         raise TruncationError(
             f"norm deficit {deficit:.3e} exceeds {_TAIL_LIMIT:.0e}; increase the cutoff")
@@ -277,23 +291,18 @@ def oracle_probability(state: TruncatedState, m: int, n: int) -> float:
 
 def _apply_lowering(arr: np.ndarray, q: int, s: int) -> np.ndarray:
     """a^q b^s acting on dense amplitudes arr[n_a, n_b]."""
-    out = arr
     for _ in range(q):
-        n = np.arange(1, out.shape[0])
-        out = out[1:, :] * np.sqrt(n)[:, None]
+        arr = arr[1:, :] * np.sqrt(np.arange(1, arr.shape[0]))[:, None]
     for _ in range(s):
-        n = np.arange(1, out.shape[1])
-        out = out[:, 1:] * np.sqrt(n)[None, :]
-    return out
+        arr = arr[:, 1:] * np.sqrt(np.arange(1, arr.shape[1]))[None, :]
+    return arr
 
 
 def oracle_moment(state: TruncatedState, p: int, q: int, r: int, s: int) -> complex:
     """Normal-ordered moment <a+^p a^q b+^r b^s> in the truncated basis."""
     dense = state.dense()
-    bra = _apply_lowering(dense, p, r)
-    ket = _apply_lowering(dense, q, s)
-    rows = min(bra.shape[0], ket.shape[0])
-    cols = min(bra.shape[1], ket.shape[1])
+    bra, ket = _apply_lowering(dense, p, r), _apply_lowering(dense, q, s)
+    rows, cols = min(bra.shape[0], ket.shape[0]), min(bra.shape[1], ket.shape[1])
     return complex(np.sum(np.conj(bra[:rows, :cols]) * ket[:rows, :cols]))
 
 

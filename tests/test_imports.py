@@ -94,7 +94,7 @@ print(json.dumps({
 }))
 """)
     assert result["unloaded"] and result["first_is_scipy"]
-    assert result["calls"] == [[0.0, 0.5], [0.5, 1.0]]
+    assert result["calls"] == [[0.0, 0.5], [0.5, 1.0], [0.0, 2.0]]  # oracle, then solve_ode
     assert result["ode_error"] < 1e-8
     assert result["minima"] > 0
 

@@ -111,6 +111,18 @@ def test_custom_pump():
     assert pump.value(1.5) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("value, shown", [(math.nan, r"\(nan\+0j\)"),
+                                          (complex(1.0, math.inf), r"\(1\+infj\)"),
+                                          (-math.inf, r"\(-inf\+0j\)")])
+def test_custom_pump_rejects_non_finite_values(value, shown):
+    pump = CustomPump(fn=lambda t: value if t > 0.3 else 1.0)
+    assert pump.value(0.3) == 1.0
+    with pytest.raises(ValueError, match=f"at t = 0.5 is {shown}, not finite"):
+        pump.value(0.5)
+    with pytest.raises(ValueError, match=f"at t = 0.75 is {shown}, not finite"):
+        pump.value(np.array([0.0, 0.75, 1.0]))  # the first bad time is named
+
+
 def test_fock_revival_times():
     params = ModelParams.from_k2(1.5, g=2.0, omega_a=3.0, omega_b=2.0)
     revs = fock_revival_times(params, 3)

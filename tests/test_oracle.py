@@ -1,9 +1,11 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ndpa
 from ndpa import oracle
 from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
                              PureAModeState, amode_prob, coherent_revival_prob,
@@ -11,11 +13,11 @@ from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
                              fock_amplitude, reduced_density_a,
                              reduced_density_b, vacuum_prob)
 from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
-from ndpa.oracle import (OracleConfig, TruncationError, _pair_amplitudes,
+from ndpa.oracle import (IntegrationError, OracleConfig, TruncationError, _pair_amplitudes,
                          amode_state, coherent_state, edge_mass,
                          evolve_converged, evolve_truncated, fock_state,
                          oracle_moment, oracle_probability)
-from ndpa.weinorman import derived_scalars, solve_analytic
+from ndpa.weinorman import derived_scalars, solve_analytic, solve_ode
 
 
 def params_for(k2):
@@ -127,6 +129,51 @@ def test_harmonic_path_matches_batched_ode(monkeypatch):
         assert set(ode.blocks) == set(exact.blocks)
         for q, vec in exact.blocks.items():
             assert np.max(np.abs(vec - ode.blocks[q])) < 1e-10, (pump, q)
+
+
+def test_tabulated_constant_pump_matches_harmonic_path():
+    # 11 equal samples g = 1 are HarmonicPump(1, 0); the stretch loop against
+    # the exact propagator, to the bound of the batched-ODE comparison above
+    params = ModelParams(omega_a=0.4, omega_b=0.4, g=1.0, omega=0.0)
+    tab = TabulatedPump(times=tuple(np.linspace(0.0, 5.0, 11)), values=(1.0,) * 11)
+    start = coherent_state(32, 0.8, 0.5 + 0.3j)
+    cfg = OracleConfig(cutoff=32, tol=1e-12)
+    for t in (1.3, 5.0):
+        exact = evolve_truncated(HarmonicPump(g=1.0, omega=0.0), params, start, t, cfg)
+        ode = evolve_truncated(tab, params, start, t, cfg)
+        assert set(ode.blocks) == set(exact.blocks)
+        for q, vec in exact.blocks.items():
+            assert np.max(np.abs(vec - ode.blocks[q])) < 1e-10, (t, q)
+
+
+def test_failed_solve_raises_integration_error_naming_the_stretch(monkeypatch):
+    # one error for both users of the stretch loop, naming the stretch and
+    # scipy's message
+    def failing(fun, t_span, y0, **kwargs):
+        return SimpleNamespace(success=False, message="Required step size is less than "
+                               "spacing between numbers.")
+
+    monkeypatch.setattr(oracle, "solve_ivp", failing)
+    params = params_for(1.5)
+    pump = CustomPump(fn=pump_for(params).value)
+    stretch = r"integrator failed on \[0, 1\.5\]: Required step size"
+    with pytest.raises(IntegrationError, match=stretch):
+        evolve_truncated(pump, params, fock_state(12, 1, 0), 1.5, OracleConfig(cutoff=12))
+    with pytest.raises(IntegrationError, match=stretch):
+        solve_ode(pump, params, [0.0, 0.5, 1.5])
+    assert ndpa.IntegrationError is IntegrationError
+
+
+def test_non_finite_custom_pump_fails_at_once(monkeypatch):
+    # the pump's own error names the time, before any step shrinking
+    params = params_for(1.5)
+    calls, nfev = _count_solve_ivp(monkeypatch)
+    pump = CustomPump(fn=lambda t: math.nan if t > 0.3 else 1.0)
+    with pytest.raises(ValueError, match=r"pump value at t = \S+ is \(nan\+0j\)"):
+        evolve_truncated(pump, params, fock_state(12, 1, 0), 1.0, OracleConfig(cutoff=12))
+    with pytest.raises(ValueError, match=r"pump value at t = \S+ is \(nan\+0j\)"):
+        solve_ode(pump, params, [0.0, 0.5, 1.0])
+    assert len(calls) == 2 and nfev == []  # neither solve returned
 
 
 def test_tabulated_pump_tolerance_refinement(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ndpa import weinorman
-from ndpa.model import CustomPump, HarmonicPump, ModelParams
+from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
 from ndpa.weinorman import (WeiNormanCoefficients, coefficients, derived_scalars,
                             scalars, solve_analytic, solve_ode, unitarity_residuals)
 
@@ -163,6 +163,50 @@ def test_ode_grid_validation():
         solve_ode(pump, params, [0.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         solve_ode(pump, params, [0.0, 1.0], tol=0.0)
+
+
+@pytest.mark.parametrize("k2", [0.5, 1.5, 3.0])
+def test_ode_im_a0_does_not_depend_on_the_grid(k2):
+    # arg u is integrated, not unwrapped over the output grid: one output at
+    # t = 10 alone gets Im A0 right off the principal branch of arg u
+    params = params_for(k2)
+    tol = 1e-10
+    c_ode = solve_ode(HarmonicPump.from_params(params), params, [0.0, 10.0], tol=tol)[-1]
+    c_ref = solve_analytic(params, 10.0)
+    assert abs(c_ode.a_zero.imag) > math.pi
+    for field in ("a_plus", "a_minus", "a_zero"):
+        assert abs(getattr(c_ode, field) - getattr(c_ref, field)) <= 10.0 * tol, field
+
+
+def test_ode_tabulated_constant_pump_matches_closed_form():
+    # 11 equal samples g = 1 are HarmonicPump(1, 0); outputs fall on the
+    # samples and strictly inside the stretches between them
+    params = ModelParams(omega_a=0.4, omega_b=0.4, g=1.0, omega=0.0)
+    tab = TabulatedPump(times=tuple(np.linspace(0.0, 5.0, 11)), values=(1.0,) * 11)
+    tol = 1e-10
+    grid = np.linspace(0.0, 5.0, 26)
+    exact = solve_analytic(params, grid)
+    sols = solve_ode(tab, params, grid, tol=tol)
+    assert [c.t for c in sols] == grid.tolist()
+    for field in ("a_plus", "a_minus", "a_zero"):
+        got = np.array([getattr(c, field) for c in sols])
+        assert np.max(np.abs(got - getattr(exact, field))) <= 10.0 * tol, field
+
+
+def test_ode_overflow_raises_instead_of_returning_nan():
+    # deep below threshold |u| ~ exp(q g t); scipy reports success on the
+    # nan state at g t = 705 (k^2 = 0), where the loop must refuse it
+    params = params_for(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in (705.0, 720.0):
+            with pytest.raises(weinorman.IntegrationError, match=r"failed on \[0, 7"):
+                solve_ode(HarmonicPump.from_params(params), params, [0.0, t])
+
+
+def test_ode_at_t_zero_alone():
+    params = params_for(1.5)
+    (c,) = solve_ode(HarmonicPump.from_params(params), params, [0.0])
+    assert (c.t, c.a_plus, c.a_minus, c.a_zero) == (0.0, 0.0, 0.0, 0.0)
 
 
 def _threshold_grid():
