@@ -28,11 +28,12 @@ class ParityError(ValueError):
 DEFAULT_REGIME_EPS = 1e-8
 
 
-def _require_finite(name: str, arr: np.ndarray) -> None:
-    """Refuse an array with a nan or infinite entry, naming the first one."""
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"{name}[{bad[0]}] = {arr[bad[0]]} is not finite")
+def _require_finite(name: str, arr) -> None:
+    """Refuse a nan or infinite value, naming the first one (by flat index in an array)."""
+    if not np.isfinite(arr).all():
+        bad = np.flatnonzero(~np.isfinite(arr))[0]
+        where = f"[{bad}]" if np.ndim(arr) else ""
+        raise ValueError(f"{name}{where} = {np.ravel(arr)[bad]} is not finite")
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,13 @@ class HarmonicPump:
     g: float
     omega: float
 
+    def __post_init__(self):
+        for name in ("g", "omega"):
+            _require_finite(name, getattr(self, name))
+
     def value(self, t):
+        if isinstance(t, (int, float)):  # one per ODE right-hand side call: cmath is ~6x faster
+            return self.g * cmath.exp(1j * self.omega * t)
         return self.g * np.exp(1j * self.omega * np.asarray(t, dtype=float))
 
     @classmethod

@@ -1,13 +1,13 @@
 """Disentangled evolution-operator coefficients A+(t), A-(t), A0(t).
 
-The interaction-picture evolution operator factorizes as
-``exp(A+ K+) exp(2 A0 K0) exp(A- K-)`` (Wei & Norman, J. Math. Phys. 4, 575,
-1963).  For the harmonic pump ``_regime_kernel`` splits the closed forms into
-three regimes by k^2 once: real transcendentals only, hyperbolics in log
-form, and the winding that keeps Im A0 continuous in t.  ``solve_analytic``
-builds from one kernel pass the coefficients and x = 1 + n0, y = n0/x and
-n0, as one ``AnalyticSolution``.  For any other pump ``solve_ode`` reads them
-off the Bogoliubov pair (u, v), integrated on the oracle's stretch loop.
+The interaction-picture evolution operator factorizes as ``exp(A+ K+) exp(2 A0 K0)
+exp(A- K-)`` (Wei & Norman, J. Math. Phys. 4, 575, 1963).  For the harmonic pump
+``_regime_kernel`` splits the closed forms into three regimes by k^2 once: real
+transcendentals only, hyperbolics in log form, and the winding that keeps Im A0
+continuous in t.  ``solve_analytic`` builds from one kernel pass the coefficients and
+x = 1 + n0, y = n0/x and n0, as one ``AnalyticSolution``.  Grids are evaluated block by
+block into their outputs: peak memory is the outputs plus one block.  For any other pump
+``solve_ode`` reads them off the Bogoliubov pair (u, v) on the oracle's stretch loop.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PumpProfile, _regime_split
+from .model import ModelParams, PumpProfile, _regime_split, _require_finite
 from .oracle import IntegrationError, _integrate  # solve_ode raises IntegrationError
 
 
@@ -54,9 +54,9 @@ def _real(value):
     return float(value) if value.ndim == 0 else value
 
 
-def _softplus(v):
+def _softplus(v, out=None):
     """log(1 + e^v) without overflow."""
-    out = np.abs(v)
+    out = np.abs(v, out=out)
     np.log1p(np.exp(np.negative(out, out=out), out=out), out=out)
     return np.add(out, np.maximum(v, 0.0), out=out)
 
@@ -91,10 +91,12 @@ def _regime_kernel(k, gt):
     return np.where(crit, np.sign(k), k), u, t, np.multiply(log_s, 2.0, out=log_s)
 
 
-def _coefficients(k, gt, k_c, winding, w, log_n0, dtype):
-    """Flat (A+, A-, A0) from the kernel output on (k, gt); writes over it."""
+def _coefficients(k, gt, a_plus, a_minus, a_zero, *scalar_out):
+    """(A+, A-, A0) on (k, gt) into the given arrays, and the six scalars into ``scalar_out``."""
+    k_c, winding, w, log_n0 = _regime_kernel(k, gt)
+    if scalar_out:
+        _scalars(log_n0, *scalar_out)  # before log n0 is written over
     np.clip(w, -2.0 ** 511, 2.0 ** 511, out=w)  # (kw)^2 finite; moves A- < 2^-511
-    a_minus, a_zero = np.empty(w.shape, dtype), np.empty(w.shape, dtype)
     np.multiply(_softplus(log_n0), -0.5, out=a_zero.real)
     kw = np.multiply(k_c, w, out=log_n0)
     d = np.square(kw)
@@ -103,24 +105,40 @@ def _coefficients(k, gt, k_c, winding, w, log_n0, dtype):
     np.add(np.arctan(kw, out=kw), winding, out=kw)
     np.subtract(kw, np.multiply(k, gt, out=winding), out=a_zero.imag)
     tan = np.tan(winding, out=winding)
-    a_plus = np.square(tan + 1j)  # -exp(-2i k gt) (1 + tan^2 k gt)
+    np.square(tan + 1j, out=a_plus)  # -exp(-2i k gt) (1 + tan^2 k gt)
     a_plus /= np.add(np.square(tan, out=d), 1.0, out=d)
     a_plus *= a_minus
-    return a_plus, a_minus, a_zero
 
 
-def _scalars(log_n0):
-    """Flat (x, y, n0, log_x, log_y, log_n0) from log n0."""
+def _scalars(log_n0, x, y, n0, log_x, log_y, log_n0_out):
+    """(x, y, n0, log_x, log_y, log_n0) into the given arrays from log n0."""
+    np.copyto(log_n0_out, log_n0)
     with np.errstate(over="ignore", divide="ignore"):
-        n0 = np.exp(log_n0)
-        inv = 1.0 / n0
+        inv = np.divide(1.0, np.exp(log_n0, out=n0))
+    np.add(n0, 1.0, out=x)
+    np.divide(1.0, np.add(1.0, inv, out=y), out=y)
+    _softplus(log_n0, out=log_x)
     # log y = -log(1 + 1/n0); the direct difference log_n0 - log_x loses all
     # precision once both exceed ~1/eps deep below threshold
-    return n0 + 1.0, 1.0 / (1.0 + inv), n0, _softplus(log_n0), -np.log1p(inv), log_n0
+    np.negative(np.log1p(inv, out=log_y), out=log_y)
 
 
-def _shaped(values, shape):
-    return tuple(v.reshape(shape)[()] for v in values)
+_BLOCK = 16_384  # points (or one row) per block: temporaries this small stay in cache
+
+
+def _blockwise(body, dtypes, **inputs):
+    """Outputs, one per dtype, of ``body(*inputs, *outputs)`` on the broadcast grid of the
+    finite ``inputs``, in blocks of leading-axis rows; scalar inputs give numpy scalars."""
+    for name, value in inputs.items():
+        _require_finite(name, value)
+    shape = np.broadcast(*inputs.values()).shape
+    outs = tuple(np.empty(shape or (1,), dt) for dt in dtypes)
+    ins = [np.array(v, copy=None, ndmin=outs[0].ndim) for v in inputs.values()]
+    n = len(outs[0])  # near-equal blocks: numpy's 1-element in-place complex product rounds apart
+    blocks = -(-n // max(_BLOCK * n // max(outs[0].size, 1), 1))  # each <= _BLOCK points or 1 row
+    for s, e in ((i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)):
+        body(*[v if len(v) == 1 else v[s:e] for v in ins], *[o[s:e] for o in outs])
+    return outs if shape else tuple(o[0] for o in outs)
 
 
 def coefficients(k, gt, dtype=np.complex128):
@@ -133,9 +151,8 @@ def coefficients(k, gt, dtype=np.complex128):
     -log(1 + n0)/2, Im A0 = arctan(k w) + winding - k gt, continuous in t (k gt
     is the Omega t/2 secular phase), and A+ = -exp(-2i k gt) A- via tan(k gt).
     """
-    k, gt = (np.asarray(v, dtype=np.finfo(dtype).dtype) for v in (k, gt))
-    fields = _coefficients(k, gt, *_regime_kernel(np.atleast_1d(k), gt), dtype)
-    return _shaped(fields, np.broadcast_shapes(k.shape, gt.shape))
+    real = np.finfo(dtype).dtype
+    return _blockwise(_coefficients, (dtype,) * 3, k=np.asarray(k, real), gt=np.asarray(gt, real))
 
 
 def scalars(k, gt):
@@ -145,10 +162,8 @@ def scalars(k, gt):
     (where it is (gt)^2) and into k^2 > 1 (where sinh^2 turns into -sin^2);
     x = 1 + n0, y = n0/x.  The logs stay finite where x overflows.
     """
-    k, gt = np.asarray(k, dtype=float), np.asarray(gt, dtype=float)
-    # every kernel array lives to the end: freeing them early raises peak RSS (glibc reuse)
-    kernel = _regime_kernel(np.atleast_1d(k), gt)
-    return _shaped(_scalars(kernel[3]), np.broadcast_shapes(k.shape, gt.shape))
+    return _blockwise(lambda k, gt, *out: _scalars(_regime_kernel(k, gt)[3], *out),
+                      (float,) * 6, k=np.asarray(k, float), gt=np.asarray(gt, float))
 
 
 def solve_analytic(params: ModelParams, t) -> AnalyticSolution:
@@ -156,13 +171,11 @@ def solve_analytic(params: ModelParams, t) -> AnalyticSolution:
 
     A scalar time gives complex and float fields; an array of times gives arrays.
     """
-    t = np.asarray(t, dtype=float)
-    gt = params.g * t
-    kernel = _regime_kernel(np.atleast_1d(params.k), gt)
-    reals = _scalars(kernel[3].copy())  # _coefficients writes over log n0
-    fields = _coefficients(params.k, gt, *kernel, np.complex128) + reals
-    if t.ndim == 0:  # one-element arrays
-        return AnalyticSolution(float(t), *(f.item() for f in fields))
+    t, k = np.asarray(t, dtype=float), np.array([params.k])  # ModelParams are finite
+    fields = _blockwise(lambda t, *out: _coefficients(k, params.g * t, *out),
+                        (complex,) * 3 + (float,) * 6, t=t)
+    if t.ndim == 0:
+        return AnalyticSolution(float(t), *map(complex, fields[:3]), *map(float, fields[3:]))
     return AnalyticSolution(t, *fields)
 
 
@@ -215,21 +228,26 @@ def unitarity_residuals(c: WeiNormanCoefficients):
     and r3 = |x (1 - |A-|^2) - 1| with x = exp(-2 Re A0), which is formed in
     logs so that it is never nan for finite input where x overflows.
     """
-    shape = np.broadcast_shapes(*(np.shape(f) for f in (c.a_plus, c.a_minus, c.a_zero)))
-    ap, am, a0 = np.broadcast_arrays(*np.atleast_1d(c.a_plus, c.a_minus, c.a_zero))
+    fields = {name: np.asarray(getattr(c, name)) for name in ("a_plus", "a_minus", "a_zero")}
+    real = np.finfo(np.result_type(*fields.values(), 1.0)).dtype
+    return _blockwise(_residuals, (real,) * 3, **fields)
+
+
+def _residuals(ap, am, a0, r1, r2, r3):
+    ap, am, a0 = np.broadcast_arrays(ap, am, a0)
     tan = np.tan(a0.imag)
     det = np.square(1.0 + 1j * tan)  # exp(2 A0) = det exp(2 Re A0) / (1 + tan^2 Im A0)
     det *= np.exp(2.0 * a0.real) / np.add(np.square(tan, out=tan), 1.0, out=tan)
     det -= np.multiply(am, ap)
     # r1 = |conj(A+) D + A-| / |D| and r2 = |conj(A-) D + A+| / |D|
     num, mod_d = np.empty_like(det), np.abs(det, out=tan)
-    r1, r2 = (np.abs(np.add(np.multiply(np.conj(a, out=num), det, out=num), b, out=num))
-              / mod_d for a, b in ((ap, am), (am, ap)))
+    for a, b, r in ((ap, am, r1), (am, ap, r2)):
+        np.abs(np.add(np.multiply(np.conj(a, out=num), det, out=num), b, out=num), out=r)
+        r /= mod_d
     del num, det
     m = np.abs(am)
     np.subtract(1.0, np.square(m, out=m), out=m)
     with np.errstate(divide="ignore", over="ignore"):
-        r3 = np.log(np.abs(m))
+        np.log(np.abs(m), out=r3)
         np.exp(np.subtract(r3, np.multiply(a0.real, 2.0, out=mod_d), out=r3), out=r3)
-    r3 = np.abs(np.subtract(np.copysign(r3, m, out=r3), 1.0, out=r3), out=r3)
-    return _shaped((r1, r2, r3), shape)
+    np.abs(np.subtract(np.copysign(r3, m, out=r3), 1.0, out=r3), out=r3)

@@ -69,6 +69,26 @@ def test_harmonic_pump_value():
     assert vals[0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("g, omega, shown", [(math.nan, 1.0, "g = nan"),
+                                             (1.0, math.inf, "omega = inf"),
+                                             (-math.inf, 0.0, "g = -inf")])
+def test_harmonic_pump_rejects_non_finite_parameters(g, omega, shown):
+    with pytest.raises(ValueError, match=f"{shown} is not finite"):
+        HarmonicPump(g=g, omega=omega)
+
+
+@pytest.mark.parametrize("g, omega", [(0.7, 5.3), (1.0, -3.0), (2.5, 1e3), (1e-3, 0.0)])
+def test_harmonic_pump_scalar_and_array_values_agree(g, omega):
+    # a Python time takes the cmath path, an array the numpy one
+    pump = HarmonicPump(g=g, omega=omega)
+    t = np.concatenate([np.linspace(0.0, 50.0, 1001), [1e4 + 0.1]])
+    got = np.array([pump.value(ti) for ti in t.tolist()])
+    want = pump.value(t)
+    assert type(pump.value(0.3)) is complex and type(pump.value(2)) is complex
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(want)) <= 2.0 * np.spacing(np.abs(part(want))))
+
+
 def test_tabulated_pump_interpolates():
     pump = TabulatedPump(times=(0.0, 1.0, 2.0), values=(0.0, 1.0 + 1j, 2.0))
     assert pump.value(0.5) == pytest.approx(0.5 + 0.5j)

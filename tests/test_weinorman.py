@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndpa import weinorman
 from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
@@ -344,18 +346,92 @@ def test_scalar_input_gives_scalars():
     assert [np.shape(v) for v in coefficients(0.5, np.ones(3))] == [(3,)] * 3
 
 
-@pytest.mark.parametrize("name, bound", [("coefficients", 114.0), ("scalars", 75.0),
-                                         ("unitarity_residuals", 64.0)])
+@pytest.mark.parametrize("name, bound", [("coefficients", 60.0), ("scalars", 60.0),
+                                         ("unitarity_residuals", 36.0),
+                                         ("solve_analytic", 108.0)])
 def test_grid_peak_memory_per_point(name, bound):
-    # bound: the bytes per point of the complex-valued forms on a 10^6-point grid
+    # bound: the outputs' bytes per point (48, 48, 24 and 96) plus 12, on
+    # 160 000 points: temporaries are block-sized, not grid-sized
     k, gt = np.linspace(-1.8, 1.8, 400)[:, None], np.linspace(0.0, 10.0, 400)[None, :]
     c = WeiNormanCoefficients(gt, *coefficients(k, gt))
+    t, params = np.linspace(0.0, 10.0, 160_000), params_for(0.5)
     call = {"coefficients": lambda: coefficients(k, gt), "scalars": lambda: scalars(k, gt),
-            "unitarity_residuals": lambda: unitarity_residuals(c)}[name]
+            "unitarity_residuals": lambda: unitarity_residuals(c),
+            "solve_analytic": lambda: solve_analytic(params, t)}[name]
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / k.size / gt.size <= bound
+    assert peak / 160_000 <= bound
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: scalars(math.nan, 1.0), "k = nan"),
+    (lambda: coefficients(math.nan, 1.0), "k = nan"),
+    (lambda: scalars(0.5, math.inf), "gt = inf"),
+    (lambda: coefficients(np.array([0.5, 1.5]), np.array([[0.0], [-math.inf]])),
+     r"gt\[1\] = -inf"),
+    (lambda: solve_analytic(params_for(0.5), np.array([0.0, 1.0, math.nan])), r"t\[2\] = nan"),
+    (lambda: unitarity_residuals(WeiNormanCoefficients(0.0, 0j, complex(math.nan, 0.0), 0j)),
+     r"a_minus = \(nan\+0j\)"),
+])
+def test_grids_refuse_non_finite_input(call, shown):
+    # nan k fell into neither regime mask and read as threshold: scalars(nan, 1) gave n0 = 1
+    with pytest.raises(ValueError, match=shown + " is not finite"):
+        call()
+
+
+def _row_by_row(fn, *inputs):
+    """``fn``'s outputs on the broadcast grid of ``inputs`` from one call per
+    leading-axis row (a 1-d grid is one row), each a (1, m) grid: one block."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in inputs))
+    ins = [np.array(v, ndmin=max(len(shape), 2)) for v in inputs]
+    rows = [fn(*(v if len(v) == 1 else v[i:i + 1] for v in ins))
+            for i in range(max(len(v) for v in ins))]
+    rows = rows or [fn(*(np.zeros((1, 0), v.dtype) for v in ins))]  # no rows: the dtypes
+    return [np.concatenate([r[j] for r in rows]).reshape(shape) for j in range(len(rows[0]))]
+
+
+def _grid_k(rng, shape):
+    """k across all three regimes, with threshold and its band edges exactly."""
+    special = np.array([1.0, -1.0, math.sqrt(1.0 + 5e-9), math.sqrt(1.0 - 2e-8), 0.0])
+    k = rng.uniform(-1.9, 1.9, shape)
+    k.flat[::7] = np.resize(special, k.flat[::7].size)
+    return k
+
+
+BLOCK = weinorman._BLOCK
+
+
+@pytest.mark.parametrize("long_double", [False, True])
+@pytest.mark.parametrize("kind", ["outer", "scalar k", "1-d gt", "1-d k", "empty"])
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(m=st.sampled_from([BLOCK // 64, BLOCK // 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+       extra=st.integers(-1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_grids_are_block_invariant(kind, long_double, m, extra, seed):
+    # n m straddles a block: n = BLOCK // m + extra rows of m points
+    rng, n = np.random.default_rng(seed), max(BLOCK // m + extra, 1)
+    k, gt = {"outer": lambda: (_grid_k(rng, (n, 1)), rng.uniform(0.0, 12.0, (1, m))),
+             "scalar k": lambda: (0.5, rng.uniform(0.0, 12.0, (n, m))),
+             "1-d gt": lambda: (-1.2, rng.uniform(0.0, 12.0, n * m)),
+             "1-d k": lambda: (_grid_k(rng, n * m), 3.7),
+             "empty": lambda: [(np.zeros((0, 1)), np.ones((1, m))),  # (0, m)
+                               (np.ones((n, 1)), np.ones((1, 0))),  # (n, 0)
+                               (0.5, np.zeros(0))][min(extra + 1, 2)],  # (0,)
+             }[kind]()
+    dtype = np.complex256 if long_double else np.complex128
+    want = _row_by_row(lambda k, gt: coefficients(k, gt, dtype), k, gt)
+    got = coefficients(k, gt, dtype)
+    want += _row_by_row(scalars, k, gt)
+    got += scalars(k, gt)
+    want += _row_by_row(lambda *c: unitarity_residuals(WeiNormanCoefficients(0.0, *c)), *got[:3])
+    got += unitarity_residuals(WeiNormanCoefficients(0.0, *got[:3]))
+    if np.ndim(k) == 0:
+        params = ModelParams(omega_a=0.5, omega_b=0.5, g=1.0, omega=1.0 + 2.0 * k)
+        want += _row_by_row(lambda t: _solution_fields(solve_analytic(params, t)), gt)
+        got += tuple(_solution_fields(solve_analytic(params, gt)))
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
