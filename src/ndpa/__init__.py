@@ -7,20 +7,20 @@ exposes those coefficients and the Bogoliubov pair a(t) = u a + v b+
 (``weinorman``), transition probabilities and certified normalization sums
 (``amplitudes``), normal-ordered moments (``moments``), photon statistics,
 squeezing, signal-to-noise and diagonalization results (``observables``),
-revival times (``model``), a truncated-Fock propagator that checks them
-independently (``oracle``) and the CSV scenario runner (``cli``).
+start states and revival times (``model``), a truncated-Fock propagator that
+checks them independently (``oracle``) and the CSV scenario runner (``cli``).
 """
 
-from .model import (CoherentRevival, CustomPump, HarmonicPump, ModelParams,
-                    ParityError, PumpProfile, RegimeError, RegimeTag,
+from .model import (CoherentPair, CoherentRevival, CustomPump, FockOutcome,
+                    FockPair, HarmonicPump, ModelParams, ParityError,
+                    PumpProfile, PureAModeState, RegimeError, RegimeTag,
                     RevivalSpec, TabulatedPump, classify_regime,
                     coherent_revival_params, fock_revival_times)
 from .weinorman import (AnalyticSolution, IntegrationError,
                         WeiNormanCoefficients, coefficients, derived_scalars,
                         scalars, solve_analytic, solve_ode,
                         unitarity_residuals)
-from .amplitudes import (CoherentPair, FockOutcome, FockPair, PureAModeState,
-                         amode_norm, amode_prob, coherent_mean_numbers,
+from .amplitudes import (amode_norm, amode_prob, coherent_mean_numbers,
                          coherent_revival_prob, coherent_transition_prob,
                          effective_temperature, fock11_norm, fock11_prob,
                          fock_amplitude, reduced_density_a, reduced_density_b,

@@ -1,9 +1,12 @@
-"""Model parameters, regime classification, pump profiles and revival times.
+"""Model parameters, regime classification, pump profiles, start states, revival times.
 
 The two modes (signal ``a``, idler ``b``) are coupled by a classical pump
 ``g(t)``.  For the harmonic pump ``g(t) = g exp(i w t)`` the whole dynamics
 is governed by the detuning ``Omega = omega - omega_a - omega_b`` and the
 dimensionless ratio ``k = Omega / (2 g)``.
+
+The start states ``FockPair``, ``CoherentPair`` and ``PureAModeState`` refuse bad input
+with a ValueError that names it; the closed forms and the oracle both validate by them.
 """
 
 from __future__ import annotations
@@ -171,6 +174,104 @@ class CustomPump:
 
 
 PumpProfile = HarmonicPump | TabulatedPump | CustomPump
+
+
+# -- start states and outcomes ---------------------------------------------
+
+
+def _occupation(name: str, value, arrays: bool = True):
+    """``value`` as a non-negative int, or (if ``arrays``) an int64 array of
+    them; anything else, bools and integral floats included, raises a
+    ValueError that names it."""
+    if type(value) is int and value >= 0:
+        return value
+    v = np.asarray(value)
+    if v.dtype.kind in "iu" and (arrays or not v.ndim) and not np.any(v < 0):
+        return int(v) if not v.ndim else v.astype(np.int64, copy=False)
+    raise ValueError(f"occupation {name} must be a non-negative integer, got {value!r}")
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class FockPair:
+    """Initial occupations: r in mode a, s in mode b."""
+
+    r: int
+    s: int
+
+    def __init__(self, r: int, s: int):
+        if type(r) is not int or type(s) is not int or r < 0 or s < 0:  # exact ints pass
+            r, s = _occupation("r", r, arrays=False), _occupation("s", s, arrays=False)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class FockOutcome:
+    """Final occupations: m in mode b, n in mode a; integer arrays name
+    several outcomes at once."""
+
+    m: int
+    n: int
+
+    def __init__(self, m: int, n: int):
+        if type(m) is not int or type(n) is not int or m < 0 or n < 0:  # exact ints pass
+            m, n = _occupation("m", m), _occupation("n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+
+@dataclass(frozen=True)
+class CoherentPair:
+    alpha: complex
+    beta: complex
+
+    def __post_init__(self):
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+POISSON_MAX_ALPHA = 100.0
+
+
+@dataclass(frozen=True)
+class PureAModeState:
+    """Pure a-mode state sqrt(P_s) exp(i phi_s) |s>, with the b mode in vacuum."""
+
+    probs: tuple
+    phases: tuple
+
+    def __post_init__(self):
+        p = np.asarray(self.probs, dtype=float)
+        _require_finite("probs", p)
+        _require_finite("phases", np.asarray(self.phases, dtype=float))
+        if np.any(p < 0):
+            bad = np.flatnonzero(p < 0)[0]
+            raise ValueError(f"probabilities must be non-negative, got probs[{bad}] = {p[bad]}")
+        if abs(p.sum() - 1.0) > 1e-12:
+            raise ValueError(f"probabilities must sum to one, got {p.sum()}")
+        if len(self.phases) != p.size:
+            raise ValueError("probs and phases must have equal length")
+
+    @classmethod
+    def poisson(cls, alpha: complex) -> "PureAModeState":
+        """Poisson distribution with mean mu = |alpha|^2, cut at
+        n = max(24, mu + 12 sqrt(mu + 1)) and renormalized.
+
+        |alpha| may be at most POISSON_MAX_ALPHA = 100, a support of at
+        most 11 201 occupations."""
+        if not abs(alpha) <= POISSON_MAX_ALPHA:  # refuses nan and inf too
+            raise ValueError(f"alpha must be finite with |alpha| <= "
+                             f"{POISSON_MAX_ALPHA:g}, got {alpha!r}")
+        mu = abs(alpha) ** 2
+        n = np.arange(max(24, int(mu + 12.0 * math.sqrt(mu + 1.0))) + 1)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in n.tolist()])
+        logp = n * math.log(mu) - log_fact - mu if mu > 0 else \
+            np.where(n == 0, 0.0, -np.inf)
+        p = np.exp(logp)
+        p /= p.sum()
+        phases = n * np.angle(alpha) if alpha != 0 else np.zeros(n.size)
+        return cls(probs=tuple(p), phases=tuple(phases))
 
 
 # -- revival predictions ---------------------------------------------------

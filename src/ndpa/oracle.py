@@ -22,9 +22,10 @@ the last (``t_eval`` would build a dense output, 3 more RHS calls per step);
 any other solve keeps only its output states (``t_eval``).  Each spent
 solver is collected at once; a failed solve raises ``IntegrationError``.
 
-Building a state loads no scipy.  The harmonic path loads ``scipy.linalg``;
-the ODE path ``scipy.integrate``, whose ``solve_ivp`` the PEP 562
-``__getattr__`` imports; each ODE run reads it, as rebound.
+A start is validated by ``model``'s state types and built by ``_product_state``, which
+drops each block of weight <= 1e-16 into ``norm_deficit`` and loads no scipy.  The
+harmonic path loads ``scipy.linalg``; the ODE path ``scipy.integrate``, whose
+``solve_ivp`` the PEP 562 ``__getattr__`` imports; each ODE run reads it, as rebound.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (HarmonicPump, ModelParams, PumpProfile, TabulatedPump,
-                    _require_finite)
+from .model import (CoherentPair, FockPair, HarmonicPump, ModelParams, PumpProfile,
+                    PureAModeState, TabulatedPump)
 
 
 def __getattr__(name):
@@ -122,22 +123,30 @@ def _pair_amplitudes(cutoff: int, q: int) -> np.ndarray:
     return np.sqrt((j + max(q, 0) + 1.0) * (j + max(-q, 0) + 1.0))
 
 
+def _product_state(cutoff: int, a: np.ndarray, b: np.ndarray) -> TruncatedState:
+    """|a> (x) |b> from amplitudes a[n_a], b[n_b], n = 0..cutoff, over the charges their
+    supports reach; a block of weight <= 1e-16 is dropped, its weight left to norm_deficit."""
+    state = TruncatedState(cutoff=cutoff)
+    na, nb = np.flatnonzero(a), np.flatnonzero(b)
+    if na.size and nb.size:  # else nothing lies inside the cutoff
+        for q in range(na[0] - nb[-1], na[-1] - nb[0] + 1):  # block q: n_a - n_b = q
+            vec = a[q:] * b[:b.size - q] if q >= 0 else a[:a.size + q] * b[-q:]
+            if np.vdot(vec, vec).real > 1e-16:
+                state.blocks[q] = vec
+    state.norm_deficit = max(0.0, 1.0 - state.total_norm())
+    return state
+
+
 def fock_state(cutoff: int, r: int, s: int) -> TruncatedState:
     if not (0 <= r <= cutoff and 0 <= s <= cutoff):
         raise ValueError(f"initial occupations ({r}, {s}) outside 0..{cutoff}")
-    state = TruncatedState(cutoff=cutoff)
-    q = r - s
-    vec = np.zeros(cutoff + 1 - abs(q), dtype=complex)
-    vec[min(r, s)] = 1.0
-    state.blocks[q] = vec
-    return state
+    f, n = FockPair(r, s), np.arange(cutoff + 1)
+    return _product_state(cutoff, (n == f.r).astype(complex), (n == f.s).astype(complex))
 
 
 def _coherent_amps(alpha: complex, n: np.ndarray) -> np.ndarray:
     if alpha == 0:
-        out = np.zeros(n.size, dtype=complex)
-        out[n == 0] = 1.0
-        return out
+        return (n == 0).astype(complex)
     log_fact = np.array([math.lgamma(k + 1.0) for k in n.tolist()])
     log_mod = n * math.log(abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2
     phase = np.exp(1j * n * np.angle(alpha))
@@ -145,38 +154,20 @@ def _coherent_amps(alpha: complex, n: np.ndarray) -> np.ndarray:
 
 
 def coherent_state(cutoff: int, alpha: complex, beta: complex) -> TruncatedState:
-    """Truncated product coherent state; blocks of weight <= 1e-16 are dropped."""
-    n = np.arange(cutoff + 1)
-    pairs = np.outer(_coherent_amps(alpha, n), _coherent_amps(beta, n))  # [n_a, n_b]
-    state = TruncatedState(cutoff=cutoff)
-    for q in range(-cutoff, cutoff + 1):
-        vec = pairs.diagonal(-q)  # n_a - n_b = q
-        if np.vdot(vec, vec).real > 1e-16:
-            state.blocks[q] = vec.copy()
-    state.norm_deficit = max(0.0, 1.0 - state.total_norm())
-    return state
+    """Truncated product coherent state |alpha>_a (x) |beta>_b."""
+    pair, n = CoherentPair(alpha, beta), np.arange(cutoff + 1)
+    return _product_state(cutoff, _coherent_amps(pair.alpha, n), _coherent_amps(pair.beta, n))
 
 
 def amode_state(cutoff: int, probs, phases=None) -> TruncatedState:
-    """|psi>_a (x) |0>_b from a-mode occupation probabilities and phases."""
+    """|psi>_a (x) |0>_b from a-mode occupation probabilities and phases (zeros if None)."""
     probs = np.asarray(probs, dtype=float)
     if probs.size - 1 > cutoff:
         raise ValueError("distribution support exceeds cutoff")
-    if phases is None:
-        phases = np.zeros(probs.size)
-    phases = np.asarray(phases, dtype=float)
-    _require_finite("probs", probs)
-    _require_finite("phases", phases)
-    state = TruncatedState(cutoff=cutoff)
-    for s_occ, p in enumerate(probs):
-        if p == 0.0:
-            continue
-        q = s_occ  # n_a = s_occ, n_b = 0
-        vec = np.zeros(cutoff + 1 - abs(q), dtype=complex)
-        vec[0] = math.sqrt(p) * np.exp(1j * phases[s_occ])
-        state.blocks[q] = vec
-    state.norm_deficit = max(0.0, 1.0 - state.total_norm())
-    return state
+    psi = PureAModeState(tuple(probs), tuple(np.zeros(probs.size) if phases is None else phases))
+    a, n = np.zeros(cutoff + 1, dtype=complex), np.arange(cutoff + 1)
+    a[:probs.size] = np.sqrt(probs) * np.exp(1j * np.asarray(psi.phases, dtype=float))
+    return _product_state(cutoff, a, (n == 0).astype(complex))
 
 
 def _propagate_harmonic(pump: HarmonicPump, w: float, initial: TruncatedState, t):
@@ -265,13 +256,10 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
     if initial.norm_deficit > _TAIL_LIMIT:
         raise TruncationError(
             f"initial norm deficit {initial.norm_deficit:.3e} exceeds {_TAIL_LIMIT:.0e}")
+    if t == 0.0:
+        return replace(initial, blocks={q: v.copy() for q, v in initial.blocks.items()})
     wsum = params.omega_a + params.omega_b
     result = TruncatedState(cutoff=initial.cutoff)
-    if t == 0.0:
-        result.blocks = {q: v.copy() for q, v in initial.blocks.items()}
-        result.norm_deficit = initial.norm_deficit
-        return result
-
     if isinstance(pump, HarmonicPump):
         result.blocks = _propagate_harmonic(pump, wsum - pump.omega, initial, t)
     else:

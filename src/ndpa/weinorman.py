@@ -5,8 +5,9 @@ exp(A- K-)`` (Wei & Norman, J. Math. Phys. 4, 575, 1963).  For the harmonic pump
 ``_regime_kernel`` splits the closed forms into three regimes by k^2 once: real
 transcendentals only, hyperbolics in log form, and the winding that keeps Im A0
 continuous in t.  ``solve_analytic`` builds from one kernel pass the coefficients and
-x = 1 + n0, y = n0/x and n0, as one ``AnalyticSolution``.  Grids are evaluated block by
-block into their outputs: peak memory is the outputs plus one block.  For any other pump
+x = 1 + n0, y = n0/x and n0, as one ``AnalyticSolution``.  Grids are evaluated in fixed
+blocks of rows straight into their outputs (peak memory: the outputs plus one block), with
+complex products out of place, so that a time alone rounds as in a grid.  For any other pump
 ``solve_ode`` reads them off the Bogoliubov pair (u, v) on the oracle's stretch loop.
 """
 
@@ -105,9 +106,9 @@ def _coefficients(k, gt, a_plus, a_minus, a_zero, *scalar_out):
     np.add(np.arctan(kw, out=kw), winding, out=kw)
     np.subtract(kw, np.multiply(k, gt, out=winding), out=a_zero.imag)
     tan = np.tan(winding, out=winding)
-    np.square(tan + 1j, out=a_plus)  # -exp(-2i k gt) (1 + tan^2 k gt)
-    a_plus /= np.add(np.square(tan, out=d), 1.0, out=d)
-    a_plus *= a_minus
+    phase = np.square(tan + 1j)  # -exp(-2i k gt) (1 + tan^2 k gt)
+    phase /= np.add(np.square(tan, out=d), 1.0, out=d)
+    np.multiply(phase, a_minus, out=a_plus)  # out of place: in place, one point rounds apart
 
 
 def _scalars(log_n0, x, y, n0, log_x, log_y, log_n0_out):
@@ -134,10 +135,9 @@ def _blockwise(body, dtypes, **inputs):
     shape = np.broadcast(*inputs.values()).shape
     outs = tuple(np.empty(shape or (1,), dt) for dt in dtypes)
     ins = [np.array(v, copy=None, ndmin=outs[0].ndim) for v in inputs.values()]
-    n = len(outs[0])  # near-equal blocks: numpy's 1-element in-place complex product rounds apart
-    blocks = -(-n // max(_BLOCK * n // max(outs[0].size, 1), 1))  # each <= _BLOCK points or 1 row
-    for s, e in ((i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)):
-        body(*[v if len(v) == 1 else v[s:e] for v in ins], *[o[s:e] for o in outs])
+    rows = max(_BLOCK * len(outs[0]) // max(outs[0].size, 1), 1)  # <= _BLOCK points or 1 row
+    for s in range(0, len(outs[0]), rows):
+        body(*[v if len(v) == 1 else v[s:s + rows] for v in ins], *[o[s:s + rows] for o in outs])
     return outs if shape else tuple(o[0] for o in outs)
 
 
@@ -170,10 +170,18 @@ def solve_analytic(params: ModelParams, t) -> AnalyticSolution:
     """Closed-form coefficients and scalars for the harmonic pump, one kernel pass.
 
     A scalar time gives complex and float fields; an array of times gives arrays.
+    A finite t whose g t overflows raises a ValueError that names it.
     """
     t, k = np.asarray(t, dtype=float), np.array([params.k])  # ModelParams are finite
-    fields = _blockwise(lambda t, *out: _coefficients(k, params.g * t, *out),
-                        (complex,) * 3 + (float,) * 6, t=t)
+
+    def body(t, *out):  # g t per block, so no grid-sized temporary
+        with np.errstate(over="ignore"):
+            gt = params.g * t
+        if not np.isfinite(gt).all():
+            raise ValueError(f"g t = {params.g} * t overflows at t = {t[~np.isfinite(gt)][0]}")
+        _coefficients(k, gt, *out)
+
+    fields = _blockwise(body, (complex,) * 3 + (float,) * 6, t=t)
     if t.ndim == 0:
         return AnalyticSolution(float(t), *map(complex, fields[:3]), *map(float, fields[3:]))
     return AnalyticSolution(t, *fields)
@@ -236,15 +244,13 @@ def unitarity_residuals(c: WeiNormanCoefficients):
 def _residuals(ap, am, a0, r1, r2, r3):
     ap, am, a0 = np.broadcast_arrays(ap, am, a0)
     tan = np.tan(a0.imag)
-    det = np.square(1.0 + 1j * tan)  # exp(2 A0) = det exp(2 Re A0) / (1 + tan^2 Im A0)
-    det *= np.exp(2.0 * a0.real) / np.add(np.square(tan, out=tan), 1.0, out=tan)
+    # exp(2 A0) = (1 + i tan)^2 exp(2 Re A0) / (1 + tan^2 Im A0); products out of place
+    det = np.square(1.0 + 1j * tan) * (np.exp(2.0 * a0.real) / (1.0 + np.square(tan)))
     det -= np.multiply(am, ap)
     # r1 = |conj(A+) D + A-| / |D| and r2 = |conj(A-) D + A+| / |D|
-    num, mod_d = np.empty_like(det), np.abs(det, out=tan)
+    mod_d = np.abs(det, out=tan)
     for a, b, r in ((ap, am, r1), (am, ap, r2)):
-        np.abs(np.add(np.multiply(np.conj(a, out=num), det, out=num), b, out=num), out=r)
-        r /= mod_d
-    del num, det
+        np.divide(np.abs(np.conj(a) * det + b), mod_d, out=r)
     m = np.abs(am)
     np.subtract(1.0, np.square(m, out=m), out=m)
     with np.errstate(divide="ignore", over="ignore"):

@@ -15,7 +15,7 @@ from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
                              vacuum_norm, vacuum_prob)
 from ndpa.model import HarmonicPump, ModelParams
 from ndpa.oracle import OracleConfig, evolve_truncated, fock_state, oracle_probability
-from ndpa.weinorman import derived_scalars, solve_analytic
+from ndpa.weinorman import solve_analytic
 
 
 def params_for(k2, g=1.0):
@@ -62,24 +62,22 @@ def test_large_fock_distributions_sum_to_one_and_match_the_oracle():
 
 def test_vacuum_prob_matches_amplitude():
     c = solve_analytic(params_for(0.5), 1.7)
-    d = derived_scalars(params_for(0.5), 1.7)
     for n in range(5):
         amp = fock_amplitude(c, FockPair(0, 0), FockOutcome(n, n))
-        assert vacuum_prob(d, n) == pytest.approx(abs(amp) ** 2, rel=1e-10)
+        assert vacuum_prob(c, n) == pytest.approx(abs(amp) ** 2, rel=1e-10)
 
 
 def test_fock11_prob_matches_amplitude():
     for k2, t in [(0.5, 1.3), (1.0, 2.0), (1.5, 0.8)]:
         c = solve_analytic(params_for(k2), t)
-        d = derived_scalars(params_for(k2), t)
         for n in range(5):
             amp = fock_amplitude(c, FockPair(1, 1), FockOutcome(n, n))
-            assert fock11_prob(d, n) == pytest.approx(abs(amp) ** 2,
+            assert fock11_prob(c, n) == pytest.approx(abs(amp) ** 2,
                                                       rel=1e-9, abs=1e-13)
 
 
 def test_fock11_prob_initial_value():
-    d = derived_scalars(params_for(1.5), 0.0)
+    d = solve_analytic(params_for(1.5), 0.0)
     assert fock11_prob(d, 1) == pytest.approx(1.0)
     assert fock11_prob(d, 0) == 0.0
     assert fock11_prob(d, 3) == 0.0
@@ -88,13 +86,13 @@ def test_fock11_prob_initial_value():
 def test_fock11_revival():
     t_rev = math.pi * math.sqrt(2.0)
     for t in (t_rev, 2.0 * t_rev):
-        d = derived_scalars(params_for(1.5), t)
+        d = solve_analytic(params_for(1.5), t)
         assert fock11_prob(d, 1) == pytest.approx(1.0, abs=1e-8)
         assert fock11_prob(d, 3) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_fock11_decay_below_threshold():
-    d = derived_scalars(params_for(0.5), 8.0)
+    d = solve_analytic(params_for(0.5), 8.0)
     assert fock11_prob(d, 1) <= 1e-3
 
 
@@ -104,7 +102,7 @@ def test_amode_prob_phase_independent():
     shifted = PureAModeState(probs=psi.probs,
                              phases=tuple(rng.uniform(0, 2 * np.pi,
                                                       len(psi.phases))))
-    d = derived_scalars(params_for(1.5), 1.1)
+    d = solve_analytic(params_for(1.5), 1.1)
     for m, n in [(0, 0), (1, 2), (2, 5)]:
         assert amode_prob(d, psi, FockOutcome(m, n)) == \
             amode_prob(d, shifted, FockOutcome(m, n))
@@ -112,7 +110,7 @@ def test_amode_prob_phase_independent():
 
 def test_amode_prob_vacuum_reduction():
     psi = PureAModeState(probs=(1.0,), phases=(0.0,))
-    d = derived_scalars(params_for(0.5), 1.4)
+    d = solve_analytic(params_for(0.5), 1.4)
     for n in range(4):
         assert amode_prob(d, psi, FockOutcome(n, n)) == \
             pytest.approx(vacuum_prob(d, n), rel=1e-12)
@@ -126,7 +124,7 @@ def test_poisson_peak_value():
     psi = PureAModeState.poisson(alpha)
     params = params_for(1.5)
     ts = np.linspace(1e-3, 20.0, 8000)
-    best = max(amode_prob(derived_scalars(params, t), psi, FockOutcome(1, 2))
+    best = max(amode_prob(solve_analytic(params, t), psi, FockOutcome(1, 2))
                for t in ts)
     expected = 8.0 * alpha ** 2 * math.exp(-alpha ** 2) / 27.0
     assert best == pytest.approx(expected, abs=1e-4)
@@ -135,7 +133,7 @@ def test_poisson_peak_value():
 
 def test_reduced_densities_are_marginals():
     psi = PureAModeState.poisson(0.85)
-    d = derived_scalars(params_for(1.5), 1.3)
+    d = solve_analytic(params_for(1.5), 1.3)
     for m in range(4):
         direct = sum(amode_prob(d, psi, FockOutcome(m, n))
                      for n in range(m, m + len(psi.probs)))
@@ -150,12 +148,12 @@ def test_thermal_ratio_below_threshold():
     # for large gt below threshold the vacuum marginal becomes thermal
     params = params_for(0.5)
     t = 20.0 / math.sqrt(0.5)
-    d = derived_scalars(params, t)
+    d = solve_analytic(params, t)
     p1 = math.exp(1 * d.log_y - d.log_x)
     p2 = math.exp(2 * d.log_y - d.log_x)
     assert p2 / p1 == pytest.approx(d.y, rel=1e-6)
     # temperature checked at a moderate time where y is still below 1
-    d = derived_scalars(params, 10.0 / math.sqrt(0.5))
+    d = solve_analytic(params, 10.0 / math.sqrt(0.5))
     temp = effective_temperature(d.y, params.omega_a)
     assert temp > 0
     assert math.exp(-params.omega_a / temp) == pytest.approx(d.y, rel=1e-12)
@@ -202,15 +200,14 @@ def test_coherent_mean_numbers_difference_conserved():
     diff0 = abs(pair.alpha) ** 2 - abs(pair.beta) ** 2
     for t in (0.5, 1.5, 3.0):
         c = solve_analytic(params_for(1.5), t)
-        d = derived_scalars(params_for(1.5), t)
-        mean_a, mean_b = coherent_mean_numbers(c, d, pair)
+        mean_a, mean_b = coherent_mean_numbers(c, c, pair)
         assert mean_a - mean_b == pytest.approx(diff0, abs=1e-10)
 
 
 @pytest.mark.parametrize("k2", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize("gt", [0.0, 1.0, 3.0, 6.0])
 def test_normalization_certified(k2, gt):
-    d = derived_scalars(params_for(k2), gt)
+    d = solve_analytic(params_for(k2), gt)
     assert vacuum_norm(d) == pytest.approx(1.0, abs=1e-8)
     assert fock11_norm(d) == pytest.approx(1.0, abs=1e-8)
     psi = PureAModeState.poisson(0.85)
@@ -220,7 +217,7 @@ def test_normalization_certified(k2, gt):
 def test_normalization_deep_sub_log_domain():
     params = params_for(0.5)
     t = 30.0 / math.sqrt(0.5)
-    d = derived_scalars(params, t)
+    d = solve_analytic(params, t)
     assert vacuum_norm(d) == pytest.approx(1.0, abs=1e-8)
     assert fock11_norm(d) == pytest.approx(1.0, abs=1e-8)
 
@@ -228,7 +225,7 @@ def test_normalization_deep_sub_log_domain():
 @pytest.mark.parametrize("gt", [8.0, 12.0, 30.0 / math.sqrt(0.5)])
 def test_amode_norm_deep_below_threshold_stays_small(gt):
     # 1 - y <= 2.5e-5 here: no source certifies within 2e6 terms
-    d = derived_scalars(params_for(0.5), gt)
+    d = solve_analytic(params_for(0.5), gt)
     psi = PureAModeState.poisson(0.85)
     tracemalloc.start()
     try:
@@ -243,7 +240,7 @@ def test_amode_norm_deep_below_threshold_stays_small(gt):
 def test_certified_sums_stay_small_at_a_million_terms():
     # 1 - y = 1.0e-4 here: each line needs some 10^5 to 10^6 terms, which
     # are summed a fixed-size chunk at a time (56.6 to 113 MiB in one piece)
-    d = derived_scalars(params_for(0.5), 7.0)
+    d = solve_analytic(params_for(0.5), 7.0)
     psi = PureAModeState.poisson(0.85)
     for norm in (lambda: vacuum_norm(d), lambda: fock11_norm(d), lambda: amode_norm(d, psi)):
         tracemalloc.start()
@@ -261,7 +258,7 @@ def test_amode_norm_of_a_wide_source_matches_its_closed_form():
     # out whole, and each line sums only where its terms are above the budget.
     # Each line |l, 0> sums to (x (1 - y))^-(l+1) over all outcomes, which is
     # 1 + O(l eps) on the doubles x, y: evaluated here at 30 digits
-    d = derived_scalars(params_for(1.5), 1.0)
+    d = solve_analytic(params_for(1.5), 1.0)
     psi = PureAModeState.poisson(100)
     with mpmath.workdps(30):
         rate = mpmath.mpf(d.log_x) + mpmath.log(1 - mpmath.exp(mpmath.mpf(d.log_y)))
@@ -275,7 +272,7 @@ def test_amode_norm_of_a_wide_source_matches_its_closed_form():
 
 @pytest.mark.parametrize("k2, gt", [(0.5, 6.0), (1.0, 6.0), (1.5, 3.0)])
 def test_diagonal_norms_are_their_outcome_sums(k2, gt):
-    d = derived_scalars(params_for(k2), gt)
+    d = solve_analytic(params_for(k2), gt)
     n = np.arange(2 ** 18)
     assert vacuum_norm(d) == pytest.approx(vacuum_prob(d, n).sum(), abs=1e-12)
     assert fock11_norm(d) == pytest.approx(fock11_prob(d, n).sum(), abs=1e-12)
@@ -283,7 +280,7 @@ def test_diagonal_norms_are_their_outcome_sums(k2, gt):
 
 @pytest.mark.parametrize("k2", [0.5, 1.5])
 def test_amode_norm_is_its_outcome_sum(k2):
-    d = derived_scalars(params_for(k2), 1.0)
+    d = solve_analytic(params_for(k2), 1.0)
     psi = PureAModeState.poisson(0.85)
     direct = sum(amode_prob(d, psi, FockOutcome(m, n)) for m in range(256)
                  for n in range(m, m + len(psi.probs)))
@@ -324,7 +321,7 @@ def test_fock_labels_refuse_non_integer_occupations(cls):
     (lambda d, psi, v: FockOutcome(v, 1), "m", np.array([0.0, 1.0])),
 ])
 def test_occupations_refuse_anything_but_non_negative_integers(call, name, bad):
-    d = derived_scalars(params_for(1.5), 1.0)
+    d = solve_analytic(params_for(1.5), 1.0)
     psi = PureAModeState.poisson(0.85)
     message = f"occupation {name} must be a non-negative integer, got {re.escape(repr(bad))}"
     with pytest.raises(ValueError, match=message):
@@ -332,7 +329,7 @@ def test_occupations_refuse_anything_but_non_negative_integers(call, name, bad):
 
 
 def test_integer_arrays_are_occupations():
-    d = derived_scalars(params_for(1.5), 1.0)
+    d = solve_analytic(params_for(1.5), 1.0)
     n = np.array([0, 3, 7], dtype=np.int32)
     np.testing.assert_allclose(vacuum_prob(d, n), [vacuum_prob(d, int(v)) for v in n],
                                rtol=1e-14)

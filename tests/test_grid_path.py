@@ -5,7 +5,8 @@ grid time, what its scalar call gives there.  Helpers of the derived
 scalars (x, y, n0) do the same real arithmetic either way and must agree
 exactly.  Helpers of the complex coefficients use Python's complex
 arithmetic for a scalar and numpy's for a grid, which round differently,
-so they agree to a relative and absolute 1e-12.
+so they agree to a relative and absolute 1e-12.  The coefficients
+themselves, and their unitarity residuals, agree exactly.
 """
 
 import math
@@ -19,7 +20,7 @@ from ndpa import (CoherentPair, FockOutcome, FockPair, ModelParams,
                   cross_correlation_general, fock11_prob,
                   fock_amplitude, mandel_q_coherent, mandel_q_fock,
                   second_moments, snr_eta_coherent, snr_rho_fock,
-                  solve_analytic, squeezing_kernel, vacuum_prob)
+                  solve_analytic, squeezing_kernel, unitarity_residuals, vacuum_prob)
 
 TIMES = np.linspace(0.0, 3.0, 31)  # includes gt = 0
 K2S = (0.5, 1.0, 1.5)  # below, at and above threshold
@@ -80,6 +81,20 @@ def test_probabilities(k2):
         assert all(type(v) is complex for v in amps)
         np.testing.assert_allclose(fock_amplitude(s, initial, outcome), amps,
                                    rtol=COMPLEX_TOL, atol=COMPLEX_TOL)
+
+
+@pytest.mark.parametrize("k2", K2S)
+def test_coefficients_and_residuals(k2):
+    # exact: every complex product is formed out of place, so a lone time
+    # rounds as it does inside a grid (A+ and r1, r2 once differed in the last bit)
+    params = params_for(k2)
+    s = on_grid(params)
+    points = at_points(params)
+    for name in ("a_plus", "a_minus", "a_zero"):
+        np.testing.assert_array_equal(getattr(s, name), [getattr(sp, name) for sp in points])
+    residuals = [unitarity_residuals(sp) for sp in points]
+    for i, grid_r in enumerate(unitarity_residuals(s)):
+        np.testing.assert_array_equal(grid_r, [r[i] for r in residuals])
 
 
 @pytest.mark.parametrize("k2", K2S)

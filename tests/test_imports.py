@@ -120,3 +120,13 @@ print(json.dumps(loaded))
     assert loaded["coherent_state"] == []
     assert "scipy.linalg" in loaded["oracle-check"]
     assert not {"scipy.special", "scipy.integrate"} & set(loaded["oracle-check"])
+
+
+def test_model_and_its_state_types_load_no_scipy():
+    loaded = run_fresh("""
+import json, sys
+import ndpa.model as m
+m.FockPair(2, 1), m.FockOutcome(1, 0), m.CoherentPair(0.5, 1j), m.PureAModeState.poisson(0.85)
+print(json.dumps(sorted(k for k in sys.modules if k.split(".")[0] == "scipy")))
+""")
+    assert loaded == []

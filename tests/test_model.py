@@ -169,3 +169,11 @@ def test_coherent_revival_params():
 
     with pytest.raises(ValueError):
         coherent_revival_params(3, 3)
+
+
+def test_state_types_are_defined_once():
+    import ndpa
+    import ndpa.amplitudes
+    import ndpa.model
+    for name in ("FockPair", "FockOutcome", "CoherentPair", "PureAModeState"):
+        assert getattr(ndpa.amplitudes, name) is getattr(ndpa.model, name) is getattr(ndpa, name)

@@ -15,8 +15,7 @@ from ndpa.observables import (asymptotic_minima_period,
                               snr_eta_coherent, snr_rho_extrema, snr_rho_fock,
                               snr_rho_limit, snr_rho_min_value,
                               squeezing_extrema, squeezing_kernel)
-from ndpa.weinorman import (bogoliubov_pair, coefficients, derived_scalars,
-                            solve_analytic)
+from ndpa.weinorman import bogoliubov_pair, coefficients, solve_analytic
 
 
 def params_for(k2, g=1.0):
@@ -49,19 +48,19 @@ def test_bogoliubov_pair_zero_detuning():
 
 def test_mean_photon_fock():
     params = params_for(1.5)
-    d0 = derived_scalars(params, 0.0)
+    d0 = solve_analytic(params, 0.0)
     assert mean_photon_fock(d0, FockPair(2, 5)) == (2.0, 5.0)
-    d = derived_scalars(params, 1.0)
+    d = solve_analytic(params, 1.0)
     ma, mb = mean_photon_fock(d, FockPair(2, 0))
     assert ma == pytest.approx(2.0 + 3.0 * d.n0)
     assert ma - mb == pytest.approx(2.0)
     # cross-check against the moment engine
-    tab = second_moments(FockPair(2, 0), solve_analytic(params, 1.0))
+    tab = second_moments(FockPair(2, 0), d)
     assert ma == pytest.approx(tab.mean_a, rel=1e-10)
 
 
 def test_mandel_q_fock_limits():
-    d0 = derived_scalars(params_for(1.5), 0.0)
+    d0 = solve_analytic(params_for(1.5), 0.0)
     assert mandel_q_fock(d0, FockPair(2, 3)) == -1.0
     assert mandel_q_fock(d0, FockPair(0, 3)) == 0.0
 
@@ -96,9 +95,8 @@ def test_mandel_q_max_formula_r1():
 def test_mandel_q_coherent_matches_fock_vacuum_limit():
     params = params_for(1.5)
     c = solve_analytic(params, 1.2)
-    d = derived_scalars(params, 1.2)
     q_coh = mandel_q_coherent(second_moments(CoherentPair(0.0, 0.0), c))
-    assert q_coh == pytest.approx(mandel_q_fock(d, FockPair(0, 0)), rel=1e-9)
+    assert q_coh == pytest.approx(mandel_q_fock(c, FockPair(0, 0)), rel=1e-9)
     # coherent light is Poissonian at t=0
     c0 = solve_analytic(params, 0.0)
     assert mandel_q_coherent(second_moments(CoherentPair(2.0, 1.0), c0)) == \
@@ -115,7 +113,7 @@ def test_correlation_equal_occupation_is_minus_one():
         for k2 in (0.5, 1.5):
             params = params_for(k2)
             for t in (0.3, 1.1, 2.7):
-                d = derived_scalars(params, t)
+                d = solve_analytic(params, t)
                 _, big_f = cross_correlation_fock(d, FockPair(r, r))
                 assert big_f == pytest.approx(-1.0, abs=1e-10)
 
@@ -124,7 +122,7 @@ def test_correlation_s0_nonpositive():
     params = params_for(1.5)
     for r in (1, 5, 50):
         for t in np.linspace(0.05, 8.0, 80):
-            d = derived_scalars(params, t)
+            d = solve_analytic(params, t)
             f_val, _ = cross_correlation_fock(d, FockPair(r, 0))
             assert f_val <= 1e-10
 
@@ -132,7 +130,7 @@ def test_correlation_s0_nonpositive():
 def test_correlation_positive_excursion_50_10():
     params = params_for(0.5)
     ts = np.linspace(0.1, 1.3, 400)
-    big_f = [cross_correlation_fock(derived_scalars(params, t),
+    big_f = [cross_correlation_fock(solve_analytic(params, t),
                                     FockPair(50, 10))[1] for t in ts]
     assert max(big_f) > 0.0
 
@@ -143,15 +141,15 @@ def test_correlation_closed_form_vs_moments():
         params = params_for(rng.uniform(0.1, 2.5))
         t = rng.uniform(0.05, 3.0)
         f = FockPair(int(rng.integers(0, 6)), int(rng.integers(0, 6)))
-        d = derived_scalars(params, t)
-        tab = second_moments(f, solve_analytic(params, t))
+        d = solve_analytic(params, t)
+        tab = second_moments(f, d)
         f_closed, _ = cross_correlation_fock(d, f)
         f_moments, _ = cross_correlation_general(tab)
         assert f_closed == pytest.approx(f_moments, abs=1e-9)
 
 
 def test_correlation_undefined_normalization_at_t0():
-    d0 = derived_scalars(params_for(1.5), 0.0)
+    d0 = solve_analytic(params_for(1.5), 0.0)
     f_val, big_f = cross_correlation_fock(d0, FockPair(1, 0))
     assert math.isnan(big_f)
     assert f_val == 0.0
@@ -159,8 +157,8 @@ def test_correlation_undefined_normalization_at_t0():
 
 def test_correlation_vacuum_consistency():
     params = params_for(1.2)
-    d = derived_scalars(params, 1.4)
-    tab = second_moments(FockPair(0, 0), solve_analytic(params, 1.4))
+    d = solve_analytic(params, 1.4)
+    tab = second_moments(FockPair(0, 0), d)
     assert cross_correlation_general(tab)[0] == pytest.approx(
         cross_correlation_fock(d, FockPair(0, 0))[0], abs=1e-10)
 
@@ -301,7 +299,7 @@ def test_variance_moment_engine_agreement():
 
 
 def test_rho_sentinels():
-    d0 = derived_scalars(params_for(1.5), 0.0)
+    d0 = solve_analytic(params_for(1.5), 0.0)
     assert snr_rho_fock(d0, FockPair(2, 1)) == math.inf
     assert snr_rho_fock(d0, FockPair(0, 1)) == 0.0
 
@@ -315,7 +313,7 @@ def test_rho_min_value_needs_both_modes_occupied(r, s):
 def test_rho_asymptotic_limit():
     params = params_for(0.5)
     t = 25.0 / (math.sqrt(0.5))
-    d = derived_scalars(params, t)
+    d = solve_analytic(params, t)
     rho = snr_rho_fock(d, FockPair(100, 1))
     assert rho == pytest.approx(snr_rho_limit(FockPair(100, 1)), abs=1e-3)
     assert snr_rho_limit(FockPair(100, 1)) == pytest.approx(
@@ -332,7 +330,7 @@ def test_rho_global_minimum_independent_of_detuning(k2):
     expected = 2.0 * math.sqrt(101.0 / 302.0)
     for e in minima:
         assert e.value == pytest.approx(expected, abs=1e-9)
-        d = derived_scalars(params, e.time)
+        d = solve_analytic(params, e.time)
         assert snr_rho_fock(d, f) == pytest.approx(expected, abs=1e-7)
 
 
@@ -384,8 +382,7 @@ def test_rho_extrema_against_grid():
 def test_eta_initial_value_and_bound():
     params = params_for(1.5)
     c0 = solve_analytic(params, 0.0)
-    d0 = derived_scalars(params, 0.0)
-    rep = snr_eta_coherent(c0, d0, CoherentPair(1.3, 0.4j))
+    rep = snr_eta_coherent(c0, c0, CoherentPair(1.3, 0.4j))
     assert rep.eta == pytest.approx(4.0 * 1.3 ** 2)
     assert rep.yuen_bound == pytest.approx(4.0 * 1.3 ** 2 * (1.3 ** 2 + 1.0))
 
@@ -398,14 +395,13 @@ def test_eta_matches_moment_engine():
         pair = CoherentPair(complex(rng.normal(), rng.normal()),
                             complex(rng.normal(), rng.normal()))
         c = solve_analytic(params, t)
-        d = derived_scalars(params, t)
         tab = second_moments(pair, c)
         mean_x = (tab.expect(0, 1, 0, 0)
                   + tab.expect(1, 0, 0, 0)).real / math.sqrt(2.0)
         x2 = ((tab.expect(0, 2, 0, 0) + tab.expect(2, 0, 0, 0)
                + 2.0 * tab.expect(1, 1, 0, 0) + 1.0) / 2.0).real
         var = x2 - mean_x * mean_x
-        rep = snr_eta_coherent(c, d, pair)
+        rep = snr_eta_coherent(c, c, pair)
         assert rep.eta == pytest.approx(mean_x ** 2 / var, abs=1e-10)
 
 
@@ -415,8 +411,8 @@ def test_eta_yuen_bound_holds():
     best = 0.0
     bound_at_best = 0.0
     for t in np.linspace(1e-3, 14.0, 7000):
-        rep = snr_eta_coherent(solve_analytic(params, t),
-                               derived_scalars(params, t), pair)
+        s = solve_analytic(params, t)
+        rep = snr_eta_coherent(s, s, pair)
         assert rep.eta <= rep.yuen_bound + 1e-9
         if rep.eta > best:
             best, bound_at_best = rep.eta, rep.yuen_bound
@@ -453,6 +449,6 @@ def test_unstable_regime_exponential_growth():
     params = ModelParams(omega_a=1.0, omega_b=1.0, g=3.0, omega=2.0)
     assert not instantaneous_diagonalization(params).stable
     rate = 2.0 * params.g * math.sqrt(1.0 - params.k2)
-    d1 = derived_scalars(params, 4.0)
-    d2 = derived_scalars(params, 5.0)
+    d1 = solve_analytic(params, 4.0)
+    d2 = solve_analytic(params, 5.0)
     assert d2.log_n0 - d1.log_n0 == pytest.approx(rate, rel=1e-6)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +19,7 @@ from ndpa.oracle import (IntegrationError, OracleConfig, TruncationError, _pair_
                          amode_state, coherent_state, edge_mass,
                          evolve_converged, evolve_truncated, fock_state,
                          oracle_moment, oracle_probability)
-from ndpa.weinorman import derived_scalars, solve_analytic, solve_ode
+from ndpa.weinorman import solve_analytic, solve_ode
 
 
 def params_for(k2):
@@ -339,7 +341,7 @@ def test_matches_vacuum_closed_form():
     t = 1.5
     out = evolve_truncated(pump_for(params), params, fock_state(48, 0, 0), t,
                            OracleConfig(cutoff=48, tol=1e-12))
-    d = derived_scalars(params, t)
+    d = solve_analytic(params, t)
     for n in range(6):
         assert oracle_probability(out, n, n) == pytest.approx(
             vacuum_prob(d, n), abs=1e-10)
@@ -366,7 +368,7 @@ def test_matches_amode_closed_form():
     out = evolve_truncated(pump_for(params), params,
                            amode_state(64, psi.probs, psi.phases), t,
                            OracleConfig(cutoff=64, tol=1e-12))
-    d = derived_scalars(params, t)
+    d = solve_analytic(params, t)
     for m, n in [(0, 0), (1, 2), (0, 3), (2, 2)]:
         assert oracle_probability(out, m, n) == pytest.approx(
             amode_prob(d, psi, FockOutcome(m, n)), abs=1e-9)
@@ -397,7 +399,7 @@ def test_reduced_densities_match_oracle_marginals(k2, t):
     oracle_values = _at_doubled_cutoffs(
         params, lambda cutoff: amode_state(cutoff, psi.probs, psi.phases), t,
         marginals)
-    d = derived_scalars(params, t)
+    d = solve_analytic(params, t)
     closed = [reduced_density_a(d, psi, n) for n in range(8)] \
         + [reduced_density_b(d, psi, m) for m in range(8)]
     assert np.max(np.abs(np.array(closed) - oracle_values)) < 1e-12
@@ -438,7 +440,7 @@ def test_doubling_convergence():
         pump, params, lambda c: fock_state(c, 1, 1), t,
         lambda s: oracle_probability(s, 1, 1),
         OracleConfig(cutoff=16, tol=1e-11))
-    d = derived_scalars(params, t)
+    d = solve_analytic(params, t)
     assert value == pytest.approx(fock11_prob(d, 1), abs=1e-9)
     assert cutoff >= 32
 
@@ -521,3 +523,63 @@ def test_amode_state_refuses_non_finite_entries():
         amode_state(8, [math.nan, 1.0])
     with pytest.raises(ValueError, match=r"phases\[1\] = -inf is not finite"):
         amode_state(8, [0.5, 0.5], [0.0, -math.inf])
+
+
+@pytest.mark.parametrize("build, shown", [
+    (lambda: fock_state(16, True, 1), "got True"),  # vec[True] = 1 filled the whole block
+    (lambda: fock_state(16, 2.5, 1), "got 2.5"),
+    (lambda: coherent_state(16, math.nan, 0.5), "got nan"),
+    (lambda: coherent_state(16, math.inf, 0.5), "got inf"),
+    (lambda: amode_state(16, [0.5, 0.7]), "got 1.2"),
+    (lambda: amode_state(16, [1.5, -0.5]), r"probs\[1\] = -0.5"),
+])
+def test_starts_refuse_bad_input_naming_it(build, shown):
+    # every start validates through FockPair, CoherentPair or PureAModeState
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=shown):
+            build()
+
+
+@pytest.mark.parametrize("alpha", [40.0, 1e100])
+def test_start_with_no_weight_inside_its_cutoff_is_empty(alpha):
+    # 40: every block weighs under 1e-16; 1e100: every amplitude underflows to 0
+    start = coherent_state(56, alpha, 0.0)
+    assert start.blocks == {} and start.norm_deficit == 1.0
+    params = params_for(1.5)
+    with pytest.raises(TruncationError, match="initial norm deficit"):
+        evolve_truncated(pump_for(params), params, start, 1.0)
+
+
+@pytest.mark.parametrize("cutoff, r, s", [(8, 0, 0), (24, 2, 1), (8, 1, 1), (16, 1, 1),
+                                          (32, 1, 1), (64, 1, 1), (118, 2, 1), (4096, 1, 1)])
+def test_fock_start_is_one_unit_block(cutoff, r, s):
+    # the benchmark's Fock starts: block q = r - s alone, 1 at j = min(r, s)
+    want = np.zeros(cutoff + 1 - abs(r - s), dtype=complex)
+    want[min(r, s)] = 1.0
+    start = fock_state(cutoff, r, s)
+    assert list(start.blocks) == [r - s] and start.norm_deficit == 0.0
+    assert start.blocks[r - s].tobytes() == want.tobytes()
+
+
+def test_fock_start_memory_is_linear_in_the_cutoff():
+    tracemalloc.start()
+    try:
+        fock_state(4096, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # a dense (cutoff + 1)^2 product would take 268 MB
+
+
+def test_amode_start_drops_blocks_by_the_one_weight_rule():
+    psi = PureAModeState.poisson(0.85)
+    start = amode_state(64, psi.probs, psi.phases)
+    kept = [s for s, p in enumerate(psi.probs) if p > 1e-16]
+    assert list(start.blocks) == kept and len(kept) < len(psi.probs)
+    for s in kept:  # |s>_a |0>_b: block q = s, j = 0
+        want = np.zeros(65 - s, dtype=complex)
+        want[0] = math.sqrt(psi.probs[s]) * cmath.exp(1j * psi.phases[s])
+        np.testing.assert_allclose(start.blocks[s], want, rtol=1e-15, atol=0.0)
+    assert start.norm_deficit <= 1e-15
+    assert amode_state(8, [0.25, 0.75]).amplitude(1, 0) == math.sqrt(0.75)  # phases=None: 0

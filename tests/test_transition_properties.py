@@ -23,8 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndpa import (FockOutcome, FockPair, ModelParams, derived_scalars,
-                  fock_amplitude, solve_analytic)
+from ndpa import FockOutcome, FockPair, ModelParams, fock_amplitude, solve_analytic
 from ndpa.amplitudes import _transition
 
 K2 = st.one_of(st.floats(0.2, 0.95), st.just(1.0), st.floats(1.05, 3.0))
@@ -61,10 +60,10 @@ def amplitude_mp(c, r, s, m, n):
 def test_outcome_probabilities_sum_to_one(r, s, k2, n0):
     params = params_for(k2)
     gt = gt_for(k2, n0)
-    c, d = solve_analytic(params, gt), derived_scalars(params, gt)
+    c = solve_analytic(params, gt)
     # past three times the mean <n_a> = r + n0 (r + s + 1), the outcome
     # probabilities fall off like y^n; 60 / log(1/y) more terms cover that
-    levels = int(3.0 * (r + d.n0 * (r + s + 1)) - 60.0 / d.log_y) + 1
+    levels = int(3.0 * (r + c.n0 * (r + s + 1)) - 60.0 / c.log_y) + 1
     q = r - s
     n = np.arange(max(q, 0), max(q, 0) + levels)
     sampled = np.random.default_rng([r, s]).choice(n, size=min(20, n.size), replace=False)

@@ -106,7 +106,7 @@ def test_scalars_identities():
 
 
 def test_scalars_log_domain_deep_sub():
-    d = derived_scalars(params_for(0.5), 600.0)
+    d = solve_analytic(params_for(0.5), 600.0)
     assert math.isinf(d.x)
     tau = 600.0 * math.sqrt(0.5)
     expected = 2.0 * (tau - math.log(2.0)) - math.log(0.5)
@@ -125,7 +125,7 @@ def test_scalars_super_regime_bounds():
 
 
 def test_critical_scalars():
-    d = derived_scalars(params_for(1.0), 2.0)
+    d = solve_analytic(params_for(1.0), 2.0)
     assert d.n0 == pytest.approx(4.0, rel=1e-12)
     assert d.x == pytest.approx(5.0, rel=1e-12)
 
@@ -286,8 +286,9 @@ def test_coefficients_agree_with_scalars_where_x_overflows():
 @pytest.mark.parametrize("k, gt", [(0.0, 360.0), (0.5, 900.0)])
 def test_residuals_defined_where_x_overflows(k, gt):
     params = params_for(k * k)
-    r1, r2, r3 = unitarity_residuals(solve_analytic(params, gt))
-    assert derived_scalars(params, gt).x == math.inf
+    s = solve_analytic(params, gt)
+    r1, r2, r3 = unitarity_residuals(s)
+    assert s.x == math.inf
     assert r1 <= 1e-12 and r2 <= 1e-12
     assert not math.isnan(r3)  # r3 <= 64 eps x holds with x = inf
 
@@ -381,6 +382,18 @@ def test_grids_refuse_non_finite_input(call, shown):
     # nan k fell into neither regime mask and read as threshold: scalars(nan, 1) gave n0 = 1
     with pytest.raises(ValueError, match=shown + " is not finite"):
         call()
+
+
+def test_solve_analytic_refuses_a_time_whose_gt_overflows():
+    # g t = 10 * 1e308 is inf: nan coefficients after overflow warnings, before
+    params = ModelParams.from_k2(0.5, g=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"overflows at t = 1e\+308"):
+            solve_analytic(params, 1e308)
+        with pytest.raises(ValueError, match=r"overflows at t = -1e\+308"):
+            solve_analytic(params, np.array([0.0, 1.0, -1e308]))
+    assert solve_analytic(params, 1e307).t == 1e307  # g t = 1e308 is finite
 
 
 def _row_by_row(fn, *inputs):
