@@ -229,6 +229,9 @@ class CoherentPair:
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            modulus = math.hypot(value.real, value.imag)
+            if not math.isfinite(modulus * modulus):  # |alpha|^2 enters every closed form
+                raise ValueError(f"|{name}|^2 must be finite, got {name} = {value!r}")
 
 
 POISSON_MAX_ALPHA = 100.0

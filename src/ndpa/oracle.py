@@ -14,13 +14,16 @@ s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
 -W j, off-diagonal |g| sqrt((n_a+1)(n_b+1)), alike for q and -q), so with
 M = V diag(lam) V^T, found once per |q|, z(t) = S V exp(i lam t) V^T S^-1 z(0).
 Any other pump is integrated with DOP853 by ``_integrate``, the stretch loop
-that ``weinorman.solve_ode`` also runs on, here with all blocks zero-padded
-into one banded system.  It makes one solve per kink-free stretch, on which
-a tabulated pump is linear.  A tabulated stretch spans one sample interval,
-one step or a few, so its solve keeps its steps and the state is read off
-the last (``t_eval`` would build a dense output, 3 more RHS calls per step);
-any other solve keeps only its output states (``t_eval``).  Each spent
-solver is collected at once; a failed solve raises ``IntegrationError``.
+that ``weinorman.solve_ode`` also runs on, here with all blocks zero-padded to
+cutoff + 1 entries and raveled into one flat row.  One flat coefficient array
+serves K- and, one slot down, K+; it holds 0 at each block's last entry and in
+the padding, so no amplitude crosses a block edge.  It makes one solve per
+kink-free stretch, on which a tabulated pump is linear.  A tabulated stretch
+spans one sample interval, one step or a few, so its solve keeps its steps and
+the state is read off the last (``t_eval`` would build a dense output, 3 more
+RHS calls per step); any other solve keeps only its output states
+(``t_eval``).  Each spent solver is collected at once; a failed solve raises
+``IntegrationError``.
 
 A start is validated by ``model``'s state types and built by ``_product_state``, which
 drops each block of weight <= 1e-16 into ``norm_deficit`` and loads no scipy.  The
@@ -33,6 +36,7 @@ from __future__ import annotations
 import cmath
 import gc
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -67,10 +71,10 @@ class OracleConfig:
     tol: float = 1e-11
 
     def __post_init__(self):
-        if self.cutoff < 4:
-            raise ValueError("cutoff must be at least 4")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not isinstance(self.cutoff, numbers.Integral) or self.cutoff < 4:  # bools are < 4
+            raise ValueError(f"cutoff must be at least 4 and an integer, got {self.cutoff!r}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass
@@ -223,23 +227,22 @@ def _integrate(pump: PumpProfile, wsum: float, f, y0: np.ndarray, times, rtol, a
 
 
 def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, tol):
-    """All blocks as one zero-padded ODE system on the stretches of ``_integrate``."""
-    blocks, cutoff = initial.blocks, initial.cutoff
-    amp = np.zeros((len(blocks), cutoff))  # zero past each block's last pair
-    y = np.zeros((len(blocks), cutoff + 1), dtype=complex)
-    for row, (q, vec) in enumerate(blocks.items()):
-        amp[row, :vec.size - 1] = _pair_amplitudes(cutoff, q)
-        y[row, :vec.size] = vec
+    """All blocks as one flat ODE system (module docstring) on the stretches of ``_integrate``."""
+    up = np.zeros((len(initial.blocks), initial.cutoff + 1))  # <k| K- |k+1> = <k+1| K+ |k>
+    y = np.zeros_like(up, dtype=complex)
+    for row, (q, vec) in enumerate(initial.blocks.items()):
+        up[row, :vec.size - 1], y[row, :vec.size] = _pair_amplitudes(initial.cutoff, q), vec
+    up = up.ravel()[:-1]  # 0 at each block's last entry and in the padding
 
-    def rhs(gt, flat):
-        y = flat.reshape(amp.shape[0], cutoff + 1)
-        dy = np.zeros_like(y)
-        dy[:, :-1] = gt * amp * y[:, 1:]
-        dy[:, 1:] -= np.conj(gt) * amp * y[:, :-1]
-        return dy.ravel()
+    def rhs(gt, y):
+        dy = np.empty_like(y)
+        np.multiply(gt * up, y[1:], out=dy[:-1])
+        dy[-1] = 0
+        dy[1:] -= gt.conjugate() * up * y[:-1]
+        return dy
 
     y = _integrate(pump, wsum, rhs, y.ravel(), [float(t)], tol, tol * 1e-2)[-1].reshape(y.shape)
-    return {q: y[row, :vec.size].copy() for row, (q, vec) in enumerate(blocks.items())}
+    return {q: y[row, :vec.size].copy() for row, (q, vec) in enumerate(initial.blocks.items())}
 
 
 def evolve_truncated(pump: PumpProfile, params: ModelParams,
@@ -299,14 +302,12 @@ def edge_mass(state: TruncatedState) -> float:
 
     The blockwise generators are anti-Hermitian even after truncation, so
     the integrated norm is conserved exactly and norm_deficit alone cannot
-    flag an undersized cutoff; mass piling up at the edge can.
+    flag an undersized cutoff; mass piling up at the edge can.  Entry j of
+    block q has max(n_a, n_b) = j + |q| and the block ends at j = cutoff - |q|,
+    so the levels with max(n_a, n_b) >= cutoff - 2 are its last three entries
+    (all of a block shorter than three).
     """
-    total = 0.0
-    for q, vec in state.blocks.items():
-        na, nb = state.occupations(q)
-        near = (na >= state.cutoff - 2) | (nb >= state.cutoff - 2)
-        total += float(np.sum(np.abs(vec[near]) ** 2))
-    return total
+    return float(sum(np.vdot(v[-3:], v[-3:]).real for v in state.blocks.values()))
 
 
 def evolve_converged(pump: PumpProfile, params: ModelParams, make_initial,

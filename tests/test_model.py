@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ndpa.model import (CustomPump, HarmonicPump, ModelParams, ParityError,
+from ndpa.model import (CoherentPair, CustomPump, HarmonicPump, ModelParams, ParityError,
                         RegimeError, RegimeTag, TabulatedPump,
                         classify_regime, coherent_revival_params,
                         fock_revival_times)
@@ -177,3 +178,18 @@ def test_state_types_are_defined_once():
     import ndpa.model
     for name in ("FockPair", "FockOutcome", "CoherentPair", "PureAModeState"):
         assert getattr(ndpa.amplitudes, name) is getattr(ndpa.model, name) is getattr(ndpa, name)
+
+
+@pytest.mark.parametrize("alpha, beta, name, value", [
+    (1e300, 0.5, "alpha", "1e+300"),
+    (0.5, 2e154j, "beta", "2e+154j"),
+    (complex(1e200, -1e200), 0.0, "alpha", "(1e+200-1e+200j)"),
+    (np.complex128(1e160), 1.0, "alpha", "np.complex128(1e+160+0j)")])
+def test_coherent_pair_refuses_a_squared_modulus_past_the_float_range(alpha, beta, name, value):
+    from ndpa.oracle import coherent_state
+    message = re.escape(f"|{name}|^2 must be finite, got {name} = {value}")
+    with pytest.raises(ValueError, match=message):
+        CoherentPair(alpha, beta)
+    with pytest.raises(ValueError, match=message):
+        coherent_state(40, alpha, beta)
+    assert CoherentPair(1e154, 1e154j).alpha == 1e154  # |alpha|^2 = 1e308 is a float

@@ -1,11 +1,14 @@
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import ndpa
 from ndpa import oracle
@@ -253,6 +256,21 @@ def test_tabulated_stretch_builds_no_dense_output(monkeypatch):
     assert sum(nfev) == 13 * 100
 
 
+@pytest.mark.parametrize("start", [coherent_state(24, 0.8, 0.5 + 0.3j),  # 28 blocks, 10..25
+                                   coherent_state(28, 1.2, 0.3j)])  # 30 blocks, 9..29
+def test_flat_rhs_keeps_every_block_norm(start):
+    # the flat right-hand side couples each block's last entry to the next
+    # block's first with a zero coefficient; a leak would move a norm by ~1e-2
+    params = params_for(1.5)
+    cfg = OracleConfig(cutoff=start.cutoff, tol=1e-11)
+    for pump, t in ((_modulated_pump(params), 0.5), (CustomPump(fn=pump_for(params).value), 1.3)):
+        out = evolve_truncated(pump, params, start, t, cfg)
+        assert set(out.blocks) == set(start.blocks)
+        for q, vec in start.blocks.items():
+            drift = np.vdot(out.blocks[q], out.blocks[q]).real - np.vdot(vec, vec).real
+            assert abs(drift) < 1e-12, (pump, q)
+
+
 def test_tabulated_pump_evaluated_once(monkeypatch):
     params = params_for(1.5)
     tab = _modulated_pump(params)
@@ -478,6 +496,14 @@ def test_config_validation():
         OracleConfig(cutoff=2)
     with pytest.raises(ValueError):
         OracleConfig(tol=0.0)
+    for cutoff in (2, True, 8.5, 8.0, "8"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cutoff must be at least 4 and an integer, got {cutoff!r}")):
+            OracleConfig(cutoff=cutoff)
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol!r}"):
+            OracleConfig(tol=tol)
+    assert OracleConfig(cutoff=np.int64(8)).cutoff == 8
 
 
 def test_coherent_state_construction():
@@ -583,3 +609,38 @@ def test_amode_start_drops_blocks_by_the_one_weight_rule():
         np.testing.assert_allclose(start.blocks[s], want, rtol=1e-15, atol=0.0)
     assert start.norm_deficit <= 1e-15
     assert amode_state(8, [0.25, 0.75]).amplitude(1, 0) == math.sqrt(0.75)  # phases=None: 0
+
+
+@st.composite
+def _starts(draw):
+    """A Fock, coherent or a-mode start at a cutoff in 4..64 with norm deficit <= 1e-9."""
+    cutoff = draw(st.integers(4, 64))
+    kind = draw(st.sampled_from(["fock", "coherent", "amode"]))
+    if kind == "fock":
+        return fock_state(cutoff, draw(st.integers(0, cutoff)), draw(st.integers(0, cutoff)))
+    if kind == "amode":
+        weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=cutoff + 1)))
+        assume(weights.sum() > 0.1)
+        return amode_state(cutoff, weights / weights.sum())
+    alpha, beta = (draw(st.floats(0.0, 2.0)) * cmath.exp(1j * draw(st.floats(-3.2, 3.2)))
+                   for _ in "ab")
+    start = coherent_state(cutoff, alpha, beta)
+    assume(start.norm_deficit <= 1e-9)
+    return start
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(start=_starts(), k2=st.floats(0.2, 2.5), t=st.floats(0.05, 3.0))
+@example(start=fock_state(4, 4, 0), k2=1.5, t=1.0)  # |q| = cutoff: 1 entry
+@example(start=fock_state(9, 0, 8), k2=0.5, t=2.0)  # |q| = cutoff - 1: 2 entries
+@example(start=amode_state(6, [0.5, 0, 0, 0, 0, 0.25, 0.25]), k2=1.0, t=0.7)
+def test_edge_mass_is_the_mass_near_the_cutoff(start, k2, t):
+    # the definition: the mass on levels with max(n_a, n_b) >= cutoff - 2
+    params = params_for(k2)
+    state = evolve_truncated(pump_for(params), params, start, t,
+                             OracleConfig(cutoff=start.cutoff))
+    want = 0.0
+    for q, vec in state.blocks.items():
+        na, nb = state.occupations(q)
+        want += float(np.sum(np.abs(vec[np.maximum(na, nb) >= state.cutoff - 2]) ** 2))
+    assert edge_mass(state) == pytest.approx(want, rel=1e-15, abs=0.0)
