@@ -302,10 +302,12 @@ def coherent_mean_numbers(c: WeiNormanCoefficients, d: AnalyticSolution,
                           pair: CoherentPair) -> tuple[float, float]:
     """Mean photon numbers (mode a, mode b) for an initial coherent pair.
 
-    <a+(t) a(t)> = |<a(t)>|^2 + |v|^2 with <a(t)> = u alpha + v conj(beta).
+    <a+(t) a(t)> = |<a(t)>|^2 + |v|^2 with <a(t)> = u alpha + v conj(beta);
+    a mean past the float range is inf.
     """
     u, v = bogoliubov_pair(c)
-    mean_a = _real(np.abs(u * pair.alpha + v * np.conj(pair.beta)) ** 2 + d.n0)
+    with np.errstate(over="ignore"):
+        mean_a = _real(np.abs(u * pair.alpha + v * np.conj(pair.beta)) ** 2 + d.n0)
     return mean_a, mean_a + abs(pair.beta) ** 2 - abs(pair.alpha) ** 2
 
 

@@ -88,15 +88,12 @@ class RegimeTag(enum.Enum):
     SUPER = "super"
 
 
-def _regime_split(k2):
-    """(below, above) masks of k^2 outside the critical band 1 +- eps."""
-    return k2 < 1.0 - DEFAULT_REGIME_EPS, k2 > 1.0 + DEFAULT_REGIME_EPS
-
-
 def classify_regime(params: ModelParams) -> RegimeTag:
-    """Classify the dynamics by k^2 relative to the critical value 1."""
-    sub, sup = _regime_split(params.k2)
-    return RegimeTag.SUB if sub else RegimeTag.SUPER if sup else RegimeTag.CRITICAL
+    """Classify the dynamics by k^2 relative to the critical value 1, with the band
+    1 +- eps tagged critical (the closed forms split at k^2 = 1 exactly)."""
+    if params.k2 < 1.0 - DEFAULT_REGIME_EPS:
+        return RegimeTag.SUB
+    return RegimeTag.SUPER if params.k2 > 1.0 + DEFAULT_REGIME_EPS else RegimeTag.CRITICAL
 
 
 # -- pump profiles --------------------------------------------------------

@@ -13,22 +13,25 @@ z' = (-i W j + g K- - conj(g) K+) z is constant, and the gauge z_j = s^j w_j,
 s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
 -W j, off-diagonal |g| sqrt((n_a+1)(n_b+1)), alike for q and -q), so with
 M = V diag(lam) V^T, found once per |q|, z(t) = S V exp(i lam t) V^T S^-1 z(0).
-Any other pump is integrated with DOP853 by ``_integrate``, the stretch loop
-that ``weinorman.solve_ode`` also runs on, here with all blocks zero-padded to
+Any other pump is integrated by ``_integrate``, the stretch loop that
+``weinorman.solve_ode`` also runs on, here with all blocks zero-padded to
 cutoff + 1 entries and raveled into one flat row.  One flat coefficient array
 serves K- and, one slot down, K+; it holds 0 at each block's last entry and in
-the padding, so no amplitude crosses a block edge.  It makes one solve per
-kink-free stretch, on which a tabulated pump is linear.  A tabulated stretch
-spans one sample interval, one step or a few, so its solve keeps its steps and
-the state is read off the last (``t_eval`` would build a dense output, 3 more
-RHS calls per step); any other solve keeps only its output states
-(``t_eval``).  Each spent solver is collected at once; a failed solve raises
+the padding, so no amplitude crosses a block edge.  On each kink-free stretch,
+where a tabulated pump is linear, the loop steps one scipy ``DOP853`` solver
+(Hairer, Norsett & Wanner, Solving ODEs I, II.10) to the stretch end and keeps
+only the current state.  The dense output of the step that reaches an output
+time gives the state there; it also gives the end state of an untabulated
+stretch or of one with an output inside.  A tabulated stretch with no output
+inside ends on its last step's state, so it builds no dense output (3 more RHS
+calls per step).  Each spent solver is collected at once; a failed step raises
 ``IntegrationError``.
 
 A start is validated by ``model``'s state types and built by ``_product_state``, which
 drops each block of weight <= 1e-16 into ``norm_deficit`` and loads no scipy.  The
-harmonic path loads ``scipy.linalg``; the ODE path ``scipy.integrate``, whose
-``solve_ivp`` the PEP 562 ``__getattr__`` imports; each ODE run reads it, as rebound.
+harmonic path calls LAPACK's divide-and-conquer ``dstevd`` from ``scipy.linalg``, the
+ODE path ``DOP853`` from ``scipy.integrate``.  The PEP 562 ``__getattr__`` imports each
+on its first read; both paths read them through the module, as rebound.
 """
 
 from __future__ import annotations
@@ -46,12 +49,18 @@ from .model import (CoherentPair, FockPair, HarmonicPump, ModelParams, PumpProfi
                     PureAModeState, TabulatedPump)
 
 
+# scipy primitives imported on first read and kept as module globals, so that they
+# can be rebound; nothing here calls solve_ivp, but perfbench/tracing.py rebinds it
+# at install and tests use it as an independent reference
+_LAZY = {"DOP853": "scipy.integrate", "solve_ivp": "scipy.integrate",
+         "dstevd": "scipy.linalg.lapack"}
+
+
 def __getattr__(name):
-    if name != "solve_ivp":
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.integrate import solve_ivp
-    globals()[name] = solve_ivp
-    return solve_ivp
+    value = globals()[name] = getattr(__import__(_LAZY[name], fromlist=[name]), name)
+    return value
 
 
 class TruncationError(RuntimeError):
@@ -174,12 +183,22 @@ def amode_state(cutoff: int, probs, phases=None) -> TruncatedState:
     return _product_state(cutoff, a, (n == 0).astype(complex))
 
 
+def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray):
+    """Eigenvalues and eigenvectors of the real symmetric tridiagonal matrix with diagonal d
+    and off-diagonal e, by ``dstevd``; its wrapper wants one off-diagonal slot even for a
+    single level, where e is empty."""
+    lam, v, info = sys.modules[__name__].dstevd(d, e if e.size else np.zeros(1))
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd failed on a block of {d.size} levels: info = {info}")
+    return lam, v
+
+
 def _propagate_harmonic(pump: HarmonicPump, w: float, initial: TruncatedState, t):
     """Exact propagation of every block; w is W of the module docstring."""
-    from scipy.linalg import eigh_tridiagonal
     turn = 0.5 * np.pi - np.angle(pump.g)  # arg s of the gauge s = i conj(g)/|g|
     cut = initial.cutoff
-    eig = {a: eigh_tridiagonal(-w * np.arange(cut + 1 - a), abs(pump.g) * _pair_amplitudes(cut, a))
+    eig = {a: _tridiagonal_eigh(-w * np.arange(cut + 1 - a),
+                                abs(pump.g) * _pair_amplitudes(cut, a))
            for a in {abs(q) for q in initial.blocks}}  # blocks q and -q share one generator
     out = {}
     for q, vec in initial.blocks.items():
@@ -200,27 +219,36 @@ def _integrate(pump: PumpProfile, wsum: float, f, y0: np.ndarray, times, rtol, a
         return f(g * cmath.exp(-1j * wsum * time), y)
 
     # stepping across a kink costs the integrator rejected steps and accuracy;
-    # error control shrinks a first step spanning the whole stretch if it must;
-    # an output strictly inside a stretch goes into its t_eval
+    # error control shrinks a first step spanning the whole stretch if it must
     tabulated = isinstance(pump, TabulatedPump)
     kinks = np.asarray(pump.times) if tabulated else np.empty(0)
-    knots = [0.0, *kinks[(kinks > 0.0) & (kinks < end)], end] if end else [0.0]
+    knots = [0.0, *kinks[(kinks > 0.0) & (kinks < end)].tolist(), end] if end else [0.0]
     ends = pump.value(knots).tolist() if tabulated else None  # g is straight between knots
+    stepper = sys.modules[__name__].DOP853
     y, states = y0, [y0] * int(times[0] == 0.0)
     for i, (t0, t1) in enumerate(zip(knots, knots[1:])):
         if tabulated:  # (g0, slope, t0) on this stretch
             line = (ends[i], (ends[i + 1] - ends[i]) / (t1 - t0), t0)
-        inside = [t for t in times if (t - t0) * (t - t1) < 0.0]
-        res = sys.modules[__name__].solve_ivp(
-            rhs, (t0, t1), y, method="DOP853",
-            t_eval=None if tabulated and not inside else (*inside, t1),
-            first_step=abs(t1 - t0), rtol=rtol, atol=atol)
-        gc.collect(0)  # the spent solver is cyclic garbage holding its stage arrays
-        if not (res.success and np.isfinite(res.y).all()):  # scipy may "succeed" on nan
-            why = res.message if not res.success else "the state is not finite"
+        # the output times inside, then t1, come off dense outputs; a tabulated
+        # stretch with none inside ends on its last step's state
+        due = [t for t in times if (t - t0) * (t - t1) < 0.0]
+        due += [t1] if due or not tabulated else []
+        solver, got = stepper(rhs, t0, y, t1, first_step=abs(t1 - t0), rtol=rtol, atol=atol), []
+        while solver.status == "running":
+            why = solver.step()
+            n = len(got)
+            while n < len(due) and (due[n] - solver.t) * (t1 - t0) <= 0.0:
+                n += 1
+            if n > len(got):  # this step holds output times
+                got.extend(solver.dense_output()(np.array(due[len(got):n])).T)
+        if solver.status == "failed":
             raise IntegrationError(f"integrator failed on [{t0:.6g}, {t1:.6g}]: {why}")
-        states.extend(res.y.T[:len(inside)])
-        y = res.y[:, -1]
+        y, solver = got.pop() if due else solver.y, None
+        gc.collect(0)  # the spent solver is cyclic garbage holding its stage arrays
+        if not np.isfinite([*got, y]).all():  # a step may "succeed" on nan
+            raise IntegrationError(
+                f"integrator failed on [{t0:.6g}, {t1:.6g}]: the state is not finite")
+        states.extend(got)
         if t1 in times:
             states.append(y)
     return states
@@ -252,10 +280,14 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
 
     Exact for a ``HarmonicPump``: one eigendecomposition per pair +-q of the
     gauged rotating-frame generator (module docstring); ``cfg.tol`` unused.
-    Other pumps: ``_integrate`` at relative tolerance ``cfg.tol``.
+    Other pumps: ``_integrate`` at relative tolerance ``cfg.tol``.  The start must
+    be built at ``cfg.cutoff``.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    if initial.cutoff != cfg.cutoff:
+        raise ValueError(f"the start's cutoff {initial.cutoff} differs from "
+                         f"cfg.cutoff = {cfg.cutoff}")
     if initial.norm_deficit > _TAIL_LIMIT:
         raise TruncationError(
             f"initial norm deficit {initial.norm_deficit:.3e} exceeds {_TAIL_LIMIT:.0e}")

@@ -2,9 +2,9 @@
 
 The interaction-picture evolution operator factorizes as ``exp(A+ K+) exp(2 A0 K0)
 exp(A- K-)`` (Wei & Norman, J. Math. Phys. 4, 575, 1963).  For the harmonic pump
-``_regime_kernel`` splits the closed forms into three regimes by k^2 once: real
-transcendentals only, hyperbolics in log form, and the winding that keeps Im A0
-continuous in t.  ``solve_analytic`` builds from one kernel pass the coefficients and
+``_regime_kernel`` splits the closed forms into three regimes by the sign of 1 - k^2
+once: real transcendentals only, hyperbolics in log form, and the winding that keeps
+Im A0 continuous in t.  ``solve_analytic`` builds from one kernel pass the coefficients and
 x = 1 + n0, y = n0/x and n0, as one ``AnalyticSolution``.  Grids are evaluated in fixed
 blocks of rows straight into their outputs (peak memory: the outputs plus one block), with
 complex products out of place, so that a time alone rounds as in a grid.  For any other pump
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PumpProfile, _regime_split, _require_finite
+from .model import ModelParams, PumpProfile, _require_finite
 from .oracle import IntegrationError, _integrate  # solve_ode raises IntegrationError
 
 
@@ -66,15 +66,17 @@ def _regime_kernel(k, gt):
     """The harmonic closed forms' regime split, in real arithmetic, on a (k, gt) grid.
 
     With q = sqrt|1 - k^2| (1 at threshold), u = q gt, T = tanh u, tan u or u
-    below, above and at threshold, and C = cosh u, cos u or 1, returns the k
-    of the forms (its sign at threshold, so k^2 + q^2 = 1), the winding
+    below, above and at threshold, and C = cosh u, cos u or 1, returns the winding
     s (u - arctan T) = s n pi of -arg C above threshold (0 elsewhere, s = sign k),
-    w = T/q and log n0 = 2 log|w C|.  Grid arrays are written in place.
+    w = T/q and log n0 = 2 log|w C|.  The split is exact, threshold being |k| = 1
+    alone: T/q needs no band, as a tiny q makes a tiny u with no cancellation, and
+    1 - k^2 is formed as (1 - k)(1 + k), which keeps the digits 1 - k k loses near
+    |k| = 1.  Grid arrays are written in place.
     """
-    k2 = k * k
-    sub, sup = _regime_split(k2)
+    one_minus_k2 = (1.0 - k) * (1.0 + k)
+    sub, sup = one_minus_k2 > 0.0, one_minus_k2 < 0.0
     crit = ~(sub | sup)
-    q = np.where(crit, 1.0, np.sqrt(np.abs(1.0 - k2)))
+    q = np.where(crit, 1.0, np.sqrt(np.abs(one_minus_k2)))
     u = q * gt
     t = np.tan(u, out=u.copy(), where=sup)
     np.tanh(u, out=t, where=sub)
@@ -89,17 +91,17 @@ def _regime_kernel(k, gt):
     np.subtract(u, np.arctan(t, out=a, where=sup), out=u, where=sup)
     u *= np.sign(k) * sup
     t /= q
-    return np.where(crit, np.sign(k), k), u, t, np.multiply(log_s, 2.0, out=log_s)
+    return u, t, np.multiply(log_s, 2.0, out=log_s)
 
 
 def _coefficients(k, gt, a_plus, a_minus, a_zero, *scalar_out):
     """(A+, A-, A0) on (k, gt) into the given arrays, and the six scalars into ``scalar_out``."""
-    k_c, winding, w, log_n0 = _regime_kernel(k, gt)
+    winding, w, log_n0 = _regime_kernel(k, gt)
     if scalar_out:
         _scalars(log_n0, *scalar_out)  # before log n0 is written over
     np.clip(w, -2.0 ** 511, 2.0 ** 511, out=w)  # (kw)^2 finite; moves A- < 2^-511
     np.multiply(_softplus(log_n0), -0.5, out=a_zero.real)
-    kw = np.multiply(k_c, w, out=log_n0)
+    kw = np.multiply(k, w, out=log_n0)
     d = np.square(kw)
     np.divide(w, np.add(d, 1.0, out=d), out=a_minus.real)
     np.multiply(kw, a_minus.real, out=a_minus.imag)
@@ -162,7 +164,7 @@ def scalars(k, gt):
     (where it is (gt)^2) and into k^2 > 1 (where sinh^2 turns into -sin^2);
     x = 1 + n0, y = n0/x.  The logs stay finite where x overflows.
     """
-    return _blockwise(lambda k, gt, *out: _scalars(_regime_kernel(k, gt)[3], *out),
+    return _blockwise(lambda k, gt, *out: _scalars(_regime_kernel(k, gt)[2], *out),
                       (float,) * 6, k=np.asarray(k, float), gt=np.asarray(gt, float))
 
 

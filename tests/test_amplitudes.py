@@ -204,6 +204,17 @@ def test_coherent_mean_numbers_difference_conserved():
         assert mean_a - mean_b == pytest.approx(diff0, abs=1e-10)
 
 
+def test_coherent_mean_numbers_past_the_float_range_are_inf():
+    # |<a(t)>|^2 overflows for alpha = 1e154 (|u alpha| ~ 3e154); the suite's
+    # warnings-as-errors catches an overflow warning
+    c = solve_analytic(params_for(0.5), 3.0)
+    assert coherent_mean_numbers(c, c, CoherentPair(1e154, 0.5)) == (math.inf, math.inf)
+    grid = solve_analytic(params_for(0.5), np.array([0.0, 3.0]))
+    mean_a, mean_b = coherent_mean_numbers(grid, grid, CoherentPair(1e154, 0.5))
+    assert np.isfinite(mean_a[0]) and np.isinf(mean_a[1]) and np.isinf(mean_b[1])
+    assert all(map(math.isfinite, coherent_mean_numbers(c, c, CoherentPair(1e150, 0.5))))
+
+
 @pytest.mark.parametrize("k2", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize("gt", [0.0, 1.0, 3.0, 6.0])
 def test_normalization_certified(k2, gt):

@@ -55,9 +55,9 @@ print(json.dumps(loaded))
                       "prob": [], "fock_amplitude": []}
 
 
-def test_oracle_solve_ivp_loads_on_first_read_and_stays_rebindable():
-    # tracers and call counters rebind ndpa.oracle.solve_ivp; the ODE path
-    # must call whatever the attribute holds when it runs
+def test_oracle_stepper_loads_on_first_read_and_stays_rebindable():
+    # call counters rebind ndpa.oracle.DOP853, and perfbench's tracer rebinds
+    # ndpa.oracle.solve_ivp; the ODE path must build whatever DOP853 holds when it runs
     result = run_fresh("""
 import json, sys
 import numpy as np
@@ -67,15 +67,16 @@ from ndpa.observables import squeezing_extrema
 from ndpa.weinorman import solve_analytic, solve_ode
 
 unloaded = "scipy.integrate" not in sys.modules
-first = oracle.solve_ivp
+first = oracle.DOP853
 import scipy.integrate
 calls = []
 
-def counted(fun, t_span, y0, **kwargs):
-    calls.append(list(t_span))
-    return first(fun, t_span, y0, **kwargs)
+class Counted(first):
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        calls.append([t0, t_bound])
+        super().__init__(fun, t0, y0, t_bound, **options)
 
-setattr(oracle, "solve_ivp", counted)
+setattr(oracle, "DOP853", Counted)
 params = ModelParams.from_k2(1.5, g=1.0, omega_a=3.0, omega_b=2.0)
 pump = HarmonicPump.from_params(params)
 times = (0.0, 0.5, 1.0)
@@ -87,13 +88,14 @@ numeric = solve_ode(pump, params, grid)
 exact = solve_analytic(params, grid)
 print(json.dumps({
     "unloaded": unloaded,
-    "first_is_scipy": first is scipy.integrate.solve_ivp,
+    "first_is_scipy": first is scipy.integrate.DOP853,
+    "solve_ivp_is_scipy": oracle.solve_ivp is scipy.integrate.solve_ivp,
     "calls": calls,
     "ode_error": max(abs(c.a_plus - e) for c, e in zip(numeric, exact.a_plus)),
     "minima": len(squeezing_extrema(params, 0.0, (0.0, 10.0), n_grid=401)),
 }))
 """)
-    assert result["unloaded"] and result["first_is_scipy"]
+    assert result["unloaded"] and result["first_is_scipy"] and result["solve_ivp_is_scipy"]
     assert result["calls"] == [[0.0, 0.5], [0.5, 1.0], [0.0, 2.0]]  # oracle, then solve_ode
     assert result["ode_error"] < 1e-8
     assert result["minima"] > 0

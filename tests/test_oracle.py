@@ -3,7 +3,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,13 +61,15 @@ def test_commutator_on_interior():
 def test_zero_pump_identity():
     params = params_for(1.5)
     init = fock_state(16, 1, 1)
-    out = evolve_truncated(CustomPump(fn=lambda t: 0.0), params, init, 2.0)
+    out = evolve_truncated(CustomPump(fn=lambda t: 0.0), params, init, 2.0,
+                           OracleConfig(cutoff=16))
     assert abs(out.amplitude(1, 1)) == pytest.approx(1.0)
 
 
 def test_block_charge_conserved():
     params = params_for(0.5)
-    out = evolve_truncated(pump_for(params), params, fock_state(24, 2, 0), 1.0)
+    out = evolve_truncated(pump_for(params), params, fock_state(24, 2, 0), 1.0,
+                           OracleConfig(cutoff=24))
     assert set(out.blocks) == {2}
     dense = out.dense()
     na, nb = np.nonzero(np.abs(dense) > 1e-14)
@@ -80,7 +81,8 @@ def test_norm_conserved_and_edge_mass():
     out = evolve_truncated(pump_for(params), params, fock_state(32, 1, 1), 2.0)
     assert out.total_norm() == pytest.approx(1.0, abs=1e-9)
     # the diagnostic shrinks geometrically as the cutoff grows
-    big = evolve_truncated(pump_for(params), params, fock_state(64, 1, 1), 2.0)
+    big = evolve_truncated(pump_for(params), params, fock_state(64, 1, 1), 2.0,
+                           OracleConfig(cutoff=64))
     assert edge_mass(big) < 1e-4 * edge_mass(out)
 
 
@@ -104,25 +106,30 @@ def test_coherent_revival_probability():
     assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-6)
 
 
-def _count_solve_ivp(monkeypatch):
-    """Record the span and the RHS evaluation count of every ``solve_ivp``
-    call the oracle makes, in two lists."""
-    calls, nfev, solve_ivp = [], [], oracle.solve_ivp
+def _count_solvers(monkeypatch):
+    """Record the span of every ``DOP853`` solver the oracle builds, and each solver
+    that reaches its bound; its ``nfev`` counts every RHS call, its dense outputs' too."""
+    spans, finished = [], []
 
-    def counted(fun, t_span, y0, **kwargs):
-        calls.append(t_span)
-        res = solve_ivp(fun, t_span, y0, **kwargs)
-        nfev.append(res.nfev)
-        return res
+    class Counted(oracle.DOP853):
+        def __init__(self, fun, t0, y0, t_bound, **options):
+            spans.append((t0, t_bound))
+            super().__init__(fun, t0, y0, t_bound, **options)
 
-    monkeypatch.setattr(oracle, "solve_ivp", counted)
-    return calls, nfev
+        def step(self):
+            message = super().step()
+            if self.status == "finished":
+                finished.append(self)
+            return message
+
+    monkeypatch.setattr(oracle, "DOP853", Counted)
+    return spans, finished
 
 
 def test_harmonic_path_matches_batched_ode(monkeypatch):
     # the exact harmonic propagator against the ODE path for the same pump
     params = params_for(1.5)
-    calls, _ = _count_solve_ivp(monkeypatch)
+    calls, _ = _count_solvers(monkeypatch)
     start = coherent_state(32, 0.8, 0.5 + 0.3j)
     cfg = OracleConfig(cutoff=32, tol=1e-12)
     for pump in (pump_for(params),
@@ -153,12 +160,12 @@ def test_tabulated_constant_pump_matches_harmonic_path():
 
 def test_failed_solve_raises_integration_error_naming_the_stretch(monkeypatch):
     # one error for both users of the stretch loop, naming the stretch and
-    # scipy's message
-    def failing(fun, t_span, y0, **kwargs):
-        return SimpleNamespace(success=False, message="Required step size is less than "
-                               "spacing between numbers.")
+    # the solver's message
+    class Failing(oracle.DOP853):
+        def _step_impl(self):
+            return False, "Required step size is less than spacing between numbers."
 
-    monkeypatch.setattr(oracle, "solve_ivp", failing)
+    monkeypatch.setattr(oracle, "DOP853", Failing)
     params = params_for(1.5)
     pump = CustomPump(fn=pump_for(params).value)
     stretch = r"integrator failed on \[0, 1\.5\]: Required step size"
@@ -172,13 +179,13 @@ def test_failed_solve_raises_integration_error_naming_the_stretch(monkeypatch):
 def test_non_finite_custom_pump_fails_at_once(monkeypatch):
     # the pump's own error names the time, before any step shrinking
     params = params_for(1.5)
-    calls, nfev = _count_solve_ivp(monkeypatch)
+    calls, finished = _count_solvers(monkeypatch)
     pump = CustomPump(fn=lambda t: math.nan if t > 0.3 else 1.0)
     with pytest.raises(ValueError, match=r"pump value at t = \S+ is \(nan\+0j\)"):
         evolve_truncated(pump, params, fock_state(12, 1, 0), 1.0, OracleConfig(cutoff=12))
     with pytest.raises(ValueError, match=r"pump value at t = \S+ is \(nan\+0j\)"):
         solve_ode(pump, params, [0.0, 0.5, 1.0])
-    assert len(calls) == 2 and nfev == []  # neither solve returned
+    assert len(calls) == 2 and finished == []  # neither solve reached its bound
 
 
 def test_tabulated_pump_tolerance_refinement(monkeypatch):
@@ -188,11 +195,11 @@ def test_tabulated_pump_tolerance_refinement(monkeypatch):
     samples = np.linspace(0.0, 0.5, 101)
     values = pump_for(params).value(samples) * (1.0 + 0.1 * np.sin(2 * math.pi * samples / 0.5))
     tab = TabulatedPump(times=tuple(samples), values=tuple(values))
-    calls, _ = _count_solve_ivp(monkeypatch)
+    calls, _ = _count_solvers(monkeypatch)
     coarse, fine = (evolve_truncated(tab, params, fock_state(24, 2, 1), 0.5,
                                      OracleConfig(cutoff=24, tol=tol))
                     for tol in (1e-11, 1e-13))
-    assert len(calls) == 2 * 100  # one call per sample interval
+    assert len(calls) == 2 * 100  # one solver per sample interval
     assert np.max(np.abs(coarse.blocks[1] - fine.blocks[1])) < 1e-10
 
 
@@ -247,13 +254,13 @@ def test_tabulated_stretches_match_interpolating_reference(initial, t):
 
 def test_tabulated_stretch_builds_no_dense_output(monkeypatch):
     # each stretch is one DOP853 step: 1 RHS call at its start and 12 for the
-    # step; a dense output for t_eval would add 3 more to every stretch
+    # step; a dense output would add 3 more to every stretch
     params = params_for(1.5)
-    calls, nfev = _count_solve_ivp(monkeypatch)
+    calls, finished = _count_solvers(monkeypatch)
     evolve_truncated(_modulated_pump(params), params, fock_state(24, 2, 1), 0.5,
                      OracleConfig(cutoff=24, tol=1e-11))
     assert len(calls) == 100
-    assert sum(nfev) == 13 * 100
+    assert sum(s.nfev for s in finished) == 13 * 100
 
 
 @pytest.mark.parametrize("start", [coherent_state(24, 0.8, 0.5 + 0.3j),  # 28 blocks, 10..25
@@ -290,21 +297,21 @@ def test_tabulated_pump_evaluated_once(monkeypatch):
 def test_tabulated_pump_fails_before_integrating(monkeypatch):
     # t past the last sample is refused before any stretch is integrated
     params = params_for(1.5)
-    calls, _ = _count_solve_ivp(monkeypatch)
+    calls, _ = _count_solvers(monkeypatch)
     with pytest.raises(ValueError, match=r"t = 0\.7, outside the tabulated range \[0\.0, 0\.5\]"):
-        evolve_truncated(_modulated_pump(params), params, fock_state(16, 1, 1), 0.7)
+        evolve_truncated(_modulated_pump(params), params, fock_state(16, 1, 1), 0.7,
+                         OracleConfig(cutoff=16))
     assert calls == []
 
 
 def test_harmonic_path_diagonalizes_once_per_charge_pair(monkeypatch):
-    import scipy.linalg
-    calls, eigh_tridiagonal = [], scipy.linalg.eigh_tridiagonal
+    calls, dstevd = [], oracle.dstevd
 
     def counted(d, e, *args, **kwargs):
         calls.append(d.size)
-        return eigh_tridiagonal(d, e, *args, **kwargs)
+        return dstevd(d, e, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(oracle, "dstevd", counted)
     params = params_for(1.5)
     start = coherent_state(32, 0.8, 0.5 + 0.3j)
     charges = {abs(q) for q in start.blocks}
@@ -312,6 +319,18 @@ def test_harmonic_path_diagonalizes_once_per_charge_pair(monkeypatch):
     for rounds in (1, 2):  # nothing is kept from one call to the next
         evolve_truncated(pump_for(params), params, start, 1.3, OracleConfig(cutoff=32))
         assert sorted(calls) == sorted(rounds * [33 - a for a in charges])
+
+
+def test_harmonic_path_refuses_a_failed_diagonalization(monkeypatch):
+    # dstevd reports failure through info alone; the oracle must not apply its output
+    def failing(d, e):
+        return d, np.eye(d.size), 3
+
+    monkeypatch.setattr(oracle, "dstevd", failing)
+    params = params_for(1.5)
+    with pytest.raises(np.linalg.LinAlgError, match=r"block of 17 levels: info = 3"):
+        evolve_truncated(pump_for(params), params, fock_state(16, 1, 1), 1.0,
+                         OracleConfig(cutoff=16))
 
 
 def _traced_peak(pump, params, start, t):
@@ -336,10 +355,11 @@ def test_custom_pump_memory_stays_flat():
     assert _traced_peak(pump, params, coherent_state(24, 0.8, 0.5 + 0.3j), 2.0) < 2e6
 
 
-@pytest.mark.parametrize("n, t", [(201, 1.0), (2, 2.0)])
+@pytest.mark.parametrize("n, t", [(201, 1.0), (2, 2.0), (2, 10.0)])
 def test_tabulated_pump_memory_stays_flat(n, t):
     # 201 samples: each spent solver is freed before the next stretch starts;
-    # 2 samples: one long stretch keeps its accepted steps, and stays small
+    # 2 samples: one long stretch of many steps keeps only its current state
+    # (keeping every step, the stretch over [0, 10] peaked at 10.1 MiB)
     params = params_for(1.5)
     samples = np.linspace(0.0, t, n)
     tab = TabulatedPump(times=tuple(samples), values=tuple(pump_for(params).value(samples)))
@@ -469,7 +489,7 @@ def test_truncation_error_for_unnormalized_input():
     init.blocks[0] *= 0.5
     init.norm_deficit = 0.75
     with pytest.raises(TruncationError):
-        evolve_truncated(pump_for(params), params, init, 1.0)
+        evolve_truncated(pump_for(params), params, init, 1.0, OracleConfig(cutoff=16))
 
 
 def test_fock_state_rejects_negative_occupation():
@@ -483,6 +503,17 @@ def test_amplitude_rejects_negative_occupation():
         state.amplitude(-1, 1)
     with pytest.raises(ValueError, match=r"\(1, -1\)"):
         oracle_probability(state, -1, 1)  # outcome m = -1 in mode b
+
+
+def test_evolve_refuses_a_start_at_another_cutoff():
+    # the cutoff-8 vacuum under OracleConfig(cutoff=128) was evolved at cutoff 8,
+    # p_00 = 0.184 against the closed form's 0.0287
+    params = params_for(0.5)
+    with pytest.raises(ValueError, match=r"start's cutoff 8 differs from cfg.cutoff = 128"):
+        evolve_truncated(pump_for(params), params, fock_state(8, 0, 0), 3.0,
+                         OracleConfig(cutoff=128))
+    with pytest.raises(ValueError, match=r"start's cutoff 16 differs from cfg.cutoff = 32"):
+        evolve_truncated(pump_for(params), params, fock_state(16, 0, 0), 3.0)
 
 
 def test_evolve_rejects_non_finite_time():
@@ -574,7 +605,7 @@ def test_start_with_no_weight_inside_its_cutoff_is_empty(alpha):
     assert start.blocks == {} and start.norm_deficit == 1.0
     params = params_for(1.5)
     with pytest.raises(TruncationError, match="initial norm deficit"):
-        evolve_truncated(pump_for(params), params, start, 1.0)
+        evolve_truncated(pump_for(params), params, start, 1.0, OracleConfig(cutoff=56))
 
 
 @pytest.mark.parametrize("cutoff, r, s", [(8, 0, 0), (24, 2, 1), (8, 1, 1), (16, 1, 1),

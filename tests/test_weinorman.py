@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,10 +228,11 @@ def _threshold_grid():
 
 
 def _complex_forms(k, gt):
-    """The regime forms in complex long-double arithmetic, one regime at a time."""
+    """The regime forms in complex long-double arithmetic, one regime at a time,
+    split at k^2 = 1 exactly."""
     k, gt = np.broadcast_arrays(np.asarray(k, np.longdouble), np.asarray(gt, np.longdouble))
     k2, one = k * k, np.longdouble(1.0)
-    sub, sup = k2 < 1.0 - 1e-8, k2 > 1.0 + 1e-8
+    sub, sup = k2 < 1.0, k2 > 1.0
     crit = ~(sub | sup)
     a_minus, a_zero = np.zeros(k.shape, np.clongdouble), np.zeros(k.shape, np.clongdouble)
     ks, gts = k[sub], gt[sub]
@@ -262,6 +264,39 @@ def _worst(values, reference):
 def test_long_double_kernel_matches_complex_forms():
     k, gt = _threshold_grid()
     assert _worst(coefficients(k, gt, dtype=np.complex256), _complex_forms(k, gt)) <= 1e-15
+
+
+@pytest.mark.parametrize("dk2", [-5e-9, 5e-9, -1e-10, 1e-10])
+def test_closed_forms_exact_through_the_threshold_band(dk2):
+    # inside the band |k^2 - 1| <= 1e-8 the threshold forms were applied as if
+    # k^2 were 1, which put n0 3.3e-5 off at gt = 100; the 40-digit references
+    # n0 = |sinh(q gt)/q|^2 and A0 = -log(cosh q gt - i k sinh(q gt)/q) - i k gt,
+    # q = sqrt(1 - k^2), hold on both sides of threshold
+    gts = [1e-3, 0.5, 3.0, 10.0, 30.0, 100.0, 300.0]
+    for k in (math.sqrt(1.0 + dk2), -math.sqrt(1.0 + dk2)):
+        n0 = scalars(k, np.array(gts))[2]
+        a_zero = coefficients(k, np.array(gts))[2]
+        with mpmath.workdps(40):
+            q = mpmath.sqrt(mpmath.mpc(1) - mpmath.mpf(k) ** 2)
+            for i, gt in enumerate(gts):
+                sh = mpmath.sinh(q * gt) / q
+                want_n0 = abs(sh) ** 2
+                want_a0 = -mpmath.log(mpmath.cosh(q * gt) - 1j * k * sh) - 1j * k * gt
+                assert abs(n0[i] - want_n0) <= 1e-12 * want_n0, (k, gt)
+                assert abs(a_zero[i] - complex(want_a0)) <= 1e-12 * max(1.0, abs(want_a0)), (k, gt)
+
+
+@pytest.mark.parametrize("dk2", [-0.99e-8, 0.99e-8])
+def test_solve_ode_agrees_with_closed_forms_inside_the_threshold_band(dk2):
+    # the independent check of the test above: with the band's threshold forms
+    # A0 was 4.4e-7 off at gt = 30 and 2.6e-5 at gt = 300
+    params = params_for(1.0 + dk2)
+    grid, tol = np.array([0.0, 30.0, 300.0]), 1e-10
+    exact = solve_analytic(params, grid)
+    for c, a_minus, a_zero in zip(solve_ode(HarmonicPump.from_params(params), params, grid, tol),
+                                  exact.a_minus, exact.a_zero):
+        assert abs(c.a_minus - a_minus) <= 10.0 * tol * max(1.0, abs(a_minus)), c.t
+        assert abs(c.a_zero - a_zero) <= 10.0 * tol * max(1.0, abs(a_zero)), c.t
 
 
 def test_coefficients_error_against_long_double():
