@@ -13,34 +13,30 @@ z' = (-i W j + g K- - conj(g) K+) z is constant, and the gauge z_j = s^j w_j,
 s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
 -W j, off-diagonal |g| sqrt((n_a+1)(n_b+1)), alike for q and -q), so with
 M = V diag(lam) V^T, found once per |q|, z(t) = S V exp(i lam t) V^T S^-1 z(0).
-Any other pump is integrated by ``_integrate``, the stretch loop that
-``weinorman.solve_ode`` also runs on, here with all blocks zero-padded to
-cutoff + 1 entries and raveled into one flat row.  One flat coefficient array
-serves K- and, one slot down, K+; it holds 0 at each block's last entry and in
-the padding, so no amplitude crosses a block edge.  On each kink-free stretch,
-where a tabulated pump is linear, the loop steps one scipy ``DOP853`` solver
-(Hairer, Norsett & Wanner, Solving ODEs I, II.10) to the stretch end and keeps
-only the current state.  The dense output of the step that reaches an output
-time gives the state there; it also gives the end state of an untabulated
-stretch or of one with an output inside.  A tabulated stretch with no output
-inside ends on its last step's state, so it builds no dense output (3 more RHS
-calls per step).  Each spent solver is collected at once; a failed step raises
-``IntegrationError``.
+Any other pump is integrated by ``_integrate``, the stretch loop that ``weinorman.solve_ode``
+also runs on, here with all blocks zero-padded to cutoff + 1 entries and raveled into one
+flat row.  One flat coefficient array serves K- and, one slot down, K+; it holds 0 at each
+block's last entry and in the padding, so no amplitude crosses a block edge.  On each
+kink-free stretch, where a tabulated pump is linear, ``_dop853`` steps the Dormand-Prince
+8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) with scipy's ``DOP853``
+tableau and step-size control but no solver object, keeping only the current state; an
+output time inside comes off the 7th-order interpolant of its step (3 more RHS calls).
+A failed step or a non-finite state raises ``IntegrationError``.
 
 A start is validated by ``model``'s state types and built by ``_product_state``, which
 drops each block of weight <= 1e-16 into ``norm_deficit`` and loads no scipy.  The
-harmonic path calls LAPACK's divide-and-conquer ``dstevd`` from ``scipy.linalg``, the
-ODE path ``DOP853`` from ``scipy.integrate``.  The PEP 562 ``__getattr__`` imports each
-on its first read; both paths read them through the module, as rebound.
+harmonic path calls LAPACK's divide-and-conquer ``dstevd`` from ``scipy.linalg``; the
+ODE path reads the tableau off ``DOP853`` from ``scipy.integrate``.  ``__getattr__``
+(PEP 562) imports each on its first read; both read them through the module, as rebound.
 """
 
 from __future__ import annotations
 
 import cmath
-import gc
 import math
 import numbers
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,9 +45,8 @@ from .model import (CoherentPair, FockPair, HarmonicPump, ModelParams, PumpProfi
                     PureAModeState, TabulatedPump)
 
 
-# scipy primitives imported on first read and kept as module globals, so that they
-# can be rebound; nothing here calls solve_ivp, but perfbench/tracing.py rebinds it
-# at install and tests use it as an independent reference
+# scipy primitives imported on first read and kept as module globals, so that they can be
+# rebound; solve_ivp is not called here: perfbench/tracing.py rebinds it, tests use it
 _LAZY = {"DOP853": "scipy.integrate", "solve_ivp": "scipy.integrate",
          "dstevd": "scipy.linalg.lapack"}
 
@@ -209,48 +204,78 @@ def _propagate_harmonic(pump: HarmonicPump, w: float, initial: TruncatedState, t
     return out
 
 
+def _dop853(fun, t0, y, t1, times, rtol, atol, tableau):
+    """Step y' = fun(t, y) from y(t0) = y to t1 on ``_integrate``'s ``tableau``, first trying
+    one step; the states at the ``times`` in (t0, t1], and the end state."""
+    (a, c, e, d), k, way = tableau, np.empty((16, y.size), complex), math.copysign(1, t1 - t0)
+    k[0], got, t, h_abs = fun(t0, y), [], t0, abs(t1 - t0)
+    due, stretch = [s for s in times if (s - t0) * (s - t1) < 0.0], f"[{t0:.6g}, {t1:.6g}]: "
+
+    def stages(first, last):  # stages first, ..., last - 1 of the step h from (t, y)
+        for s in range(first, last):
+            k[s] = fun(t + c[s] * h, z := y + np.dot(ah[s, :s], k[:s]))
+        return z
+
+    while t != t1:
+        min_step = 10 * abs(math.nextafter(t, way * math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError("integrator failed on " + stretch +
+                                       "Required step size is less than spacing between numbers.")
+            t_new = t1 if way * (t + way * h_abs - t1) > 0 else t + way * h_abs
+            h, h_abs = t_new - t, abs(t_new - t)
+            ah = a * h
+            y_new = stages(1, 13)  # row 12 is the step's end
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5, e3 = np.linalg.norm(np.dot(e, k[:13]) / scale, axis=1) ** 2
+            err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * y.size) if e5 or e3 else 0.0
+            factor = 0.9 * err ** -0.125 if err else 10.0
+            if err < 1:  # grow the step at most 10-fold, and not after a rejection
+                h_abs *= min(1.0 if rejected else 10.0, factor)
+                break
+            h_abs, rejected = h_abs * max(0.2, factor), True
+        n = next((i for i in range(len(got), len(due)) if (due[i] - t_new) * way > 0), len(due))
+        if n > len(got):  # this step holds output times: its 7th-order interpolant
+            stages(13, 16)
+            dy, x, out = y_new - y, (np.array(due[len(got):n])[:, None] - t) / h, 0
+            rows = [dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0]), *h * np.dot(d, k)]
+            for i, row in enumerate(reversed(rows)):
+                out = (out + row) * (x if i % 2 == 0 else 1 - x)
+            got.extend(out + y)
+        t, y, k[0] = t_new, y_new, k[12]
+    if not np.isfinite([*got, y]).all():  # a step may be accepted on nan
+        raise IntegrationError("integrator failed on " + stretch + "the state is not finite")
+    return got + [y] * (t1 in times), y
+
+
 def _integrate(pump: PumpProfile, wsum: float, f, y0: np.ndarray, times, rtol, atol):
-    """States of y' = f(G(t), y), y(0) = y0, G(t) = g(t) exp(-i wsum t), at the
-    monotone float list ``times`` from 0 to its end; the module docstring's loop."""
+    """States of y' = f(G(t), y), y(0) = y0, G(t) = g(t) exp(-i wsum t), at the monotone
+    float list ``times`` from 0 to its end, by ``_dop853`` on each kink-free stretch."""
     end = times[-1]
 
     def rhs(time, y):
         g = line[0] + line[1] * (time - line[2]) if tabulated else pump.value(time)
         return f(g * cmath.exp(-1j * wsum * time), y)
 
-    # stepping across a kink costs the integrator rejected steps and accuracy;
-    # error control shrinks a first step spanning the whole stretch if it must
+    # each kink ends a stretch: stepping across one costs rejected steps and accuracy
     tabulated = isinstance(pump, TabulatedPump)
     kinks = np.asarray(pump.times) if tabulated else np.empty(0)
     knots = [0.0, *kinks[(kinks > 0.0) & (kinks < end)].tolist(), end] if end else [0.0]
     ends = pump.value(knots).tolist() if tabulated else None  # g is straight between knots
-    stepper = sys.modules[__name__].DOP853
+    d = sys.modules[__name__].DOP853  # stage weights: 12 stages, the step's end, 3 for dense
+    a = np.vstack((np.pad(d.A, ((0, 0), (0, 4))), np.pad(d.B, (0, 4)), d.A_EXTRA)) + 0j
+    tableau = (a, np.hstack((d.C, 1.0, d.C_EXTRA)).tolist(), np.array([d.E5, d.E3]), d.D)
+    if rtol < 100 * np.finfo(float).eps:  # scipy's floor, with its warning
+        rtol = 100 * np.finfo(float).eps
+        warnings.warn(f"At least one element of `rtol` is too small. Setting `rtol = "
+                      f"np.maximum(rtol, {rtol})`.", stacklevel=3)
     y, states = y0, [y0] * int(times[0] == 0.0)
     for i, (t0, t1) in enumerate(zip(knots, knots[1:])):
         if tabulated:  # (g0, slope, t0) on this stretch
             line = (ends[i], (ends[i + 1] - ends[i]) / (t1 - t0), t0)
-        # the output times inside, then t1, come off dense outputs; a tabulated
-        # stretch with none inside ends on its last step's state
-        due = [t for t in times if (t - t0) * (t - t1) < 0.0]
-        due += [t1] if due or not tabulated else []
-        solver, got = stepper(rhs, t0, y, t1, first_step=abs(t1 - t0), rtol=rtol, atol=atol), []
-        while solver.status == "running":
-            why = solver.step()
-            n = len(got)
-            while n < len(due) and (due[n] - solver.t) * (t1 - t0) <= 0.0:
-                n += 1
-            if n > len(got):  # this step holds output times
-                got.extend(solver.dense_output()(np.array(due[len(got):n])).T)
-        if solver.status == "failed":
-            raise IntegrationError(f"integrator failed on [{t0:.6g}, {t1:.6g}]: {why}")
-        y, solver = got.pop() if due else solver.y, None
-        gc.collect(0)  # the spent solver is cyclic garbage holding its stage arrays
-        if not np.isfinite([*got, y]).all():  # a step may "succeed" on nan
-            raise IntegrationError(
-                f"integrator failed on [{t0:.6g}, {t1:.6g}]: the state is not finite")
+        got, y = _dop853(rhs, t0, y, t1, times, rtol, atol, tableau)
         states.extend(got)
-        if t1 in times:
-            states.append(y)
     return states
 
 
@@ -261,13 +286,12 @@ def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, t
     for row, (q, vec) in enumerate(initial.blocks.items()):
         up[row, :vec.size - 1], y[row, :vec.size] = _pair_amplitudes(initial.cutoff, q), vec
     up = up.ravel()[:-1]  # 0 at each block's last entry and in the padding
+    pairs = np.zeros((2, up.size + 1), dtype=complex)  # K- y and K+ y, their slots kept 0
 
     def rhs(gt, y):
-        dy = np.empty_like(y)
-        np.multiply(gt * up, y[1:], out=dy[:-1])
-        dy[-1] = 0
-        dy[1:] -= gt.conjugate() * up * y[:-1]
-        return dy
+        np.multiply(up, y[1:], out=pairs[0, :-1])
+        np.multiply(up, y[:-1], out=pairs[1, 1:])
+        return np.dot((gt, -gt.conjugate()), pairs)
 
     y = _integrate(pump, wsum, rhs, y.ravel(), [float(t)], tol, tol * 1e-2)[-1].reshape(y.shape)
     return {q: y[row, :vec.size].copy() for row, (q, vec) in enumerate(initial.blocks.items())}

@@ -202,11 +202,12 @@ def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
     grid: A- = -conj(v/u), A+ = v/conj(u), A0 = -log|u| + i phi.  Below
     threshold |u| ~ exp(q g t) overflows near q g t = 700: ``IntegrationError``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1-d array")
+    _require_finite("t_grid", t_grid)
     if t_grid[0] != 0.0:
         raise ValueError("t_grid must start at 0")
     if np.any(np.diff(t_grid) <= 0):

@@ -56,8 +56,9 @@ print(json.dumps(loaded))
 
 
 def test_oracle_stepper_loads_on_first_read_and_stays_rebindable():
-    # call counters rebind ndpa.oracle.DOP853, and perfbench's tracer rebinds
-    # ndpa.oracle.solve_ivp; the ODE path must build whatever DOP853 holds when it runs
+    # call counters rebind ndpa.oracle._dop853 and the tableau's ndpa.oracle.DOP853,
+    # and perfbench's tracer rebinds ndpa.oracle.solve_ivp; the first ODE use loads
+    # scipy.integrate, and every stretch runs whatever _dop853 holds when it runs
     result = run_fresh("""
 import json, sys
 import numpy as np
@@ -67,35 +68,36 @@ from ndpa.observables import squeezing_extrema
 from ndpa.weinorman import solve_analytic, solve_ode
 
 unloaded = "scipy.integrate" not in sys.modules
-first = oracle.DOP853
-import scipy.integrate
-calls = []
+calls, stepper = [], oracle._dop853
 
-class Counted(first):
-    def __init__(self, fun, t0, y0, t_bound, **options):
-        calls.append([t0, t_bound])
-        super().__init__(fun, t0, y0, t_bound, **options)
+def counted(fun, t0, y, t1, *args):
+    calls.append([t0, t1])
+    return stepper(fun, t0, y, t1, *args)
 
-setattr(oracle, "DOP853", Counted)
+setattr(oracle, "_dop853", counted)
 params = ModelParams.from_k2(1.5, g=1.0, omega_a=3.0, omega_b=2.0)
 pump = HarmonicPump.from_params(params)
 times = (0.0, 0.5, 1.0)
 tab = TabulatedPump(times=times, values=tuple(pump.value(np.array(times))))
 oracle.evolve_truncated(tab, params, oracle.fock_state(12, 1, 0), 1.0,
                         oracle.OracleConfig(cutoff=12))
+loaded = "scipy.integrate" in sys.modules
 grid = np.linspace(0.0, 2.0, 5)
 numeric = solve_ode(pump, params, grid)
 exact = solve_analytic(params, grid)
+import scipy.integrate
 print(json.dumps({
     "unloaded": unloaded,
-    "first_is_scipy": first is scipy.integrate.DOP853,
+    "loaded": loaded,
+    "tableau_is_scipy": oracle.DOP853 is scipy.integrate.DOP853,
     "solve_ivp_is_scipy": oracle.solve_ivp is scipy.integrate.solve_ivp,
     "calls": calls,
     "ode_error": max(abs(c.a_plus - e) for c, e in zip(numeric, exact.a_plus)),
     "minima": len(squeezing_extrema(params, 0.0, (0.0, 10.0), n_grid=401)),
 }))
 """)
-    assert result["unloaded"] and result["first_is_scipy"] and result["solve_ivp_is_scipy"]
+    assert result["unloaded"] and result["loaded"]
+    assert result["tableau_is_scipy"] and result["solve_ivp_is_scipy"]
     assert result["calls"] == [[0.0, 0.5], [0.5, 1.0], [0.0, 2.0]]  # oracle, then solve_ode
     assert result["ode_error"] < 1e-8
     assert result["minima"] > 0

@@ -106,41 +106,39 @@ def test_coherent_revival_probability():
     assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-6)
 
 
-def _count_solvers(monkeypatch):
-    """Record the span of every ``DOP853`` solver the oracle builds, and each solver
-    that reaches its bound; its ``nfev`` counts every RHS call, its dense outputs' too."""
-    spans, finished = [], []
+def _count_stretches(monkeypatch):
+    """Record the span of every stretch the oracle's stepper takes, and the RHS calls
+    of each stretch that reaches its end, its interpolants' included."""
+    spans, finished, stepper = [], [], oracle._dop853
 
-    class Counted(oracle.DOP853):
-        def __init__(self, fun, t0, y0, t_bound, **options):
-            spans.append((t0, t_bound))
-            super().__init__(fun, t0, y0, t_bound, **options)
+    def counted(fun, t0, y, t1, *args):
+        spans.append((t0, t1))
+        calls = []
+        result = stepper(lambda t, y: calls.append(t) or fun(t, y), t0, y, t1, *args)
+        finished.append(len(calls))
+        return result
 
-        def step(self):
-            message = super().step()
-            if self.status == "finished":
-                finished.append(self)
-            return message
-
-    monkeypatch.setattr(oracle, "DOP853", Counted)
+    monkeypatch.setattr(oracle, "_dop853", counted)
     return spans, finished
 
 
 def test_harmonic_path_matches_batched_ode(monkeypatch):
-    # the exact harmonic propagator against the ODE path for the same pump
+    # the exact harmonic propagator against the ODE path for the same pump,
+    # forward and backward in time
     params = params_for(1.5)
-    calls, _ = _count_solvers(monkeypatch)
+    calls, _ = _count_stretches(monkeypatch)
     start = coherent_state(32, 0.8, 0.5 + 0.3j)
     cfg = OracleConfig(cutoff=32, tol=1e-12)
     for pump in (pump_for(params),
                  HarmonicPump(g=0.8 * cmath.exp(0.6j), omega=params.omega + 0.7)):
-        exact = evolve_truncated(pump, params, start, 1.3, cfg)
-        assert calls == []
-        ode = evolve_truncated(CustomPump(fn=pump.value), params, start, 1.3, cfg)
-        assert calls.pop() == (0.0, 1.3) and calls == []
-        assert set(ode.blocks) == set(exact.blocks)
-        for q, vec in exact.blocks.items():
-            assert np.max(np.abs(vec - ode.blocks[q])) < 1e-10, (pump, q)
+        for t in (1.3, -1.3):
+            exact = evolve_truncated(pump, params, start, t, cfg)
+            assert calls == []
+            ode = evolve_truncated(CustomPump(fn=pump.value), params, start, t, cfg)
+            assert calls.pop() == (0.0, t) and calls == []
+            assert set(ode.blocks) == set(exact.blocks)
+            for q, vec in exact.blocks.items():
+                assert np.max(np.abs(vec - ode.blocks[q])) < 1e-10, (pump, t, q)
 
 
 def test_tabulated_constant_pump_matches_harmonic_path():
@@ -159,11 +157,10 @@ def test_tabulated_constant_pump_matches_harmonic_path():
 
 
 def test_failed_solve_raises_integration_error_naming_the_stretch(monkeypatch):
-    # one error for both users of the stretch loop, naming the stretch and
-    # the solver's message
+    # one error for both users of the stretch loop, naming the stretch and the
+    # reason; a nan error estimate refuses every step down to the minimum step
     class Failing(oracle.DOP853):
-        def _step_impl(self):
-            return False, "Required step size is less than spacing between numbers."
+        E5 = oracle.DOP853.E5 * np.nan
 
     monkeypatch.setattr(oracle, "DOP853", Failing)
     params = params_for(1.5)
@@ -179,13 +176,39 @@ def test_failed_solve_raises_integration_error_naming_the_stretch(monkeypatch):
 def test_non_finite_custom_pump_fails_at_once(monkeypatch):
     # the pump's own error names the time, before any step shrinking
     params = params_for(1.5)
-    calls, finished = _count_solvers(monkeypatch)
+    calls, finished = _count_stretches(monkeypatch)
     pump = CustomPump(fn=lambda t: math.nan if t > 0.3 else 1.0)
     with pytest.raises(ValueError, match=r"pump value at t = \S+ is \(nan\+0j\)"):
         evolve_truncated(pump, params, fock_state(12, 1, 0), 1.0, OracleConfig(cutoff=12))
     with pytest.raises(ValueError, match=r"pump value at t = \S+ is \(nan\+0j\)"):
         solve_ode(pump, params, [0.0, 0.5, 1.0])
     assert len(calls) == 2 and finished == []  # neither solve reached its bound
+
+
+def test_rtol_below_the_floor_is_raised_to_it(monkeypatch):
+    # as scipy's DOP853 does, an rtol below 100 eps (2.22e-14) becomes 100 eps with
+    # a UserWarning, for both users of the stretch loop; atol is left as asked, and
+    # rtol = 3e-14 passes unchanged and silent (the suite turns warnings into errors)
+    seen, stepper = [], oracle._dop853
+
+    def recording(fun, t0, y, t1, times, rtol, atol, tableau):
+        seen.append((rtol, atol))
+        return stepper(fun, t0, y, t1, times, rtol, atol, tableau)
+
+    monkeypatch.setattr(oracle, "_dop853", recording)
+    params = params_for(1.5)
+    pump = CustomPump(fn=pump_for(params).value)
+    floor = r"`rtol` is too small\. Setting `rtol = np\.maximum\(rtol, 2\.220446049250313e-14\)`"
+    for tol in (1e-15, 2e-14):
+        with pytest.warns(UserWarning, match=floor):
+            evolve_truncated(pump, params, fock_state(12, 1, 0), 1.0,
+                             OracleConfig(cutoff=12, tol=tol))
+    with pytest.warns(UserWarning, match=floor):
+        solve_ode(pump, params, [0.0, 0.5, 1.0], tol=1e-13)  # rtol 1e-15
+    evolve_truncated(pump, params, fock_state(12, 1, 0), 1.0, OracleConfig(cutoff=12, tol=3e-14))
+    floor = 100 * np.finfo(float).eps
+    assert seen == [(floor, 1e-15 * 1e-2), (floor, 2e-14 * 1e-2), (floor, 1e-5 * 1e-13),
+                    (3e-14, 3e-14 * 1e-2)]
 
 
 def test_tabulated_pump_tolerance_refinement(monkeypatch):
@@ -195,11 +218,11 @@ def test_tabulated_pump_tolerance_refinement(monkeypatch):
     samples = np.linspace(0.0, 0.5, 101)
     values = pump_for(params).value(samples) * (1.0 + 0.1 * np.sin(2 * math.pi * samples / 0.5))
     tab = TabulatedPump(times=tuple(samples), values=tuple(values))
-    calls, _ = _count_solvers(monkeypatch)
+    calls, _ = _count_stretches(monkeypatch)
     coarse, fine = (evolve_truncated(tab, params, fock_state(24, 2, 1), 0.5,
                                      OracleConfig(cutoff=24, tol=tol))
                     for tol in (1e-11, 1e-13))
-    assert len(calls) == 2 * 100  # one solver per sample interval
+    assert len(calls) == 2 * 100  # one stretch per sample interval
     assert np.max(np.abs(coarse.blocks[1] - fine.blocks[1])) < 1e-10
 
 
@@ -256,11 +279,11 @@ def test_tabulated_stretch_builds_no_dense_output(monkeypatch):
     # each stretch is one DOP853 step: 1 RHS call at its start and 12 for the
     # step; a dense output would add 3 more to every stretch
     params = params_for(1.5)
-    calls, finished = _count_solvers(monkeypatch)
+    calls, finished = _count_stretches(monkeypatch)
     evolve_truncated(_modulated_pump(params), params, fock_state(24, 2, 1), 0.5,
                      OracleConfig(cutoff=24, tol=1e-11))
     assert len(calls) == 100
-    assert sum(s.nfev for s in finished) == 13 * 100
+    assert finished == [13] * 100
 
 
 @pytest.mark.parametrize("start", [coherent_state(24, 0.8, 0.5 + 0.3j),  # 28 blocks, 10..25
@@ -297,7 +320,7 @@ def test_tabulated_pump_evaluated_once(monkeypatch):
 def test_tabulated_pump_fails_before_integrating(monkeypatch):
     # t past the last sample is refused before any stretch is integrated
     params = params_for(1.5)
-    calls, _ = _count_solvers(monkeypatch)
+    calls, _ = _count_stretches(monkeypatch)
     with pytest.raises(ValueError, match=r"t = 0\.7, outside the tabulated range \[0\.0, 0\.5\]"):
         evolve_truncated(_modulated_pump(params), params, fock_state(16, 1, 1), 0.7,
                          OracleConfig(cutoff=16))
@@ -357,7 +380,7 @@ def test_custom_pump_memory_stays_flat():
 
 @pytest.mark.parametrize("n, t", [(201, 1.0), (2, 2.0), (2, 10.0)])
 def test_tabulated_pump_memory_stays_flat(n, t):
-    # 201 samples: each spent solver is freed before the next stretch starts;
+    # 201 samples: nothing is kept from one stretch to the next;
     # 2 samples: one long stretch of many steps keeps only its current state
     # (keeping every step, the stretch over [0, 10] peaked at 10.1 MiB)
     params = params_for(1.5)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndpa import weinorman
+from ndpa import oracle, weinorman
 from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
 from ndpa.weinorman import (WeiNormanCoefficients, coefficients, derived_scalars,
                             scalars, solve_analytic, solve_ode, unitarity_residuals)
@@ -166,6 +167,14 @@ def test_ode_grid_validation():
         solve_ode(pump, params, [0.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         solve_ode(pump, params, [0.0, 1.0], tol=0.0)
+    # tol = inf returned a wrong A- at t = 3, tol = nan failed on "Required step size"
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
+            solve_ode(pump, params, [0.0, 3.0], tol=tol)
+    for grid, shown in (([0.0, math.nan], r"t_grid\[1\] = nan"),
+                        ([0.0, 1.0, math.inf], r"t_grid\[2\] = inf")):
+        with pytest.raises(ValueError, match=shown):
+            solve_ode(pump, params, grid)
 
 
 @pytest.mark.parametrize("k2", [0.5, 1.5, 3.0])
@@ -197,19 +206,87 @@ def test_ode_tabulated_constant_pump_matches_closed_form():
 
 
 def test_ode_overflow_raises_instead_of_returning_nan():
-    # deep below threshold |u| ~ exp(q g t); scipy reports success on the
-    # nan state at g t = 705 (k^2 = 0), where the loop must refuse it
+    # deep below threshold |u| ~ exp(q g t) (k^2 = 0): the interpolant at g t = 705
+    # overflows on a step the error control accepts, and past g t ~ 708.7 the steps
+    # shrink to nothing; either must raise, never return nan.  The end of a step
+    # at 705 is still finite and right
     params = params_for(0.0)
+    pump = HarmonicPump.from_params(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in (705.0, 720.0):
-            with pytest.raises(weinorman.IntegrationError, match=r"failed on \[0, 7"):
-                solve_ode(HarmonicPump.from_params(params), params, [0.0, t])
+        for grid, why in (([0.0, 705.0, 706.0], "the state is not finite"),
+                          ([0.0, 710.0], "Required step size"),
+                          ([0.0, 720.0], "Required step size")):
+            with pytest.raises(weinorman.IntegrationError, match=r"failed on \[0, 7\d+\]: " + why):
+                solve_ode(pump, params, grid)
+        c = solve_ode(pump, params, [0.0, 705.0])[-1]
+    exact = solve_analytic(params, 705.0)
+    assert abs(c.a_minus - exact.a_minus) < 1e-9 and abs(c.a_zero - exact.a_zero) < 1e-9
 
 
 def test_ode_at_t_zero_alone():
     params = params_for(1.5)
     (c,) = solve_ode(HarmonicPump.from_params(params), params, [0.0])
     assert (c.t, c.a_plus, c.a_minus, c.a_zero) == (0.0, 0.0, 0.0, 0.0)
+
+
+def _scipy_dop853(pump, params, grid, tol):
+    """solve_ode's system on scipy's DOP853 at solve_ode's tolerances and first step: the
+    coefficients at grid[1:] (t_eval, or the end state for 2 points) and the RHS calls."""
+    wsum = params.omega_a + params.omega_b
+
+    def rhs(t, y):
+        gt = pump.value(t) * cmath.exp(-1j * wsum * t)
+        du = -(gt * y[1]).conjugate()
+        return [du, -(gt * y[0]).conjugate(), (du / y[0]).imag]
+
+    sol = oracle.solve_ivp(rhs, (0.0, grid[-1]), [1, 0, 0j], method="DOP853",
+                           t_eval=grid[1:] if grid.size > 2 else None, first_step=grid[-1],
+                           rtol=0.01 * tol, atol=1e-5 * tol)
+    u, v, phi = sol.y[:, 1 - grid.size:]
+    return (v / u.conj(), -(v / u).conj(), -np.log(np.abs(u)) + 1j * phi.real), sol.nfev
+
+
+@pytest.mark.parametrize("k2", [0.5, 1.5])
+def test_ode_matches_scipy_dop853(k2):
+    # the stepper against scipy's own DOP853 from the same first step, read off
+    # the interpolant at the 39 times inside [0, 10]
+    params, grid, tol = params_for(k2), np.linspace(0.0, 10.0, 41), 1e-10
+    pump = HarmonicPump.from_params(params)
+    want, _ = _scipy_dop853(pump, params, grid, tol)
+    got = solve_ode(pump, params, grid, tol)[1:]
+    for field, value in zip(("a_plus", "a_minus", "a_zero"), want):
+        assert np.max(np.abs([getattr(c, field) for c in got] - value)) < 1e-12, field
+
+
+def test_ode_at_the_rtol_floor_steps_as_scipy():
+    # tol = 1e-13 asks for rtol = 1e-15, which both raise to 100 eps with a
+    # warning; then they take the same steps, one pump value per RHS call
+    params, grid, calls = params_for(1.5), np.array([0.0, 2.0]), []
+    value = HarmonicPump.from_params(params).value
+    with pytest.warns(UserWarning, match=r"Setting `rtol = np\.maximum\(rtol, 2\.22"):
+        (_, got) = solve_ode(CustomPump(fn=lambda t: calls.append(t) or value(t)), params,
+                             grid, tol=1e-13)
+        want, nfev = _scipy_dop853(HarmonicPump.from_params(params), params, grid, 1e-13)
+    assert len(calls) == nfev
+    for field, value in zip(("a_plus", "a_minus", "a_zero"), want):
+        assert abs(getattr(got, field) - value[0]) < 1e-12, field
+
+
+def test_ode_pump_calls_on_a_401_point_grid(monkeypatch):
+    # a cost guard: one pump value per RHS call, the same count on every run,
+    # and no more than the 1228 calls of the scipy solver object it replaced
+    params, counts = params_for(1.5), []
+    value, stepper = HarmonicPump.from_params(params).value, oracle._dop853
+    rhs_calls, pump_calls = [], []
+    monkeypatch.setattr(oracle, "_dop853", lambda fun, *args: stepper(
+        lambda t, y: rhs_calls.append(t) or fun(t, y), *args))
+    pump = CustomPump(fn=lambda t: pump_calls.append(t) or value(t))
+    for _ in range(2):
+        solve_ode(pump, params, np.linspace(0.0, 10.0, 401))
+        counts.append((len(pump_calls), len(rhs_calls)))
+        pump_calls.clear()
+        rhs_calls.clear()
+    assert counts[0] == counts[1] and counts[0][0] == counts[0][1] <= 1228
 
 
 def _threshold_grid():
