@@ -18,16 +18,16 @@ also runs on, here with all blocks zero-padded to cutoff + 1 entries and raveled
 flat row.  One flat coefficient array serves K- and, one slot down, K+; it holds 0 at each
 block's last entry and in the padding, so no amplitude crosses a block edge.  On each
 kink-free stretch, where a tabulated pump is linear, ``_dop853`` steps the Dormand-Prince
-8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) with scipy's ``DOP853``
-tableau and step-size control but no solver object, keeping only the current state; an
+8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) on scipy's ``DOP853`` tableau,
+copied here, and step-size control but no solver object, keeping only the current state; an
 output time inside comes off the 7th-order interpolant of its step (3 more RHS calls).
 A failed step or a non-finite state raises ``IntegrationError``.
 
 A start is validated by ``model``'s state types and built by ``_product_state``, which
-drops each block of weight <= 1e-16 into ``norm_deficit`` and loads no scipy.  The
-harmonic path calls LAPACK's divide-and-conquer ``dstevd`` from ``scipy.linalg``; the
-ODE path reads the tableau off ``DOP853`` from ``scipy.integrate``.  ``__getattr__``
-(PEP 562) imports each on its first read; both read them through the module, as rebound.
+drops each block of weight <= 1e-16 into ``norm_deficit``; neither it nor the ODE path
+loads scipy.  The harmonic path calls LAPACK's divide-and-conquer ``dstevd`` from
+``scipy.linalg``, which ``__getattr__`` (PEP 562) imports on its first read and the path
+reads through the module, as rebound; so is scipy's ``solve_ivp``, which tracers rebind.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from .model import (CoherentPair, FockPair, HarmonicPump, ModelParams, PumpProfi
 
 
 # scipy primitives imported on first read and kept as module globals, so that they can be
-# rebound; solve_ivp is not called here: perfbench/tracing.py rebinds it, tests use it
-_LAZY = {"DOP853": "scipy.integrate", "solve_ivp": "scipy.integrate",
-         "dstevd": "scipy.linalg.lapack"}
+# rebound; solve_ivp is not called here (and loads scipy.integrate): tracers rebind it
+_LAZY = {"solve_ivp": "scipy.integrate", "dstevd": "scipy.linalg.lapack"}
 
 
 def __getattr__(name):
@@ -204,16 +203,66 @@ def _propagate_harmonic(pump: HarmonicPump, w: float, initial: TruncatedState, t
     return out
 
 
-def _dop853(fun, t0, y, t1, times, rtol, atol, tableau):
-    """Step y' = fun(t, y) from y(t0) = y to t1 on ``_integrate``'s ``tableau``, first trying
-    one step; the states at the ``times`` in (t0, t1], and the end state."""
-    (a, c, e, d), k, way = tableau, np.empty((16, y.size), complex), math.copysign(1, t1 - t0)
+# The Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
+# scipy's DOP853 carries it, each entry the shortest repr of its double: the nodes _C; the
+# weights _A, its strict lower triangle in row order: 12 stages, the step's end (row 12) and
+# the interpolant's 3 extra stages; the 5th- and 3rd-order error rows _E; the dense rows _D
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+      0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+      0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778)
+_A = np.zeros((16, 16), complex)
+_A[np.tril_indices(16, -1)] = [0.05260015195876773, 0.0197250569845379, 0.0591751709536137,
+    0.02958758547680685, 0, 0.08876275643042054, 0.2413651341592667, 0, -0.8845494793282861,
+    0.924834003261792, 0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242,
+    0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125,
+    0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023, 0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+    27.59209969944671, 20.154067550477894, -43.48988418106996, 0.47766253643826434, 0, 0,
+    -2.4881146199716677, -0.590290826836843, 21.230051448181193, 15.279233632882423,
+    -33.28821096898486, -0.020331201708508627, -0.9371424300859873, 0, 0, 5.186372428844064,
+    1.0914373489967295, -8.149787010746927, -18.52006565999696, 22.739487099350505,
+    2.4936055526796523, -3.0467644718982196, 2.273310147516538, 0, 0, -10.53449546673725,
+    -2.0008720582248625, -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+    -8.87285693353063, 12.360567175794303, 0.6433927460157636, 0.054293734116568765, 0, 0, 0,
+    0, 4.450312892752409, 1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259, 0.056167502283047954, 0, 0,
+    0, 0, 0, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298,
+    0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+    -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+    -0.00034046500868740456, 0.1413124436746325, -0.42889630158379194, 0, 0, 0, 0,
+    -4.697621415361164, 7.683421196062599, 4.06898981839711, 0.3567271874552811, 0, 0, 0,
+    -0.0013990241651590145, 2.9475147891527724, -9.15095847217987]
+_E = np.reshape([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0, -0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+    0.20136540080403034, 0.02265179219836082, 0], (2, 13))
+_D = np.reshape([-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+    2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+    0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+    -4.436036387594894, 10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+    -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+    -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+    35.81684148639408, 19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+    527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+    0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+    11.99229113618279, -25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+    357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+    29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+    -149.72683625798564], (4, 16))
+
+
+def _dop853(fun, t0, y, t1, times, rtol, atol):
+    """Step y' = fun(t, y) from y(t0) = y to t1 on the tableau above, first trying one step;
+    the states at ``times``, the monotone output times in (t0, t1], and the end state."""
+    k, way = np.empty((16, y.size), complex), math.copysign(1, t1 - t0)
     k[0], got, t, h_abs = fun(t0, y), [], t0, abs(t1 - t0)
-    due, stretch = [s for s in times if (s - t0) * (s - t1) < 0.0], f"[{t0:.6g}, {t1:.6g}]: "
+    due, stretch = [s for s in times if s != t1], f"[{t0:.6g}, {t1:.6g}]: "
 
     def stages(first, last):  # stages first, ..., last - 1 of the step h from (t, y)
         for s in range(first, last):
-            k[s] = fun(t + c[s] * h, z := y + np.dot(ah[s, :s], k[:s]))
+            k[s] = fun(t + _C[s] * h, z := y + np.dot(ah[s, :s], k[:s]))
         return z
 
     while t != t1:
@@ -225,10 +274,10 @@ def _dop853(fun, t0, y, t1, times, rtol, atol, tableau):
                                        "Required step size is less than spacing between numbers.")
             t_new = t1 if way * (t + way * h_abs - t1) > 0 else t + way * h_abs
             h, h_abs = t_new - t, abs(t_new - t)
-            ah = a * h
+            ah = _A * h
             y_new = stages(1, 13)  # row 12 is the step's end
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5, e3 = np.linalg.norm(np.dot(e, k[:13]) / scale, axis=1) ** 2
+            e5, e3 = np.linalg.norm(np.dot(_E, k[:13]) / scale, axis=1) ** 2
             err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * y.size) if e5 or e3 else 0.0
             factor = 0.9 * err ** -0.125 if err else 10.0
             if err < 1:  # grow the step at most 10-fold, and not after a rejection
@@ -239,7 +288,7 @@ def _dop853(fun, t0, y, t1, times, rtol, atol, tableau):
         if n > len(got):  # this step holds output times: its 7th-order interpolant
             stages(13, 16)
             dy, x, out = y_new - y, (np.array(due[len(got):n])[:, None] - t) / h, 0
-            rows = [dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0]), *h * np.dot(d, k)]
+            rows = [dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0]), *h * np.dot(_D, k)]
             for i, row in enumerate(reversed(rows)):
                 out = (out + row) * (x if i % 2 == 0 else 1 - x)
             got.extend(out + y)
@@ -251,7 +300,8 @@ def _dop853(fun, t0, y, t1, times, rtol, atol, tableau):
 
 def _integrate(pump: PumpProfile, wsum: float, f, y0: np.ndarray, times, rtol, atol):
     """States of y' = f(G(t), y), y(0) = y0, G(t) = g(t) exp(-i wsum t), at the monotone
-    float list ``times`` from 0 to its end, by ``_dop853`` on each kink-free stretch."""
+    float list ``times`` from 0 to its end, by ``_dop853`` on each kink-free stretch, which
+    is handed only its own slice of ``times``."""
     end = times[-1]
 
     def rhs(time, y):
@@ -263,18 +313,16 @@ def _integrate(pump: PumpProfile, wsum: float, f, y0: np.ndarray, times, rtol, a
     kinks = np.asarray(pump.times) if tabulated else np.empty(0)
     knots = [0.0, *kinks[(kinks > 0.0) & (kinks < end)].tolist(), end] if end else [0.0]
     ends = pump.value(knots).tolist() if tabulated else None  # g is straight between knots
-    d = sys.modules[__name__].DOP853  # stage weights: 12 stages, the step's end, 3 for dense
-    a = np.vstack((np.pad(d.A, ((0, 0), (0, 4))), np.pad(d.B, (0, 4)), d.A_EXTRA)) + 0j
-    tableau = (a, np.hstack((d.C, 1.0, d.C_EXTRA)).tolist(), np.array([d.E5, d.E3]), d.D)
     if rtol < 100 * np.finfo(float).eps:  # scipy's floor, with its warning
         rtol = 100 * np.finfo(float).eps
         warnings.warn(f"At least one element of `rtol` is too small. Setting `rtol = "
                       f"np.maximum(rtol, {rtol})`.", stacklevel=3)
-    y, states = y0, [y0] * int(times[0] == 0.0)
+    cuts = np.searchsorted(np.abs(times), np.abs(knots), "right").tolist()  # |times| ascends
+    y, states = y0, [y0] * cuts[0]
     for i, (t0, t1) in enumerate(zip(knots, knots[1:])):
         if tabulated:  # (g0, slope, t0) on this stretch
             line = (ends[i], (ends[i + 1] - ends[i]) / (t1 - t0), t0)
-        got, y = _dop853(rhs, t0, y, t1, times, rtol, atol, tableau)
+        got, y = _dop853(rhs, t0, y, t1, times[cuts[i]:cuts[i + 1]], rtol, atol)
         states.extend(got)
     return states
 

@@ -55,10 +55,10 @@ print(json.dumps(loaded))
                       "prob": [], "fock_amplitude": []}
 
 
-def test_oracle_stepper_loads_on_first_read_and_stays_rebindable():
-    # call counters rebind ndpa.oracle._dop853 and the tableau's ndpa.oracle.DOP853,
-    # and perfbench's tracer rebinds ndpa.oracle.solve_ivp; the first ODE use loads
-    # scipy.integrate, and every stretch runs whatever _dop853 holds when it runs
+def test_oracle_stepper_stays_rebindable_and_solve_ivp_loads_on_first_read():
+    # call counters rebind ndpa.oracle._dop853, and perfbench's tracer rebinds
+    # ndpa.oracle.solve_ivp, which only its first read imports; the ODE path loads
+    # no scipy.integrate, and every stretch runs whatever _dop853 holds when it runs
     result = run_fresh("""
 import json, sys
 import numpy as np
@@ -81,26 +81,46 @@ times = (0.0, 0.5, 1.0)
 tab = TabulatedPump(times=times, values=tuple(pump.value(np.array(times))))
 oracle.evolve_truncated(tab, params, oracle.fock_state(12, 1, 0), 1.0,
                         oracle.OracleConfig(cutoff=12))
-loaded = "scipy.integrate" in sys.modules
 grid = np.linspace(0.0, 2.0, 5)
 numeric = solve_ode(pump, params, grid)
 exact = solve_analytic(params, grid)
+still_unloaded = "scipy.integrate" not in sys.modules and "solve_ivp" not in vars(oracle)
 import scipy.integrate
 print(json.dumps({
-    "unloaded": unloaded,
-    "loaded": loaded,
-    "tableau_is_scipy": oracle.DOP853 is scipy.integrate.DOP853,
+    "unloaded": unloaded and still_unloaded,
     "solve_ivp_is_scipy": oracle.solve_ivp is scipy.integrate.solve_ivp,
     "calls": calls,
     "ode_error": max(abs(c.a_plus - e) for c, e in zip(numeric, exact.a_plus)),
     "minima": len(squeezing_extrema(params, 0.0, (0.0, 10.0), n_grid=401)),
 }))
 """)
-    assert result["unloaded"] and result["loaded"]
-    assert result["tableau_is_scipy"] and result["solve_ivp_is_scipy"]
+    assert result["unloaded"] and result["solve_ivp_is_scipy"]
     assert result["calls"] == [[0.0, 0.5], [0.5, 1.0], [0.0, 2.0]]  # oracle, then solve_ode
     assert result["ode_error"] < 1e-8
     assert result["minima"] > 0
+
+
+def test_ode_path_loads_no_scipy():
+    # solve_ode and the oracle under tabulated and custom pumps step the tableau
+    # that ndpa.oracle carries, so they import no scipy module at all
+    loaded = run_fresh("""
+import json, sys
+import numpy as np
+from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
+from ndpa.oracle import OracleConfig, coherent_state, evolve_truncated, fock_state
+from ndpa.weinorman import solve_ode
+
+params = ModelParams.from_k2(1.5, g=1.0, omega_a=3.0, omega_b=2.0)
+value = HarmonicPump.from_params(params).value
+samples = np.linspace(0.0, 1.0, 11)
+for pump in (TabulatedPump(times=tuple(samples), values=tuple(value(samples))),
+             CustomPump(fn=value)):
+    solve_ode(pump, params, np.linspace(0.0, 1.0, 5))
+    evolve_truncated(pump, params, fock_state(12, 1, 0), 0.7, OracleConfig(cutoff=12))
+    evolve_truncated(pump, params, coherent_state(16, 0.5, 0.3j), 0.4, OracleConfig(cutoff=16))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+""")
+    assert loaded == []
 
 
 def test_truncated_states_load_no_scipy_special():

@@ -159,10 +159,7 @@ def test_tabulated_constant_pump_matches_harmonic_path():
 def test_failed_solve_raises_integration_error_naming_the_stretch(monkeypatch):
     # one error for both users of the stretch loop, naming the stretch and the
     # reason; a nan error estimate refuses every step down to the minimum step
-    class Failing(oracle.DOP853):
-        E5 = oracle.DOP853.E5 * np.nan
-
-    monkeypatch.setattr(oracle, "DOP853", Failing)
+    monkeypatch.setattr(oracle, "_E", oracle._E * [[np.nan], [1.0]])  # a nan 5th-order row
     params = params_for(1.5)
     pump = CustomPump(fn=pump_for(params).value)
     stretch = r"integrator failed on \[0, 1\.5\]: Required step size"
@@ -191,9 +188,9 @@ def test_rtol_below_the_floor_is_raised_to_it(monkeypatch):
     # rtol = 3e-14 passes unchanged and silent (the suite turns warnings into errors)
     seen, stepper = [], oracle._dop853
 
-    def recording(fun, t0, y, t1, times, rtol, atol, tableau):
+    def recording(fun, t0, y, t1, times, rtol, atol):
         seen.append((rtol, atol))
-        return stepper(fun, t0, y, t1, times, rtol, atol, tableau)
+        return stepper(fun, t0, y, t1, times, rtol, atol)
 
     monkeypatch.setattr(oracle, "_dop853", recording)
     params = params_for(1.5)
@@ -209,6 +206,37 @@ def test_rtol_below_the_floor_is_raised_to_it(monkeypatch):
     floor = 100 * np.finfo(float).eps
     assert seen == [(floor, 1e-15 * 1e-2), (floor, 2e-14 * 1e-2), (floor, 1e-5 * 1e-13),
                     (3e-14, 3e-14 * 1e-2)]
+
+
+def test_tableau_is_scipys_dop853():
+    # the module's tableau, entry for entry, as scipy's DOP853 class carries it
+    from scipy.integrate import DOP853
+    assert np.array_equal(oracle._A, np.vstack(
+        (np.pad(DOP853.A, ((0, 0), (0, 4))), np.pad(DOP853.B, (0, 4)), DOP853.A_EXTRA)))
+    assert oracle._A.dtype == complex and not oracle._A.imag.any()
+    assert np.array_equal(oracle._C, np.hstack((DOP853.C, 1.0, DOP853.C_EXTRA)))
+    assert np.array_equal(oracle._E, [DOP853.E5, DOP853.E3])
+    assert np.array_equal(oracle._D, DOP853.D)
+
+
+@pytest.mark.parametrize("n_grid", [2, 11, 401, 403])
+def test_each_stretch_gets_only_its_own_output_times(monkeypatch, n_grid):
+    # the grid is split among the stretches once: each is handed the times in
+    # (t0, t1], so together they receive every time after the start exactly once
+    params, received = params_for(1.5), []
+    samples = np.linspace(0.0, 10.0, 401)
+    tab = TabulatedPump(times=tuple(samples), values=tuple(pump_for(params).value(samples)))
+    stepper = oracle._dop853
+
+    def recording(fun, t0, y, t1, times, *args):
+        assert all(t0 < s <= t1 for s in times), (t0, t1, times)
+        received.extend(times)
+        return stepper(fun, t0, y, t1, times, *args)
+
+    monkeypatch.setattr(oracle, "_dop853", recording)
+    grid = np.linspace(0.0, 10.0, n_grid)
+    assert len(solve_ode(tab, params, grid)) == n_grid
+    assert received == grid[1:].tolist()
 
 
 def test_tabulated_pump_tolerance_refinement(monkeypatch):
