@@ -2,24 +2,21 @@
 
 Every Fock-basis transition probability <m, n| U |r, s> is one Jacobi
 polynomial in 1 - 2y (the SU(1,1) matrix elements; Bargmann, Ann. Math.
-48, 1947), evaluated by ``_transition`` in the log domain:
+48, 1947), evaluated in the log domain:
 
     p_mn(r, s) = R! (R+a+b)! / ((R+a)! (R+b)!) x^-(b+1) y^a P_R^(a,b)(1-2y)^2
 
-with R = min(r, s, m, n), a = |n - r| and b = |s - r|.  ``fock_amplitude``
-adds its phase.  Fock probabilities are asked for in two ways.  One outcome
-at one time runs on Python floats: the numbers its time shares (1/x by
-numpy's exp among them) are worked out once for all its outcomes, the
-prefactor is exact math.comb, and at R >= 2 scipy's compiled eval_jacobi
-runs the recurrence.  An outcome array of one start (integer-array labels)
-runs one rescaled recurrence up to its largest degree, freezing each entry
-at its own, over a Stirling-form log prefactor; a time grid runs the same
-recurrence over the grid, with the exact prefactor.  The vacuum (R = 0,
-a = n), |1,1> (R = min(1, n)) and a-mode |l, 0> (R = 0, a = m, b = l)
-probabilities are its degree <= 1 cases, each on the outcome line of one
-start; the a-mode log term also gives both reduced densities (its
-logsumexp).  ``_line_norm`` sums such a line with a certified tail for all
-three normalization sums.
+with R = min(r, s, m, n), a = |n - r| and b = |s - r|; ``fock_amplitude``
+adds its phase.  All of it is one kernel, ``_transitions``: outcome labels on
+the leading axes against one time or a time grid on the trailing ones, one
+rescaled recurrence up to the largest degree, over an exact math.comb
+prefactor for int labels and a Stirling-form one for integer arrays.  One
+outcome at one time, from ``fock_amplitude``, first tries scipy's compiled
+eval_jacobi on Python numbers (``_transition``).  The vacuum (R = 0, a = n),
+|1,1> (R = min(1, n)) and a-mode |l, 0> (R = 0, a = m, b = l) probabilities
+are its degree <= 1 cases; the a-mode log term also gives both reduced
+densities (its exp summed over the outcome axis).  ``_line_norm`` sums one
+start's outcomes at one time with a certified tail for all three norms.
 """
 
 from __future__ import annotations
@@ -40,11 +37,6 @@ _HUGE = 2.0 ** 512  # the recurrence pair is scaled by this once both fall below
 _MIN_NORMAL = sys.float_info.min
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _binom = _eval_jacobi = None  # scipy.special.cython_special's, bound on first use
-
-
-def _bind_jacobi():
-    global _binom, _eval_jacobi
-    from scipy.special.cython_special import binom as _binom, eval_jacobi as _eval_jacobi
 
 
 @functools.cache
@@ -81,54 +73,71 @@ def _log_binom(n, k):
         + _stirling_rest(n) - _stirling_rest(k) - _stirling_rest(j))
 
 
-def _transition(R, a, b, y, log_y, log_x, inv_x):
-    """(log s, f) of one outcome, with the module's p_mn(r, s) = s f^2, |f| <= 1.
-
-    f = P_R^(a,b)(1-2y) / C(R + max(a, b), R), after P^(a,b)(z) = (-1)^R
-    P^(b,a)(-z) puts the larger index first; inv_x = 1/x = exp(-log x), and
-    (1 + z)/2 = 1/x, (1 - z)/2 = y: never 1 - y.  The labels are ints and
-    the prefactor is exact.  At one time (Python floats) and R >= 2 f is
-    scipy's compiled eval_jacobi over its own binom: at an int R it runs
-    ``_jacobi_ratio``'s recurrence in C and multiplies by that binom, which
-    the division cancels exactly (a float R would select scipy's
-    hypergeometric form, a different sum).  Over a grid, or where that binom
-    is inf or f is not a normal float, ``_jacobi_ratio`` runs.
-    """
-    if a < b:
-        hi, lo, u, w, sign = b, a, y, inv_x, -1.0 if R % 2 else 1.0
-    else:
-        hi, lo, u, w, sign = a, b, inv_x, y, 1.0
+def _oriented(R, a, b, y, log_y, log_x, inv_x):
+    """(log s, hi, lo, u, w, sign) of int labels, at one time or over a grid alike,
+    with the exact prefactor: P^(a,b)(z) = (-1)^R P^(b,a)(-z) puts the larger
+    index first; inv_x = 1/x = exp(-log x), and (1 + z)/2 = 1/x, (1 - z)/2 = y:
+    never 1 - y."""
+    hi, lo, u, w, sign = (b, a, y, inv_x, (-1.0) ** R) if a < b else (a, b, inv_x, y, 1.0)
     log_s = (math.log(math.comb(R + hi + lo, hi) * math.comb(R + hi, R))
              + (a * log_y if a else 0.0) - (b + 1) * log_x)
-    if R > 1 and type(u) is float:
+    return log_s, hi, lo, u, w, sign
+
+
+def _transition(R, a, b, y, log_y, log_x, inv_x):
+    """(log s, f) of one outcome at one time on Python numbers, with the module's
+    p_mn(r, s) = s f^2, |f| <= 1: f = P_R^(a,b)(1-2y) / C(R + max(a, b), R).
+
+    At R >= 2 f is scipy's compiled eval_jacobi over its own binom: at an int R
+    it runs ``_jacobi_ratio``'s recurrence in C and multiplies by that binom,
+    which the division cancels exactly (a float R would select scipy's
+    hypergeometric form, a different sum).  Below that, or where that binom is
+    inf or f is not a normal float, the kernel runs.
+    """
+    global _binom, _eval_jacobi
+    if R > 1:
+        log_s, hi, lo, u, w, sign = _oriented(R, a, b, y, log_y, log_x, inv_x)
         if _eval_jacobi is None:
-            _bind_jacobi()
+            from scipy.special.cython_special import binom as _binom, eval_jacobi as _eval_jacobi
         c = _binom(R + hi, R)
         f = _eval_jacobi(int(R), hi, lo, u - w) / c if c < math.inf else 0.0
         if _MIN_NORMAL <= abs(f) < math.inf:  # a normal float, else the recurrence
             return log_s, sign * f
-    log_scale, f = _jacobi_ratio(R, R, hi, lo, u, w)
-    return log_s + log_scale, sign * f
+    return _transitions(R, a, b, y, log_y, log_x, inv_x)
 
 
 def _transitions(R, a, b, y, log_y, log_x, inv_x):
-    """``_transition`` of integer-array labels, the outcomes of one start at
-    one time, with the prefactor in Stirling's form."""
-    hi, lo = np.maximum(a, b) * 1.0, np.minimum(a, b) * 1.0  # floats: no int64 overflow
-    with np.errstate(invalid="ignore"):  # 0 log y at y = 0
-        log_s = (_log_binom(R + hi + lo, hi) + _log_binom(R + hi, R)
-                 + np.where(a > 0, a * log_y, 0.0) - (b + 1) * log_x)
-    swap = a < b
-    u, w = np.where(swap, y, inv_x), np.where(swap, inv_x, y)
-    log_scale, f = _jacobi_ratio(R, R.max(initial=0), hi, lo, u, w)
-    return log_s + log_scale, np.where(swap & (R % 2 == 1), -f, f)
+    """(log s, f) over outcomes x times, the one kernel: int labels (0-d arrays
+    too), oriented once for every time, or integer arrays whose axes lead those
+    of the times, over the prefactor in Stirling's form."""
+    if not isinstance(R, np.ndarray):
+        R = top = int(R)
+        log_s, hi, lo, u, w, sign = _oriented(R, int(a), int(b), y, log_y, log_x, inv_x)
+    else:
+        hi, lo = np.maximum(a, b) * 1.0, np.minimum(a, b) * 1.0  # floats: no int64 overflow
+        swap, top = a < b, R.max(initial=0)
+        u, w = np.where(swap, y, inv_x), np.where(swap, inv_x, y)
+        sign = np.where(swap & (R % 2 == 1), -1.0, 1.0)
+        with np.errstate(invalid="ignore"):  # 0 log y at y = 0
+            log_s = (_log_binom(R + hi + lo, hi) + _log_binom(R + hi, R)
+                     + np.where(a > 0, a * log_y, 0.0) - (b + 1) * log_x)
+    log_scale, f = _jacobi_ratio(R, top, hi, lo, u, w)
+    return log_s + log_scale, sign * f
+
+
+def _leading(c: WeiNormanCoefficients, *labels):
+    """Integer-array labels broadcast, their axes ahead of the times of ``c``; ints pass."""
+    if all(type(v) is int for v in labels):
+        return labels
+    tail = (1,) * np.ndim(c.a_minus)
+    return [v.reshape(v.shape + tail) if v.ndim else v for v in np.broadcast_arrays(*labels)]
 
 
 def _jacobi_ratio(R, top, hi, lo, u, w):
     """(2 log scale, mantissa) of P_R^(hi,lo)(u - w) / C(R + hi, R), by the
     forward recurrence from P_1, rescaled off underflow: for an int R on
-    Python floats or over a grid, or for an int array R (top its largest)
-    with each entry frozen past its own degree."""
+    Python floats or arrays, or for an int array R (top its largest) that
+    broadcasts against them, with each entry frozen past its own degree."""
     p = ((hi + 1) * u - (lo + 1) * w) / (hi + 1)  # P_1 / C(1 + hi, 1)
     if top <= 1:
         return 0.0, p ** R  # p^0 = 1 at degree 0
@@ -167,58 +176,47 @@ def fock_amplitude(c: WeiNormanCoefficients, initial: FockPair,
                    outcome: FockOutcome):
     """<m, n| U_I(t) |r, s>; zero unless m = s - r + n (conserved n_a - n_b).
 
-    Scalar coefficients give a complex number, grid coefficients an array.
-    An outcome of integer arrays, with scalar coefficients, gives one
-    amplitude per entry.  The phase is (2R + b + 1) Im A0 + a arg(A+ if
-    n >= r else A-).
+    One outcome at one time gives a complex number.  An outcome of integer
+    arrays gives one amplitude per entry, grid coefficients one per time, and
+    both together a table whose outcome axes lead its time axes.  The phase
+    is (2R + b + 1) Im A0 + a arg(A+ if n >= r else A-).
     """
     r, s, m, n = initial.r, initial.s, outcome.m, outcome.n
     if type(m) is int and type(n) is int:  # FockOutcome holds ints or integer arrays
         if m != s - r + n:
             return 0j * c.a_zero
-        R, a, b = min(r, s, m, n), abs(n - r), abs(s - r)
         if not isinstance(c.a_minus, np.ndarray):  # one outcome at one time: Python numbers
             y, log_y, log_x, inv_x, arg_plus, arg_minus = _one_time(c)
+            R, a, b = min(r, s, m, n), abs(n - r), abs(s - r)
             log_s, f = _transition(R, a, b, y, log_y, log_x, inv_x)
             return cmath.exp(complex(0.5 * log_s, (2 * R + b + 1) * c.a_zero.imag
                                      + a * (arg_plus if n >= r else arg_minus))) * f
-        mod_minus, log_x = np.abs(c.a_minus), -2.0 * c.a_zero.real
-        with np.errstate(divide="ignore"):  # A- = 0 at gt = 0
-            log_y = 2.0 * np.log(mod_minus)
-        log_s, f = _transition(R, a, b, mod_minus * mod_minus, log_y, log_x, np.exp(-log_x))
-        arg = np.angle(c.a_plus if n >= r else c.a_minus)
-    elif isinstance(c.a_minus, np.ndarray):
-        raise ValueError("an outcome array takes scalar coefficients, not a time grid")
-    else:  # the outcomes of one start at one time
-        m, n = np.broadcast_arrays(m, n)
-        y, log_y, log_x, inv_x, arg_plus, arg_minus = _one_time(c)
-        R, a, b = np.minimum(np.minimum(m, n), min(r, s)), abs(n - r), abs(s - r)
-        log_s, f = _transitions(R, a, b, y, log_y, log_x, inv_x)
-        arg = np.where(n >= r, arg_plus, arg_minus)
+    m, n = _leading(c, m, n)  # the kernel; numpy's numbers of one time equal its grid column's
+    mod_minus, log_x = np.abs(c.a_minus), -2.0 * c.a_zero.real
+    with np.errstate(divide="ignore"):  # A- = 0 at gt = 0
+        log_y = 2.0 * np.log(mod_minus)
+    R, a, b = np.minimum(np.minimum(m, n), min(r, s)), abs(n - r), abs(s - r)
+    log_s, f = _transitions(R, a, b, mod_minus * mod_minus, log_y, log_x, np.exp(-log_x))
+    arg = np.where(n >= r, np.angle(c.a_plus), np.angle(c.a_minus))
     amp = np.exp(0.5 * log_s + 1j * ((2 * R + b + 1) * c.a_zero.imag + a * arg)) * f
-    return amp if type(m) is int else np.where(m == s - r + n, amp, 0j)
+    return np.where(m == s - r + n, amp, 0j)
 
 
-def _line_terms(d: AnalyticSolution, r: int, s: int, k):
-    """(log s, f) of the outcomes |k, k + r - s> of the start |r, s>, r >= s <= 1:
-    R = min(s, k) <= 1, a = |k - s| and b = r - s."""
-    if not isinstance(k, np.ndarray):
-        return _transition(min(s, k), abs(k - s), r - s, d.y, d.log_y, d.log_x,
-                           np.exp(-d.log_x))
-    if np.ndim(d.y):  # else each outcome would pair with one time
-        raise ValueError("an outcome array takes scalar coefficients, not a time grid")
+def _line_terms(d: AnalyticSolution, r, s: int, k):
+    """(log s, f) of the outcomes |k, k + r - s> of the starts |r, s>, r >= s <= 1:
+    R = min(s, k) <= 1, a = |k - s| and b = r - s; array labels lead the times."""
     return _transitions(np.minimum(s, k), abs(k - s), r - s, d.y, d.log_y, d.log_x,
                         np.exp(-d.log_x))
 
 
 def _diagonal_prob(d: AnalyticSolution, r: int, n):
     """p_nn for the initial |r, r>."""
-    log_s, f = _line_terms(d, r, r, _occupation("n", n))
+    log_s, f = _line_terms(d, r, r, *_leading(d, _occupation("n", n)))
     return _real(np.exp(log_s) * f * f)
 
 
 def vacuum_prob(d: AnalyticSolution, n) -> float:
-    """p_nn for the initial vacuum: y^n / x; ``n`` may be an integer array at one time."""
+    """p_nn for the initial vacuum: y^n / x; ``n`` may be an integer array."""
     return _diagonal_prob(d, 0, n)
 
 
@@ -229,14 +227,13 @@ def fock11_prob(d: AnalyticSolution, n) -> float:
 
 def _amode_log_term(d: AnalyticSolution, psi: PureAModeState, m, n):
     """log p_mn = log P_(n-m) + log C(n, m) + m log y - (n-m+1) log x, the
-    degree-0 transition |n-m, 0> -> |m, n>; m, n and the scalars broadcast.
-    -inf where P_(n-m) is zero or n - m is outside the distribution."""
+    degree-0 transition |n-m, 0> -> |m, n>; m and n broadcast, their axes
+    leading the times.  -inf where P_(n-m) is zero or n - m is outside the
+    distribution."""
     probs = np.asarray(psi.probs, dtype=float)
-    m, n = np.broadcast_arrays(m, n)
+    m, n = _leading(d, m, n)
     inside = (n >= m) & (n - m < probs.size)
     l = np.where(inside, n - m, 0)
-    if not l.ndim:  # Python ints keep _transition on its exact math.comb branch
-        m, l = int(m), int(l)
     with np.errstate(divide="ignore"):  # log 0
         log_p = np.log(probs[l]) + _line_terms(d, l, 0, m)[0]
     return np.where(inside, log_p, -np.inf)
@@ -249,18 +246,15 @@ def amode_prob(d: AnalyticSolution, psi: PureAModeState,
 
 
 def reduced_density_b(d: AnalyticSolution, psi: PureAModeState, m: int) -> float:
-    """Diagonal b-mode reduced matrix element sum_n p_mn."""
-    from scipy.special import logsumexp
+    """Diagonal b-mode reduced matrix element sum_n p_mn, one per time on a grid."""
     m = _occupation("m", m, arrays=False)
-    n = m + np.arange(len(psi.probs))
-    return float(np.exp(logsumexp(_amode_log_term(d, psi, m, n))))
+    return _real(np.exp(_amode_log_term(d, psi, m, m + np.arange(len(psi.probs)))).sum(axis=0))
 
 
 def reduced_density_a(d: AnalyticSolution, psi: PureAModeState, n: int) -> float:
-    """Diagonal a-mode reduced matrix element sum_m p_mn."""
-    from scipy.special import logsumexp
+    """Diagonal a-mode reduced matrix element sum_m p_mn, one per time on a grid."""
     n = _occupation("n", n, arrays=False)
-    return float(np.exp(logsumexp(_amode_log_term(d, psi, np.arange(n + 1), n))))
+    return _real(np.exp(_amode_log_term(d, psi, np.arange(n + 1), n)).sum(axis=0))
 
 
 def effective_temperature(y: float, omega: float) -> float:
@@ -268,7 +262,7 @@ def effective_temperature(y: float, omega: float) -> float:
     if y == 0.0:
         return 0.0
     if not 0.0 < y < 1.0:
-        raise ValueError("require 0 <= y < 1")
+        raise ValueError(f"require 0 <= y < 1, got y = {y!r}")
     return omega / math.log(1.0 / y)
 
 
@@ -329,6 +323,8 @@ def _line_norm(d: AnalyticSolution, r: int, s: int, tail: float = _TAIL) -> floa
     whose upper bound is, plus any terms below s, _CHUNK terms at a time.
     Where no candidate bounds the upper tail, (x (1 - y))^-(b+1) stands in.
     """
+    if np.ndim(d.y):
+        raise ValueError(f"a normalization sum takes one time, not a grid of shape {d.y.shape}")
     b = r - s
     k = s - 1 + np.unique((2.0 ** (np.arange(321) / 16)).astype(np.int64))
     rho = d.y * (k + b + 1) * (k + 1) / (k - s + 1) ** 2

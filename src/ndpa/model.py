@@ -188,6 +188,13 @@ def _occupation(name: str, value, arrays: bool = True):
     raise ValueError(f"occupation {name} must be a non-negative integer, got {value!r}")
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``, else (bools too) a ValueError that names it."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be at least {least} and an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class FockPair:
     """Initial occupations: r in mode a, s in mode b."""
@@ -287,8 +294,7 @@ class RevivalSpec:
 
 def fock_revival_times(params: ModelParams, n_max: int) -> list[RevivalSpec]:
     """Fock-state revival times n*pi / (g*sqrt(k^2-1)); requires k^2 > 1."""
-    if n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    n_max = _integer("n_max", n_max, 1)
     k2 = params.k2
     if k2 <= 1.0:
         raise RegimeError("Fock revivals exist only for k^2 > 1")
@@ -316,8 +322,8 @@ class CoherentRevival:
 def coherent_revival_params(n: int, p: int,
                             squeezing_only: bool = False) -> CoherentRevival:
     """k^2 = 1/(1-(p/n)^2) and g*t_rev = pi*sqrt(n^2-p^2) for integers n > p >= 0."""
-    if p < 0 or p >= n:
-        raise ValueError("require n > p >= 0")
+    p = _integer("p", p, 0)
+    n = _integer("n", n, p + 1)
     parity_ok = (n - p) % 2 == 0
     if not parity_ok and not squeezing_only:
         raise ParityError(f"n={n} and p={p} must have equal parity for a full revival")

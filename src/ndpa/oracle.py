@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import (CoherentPair, FockPair, HarmonicPump, ModelParams, PumpProfile,
-                    PureAModeState, TabulatedPump)
+                    PureAModeState, TabulatedPump, _integer)
 
 
 # scipy primitives imported on first read and kept as module globals, so that they can be
@@ -74,8 +73,7 @@ class OracleConfig:
     tol: float = 1e-11
 
     def __post_init__(self):
-        if not isinstance(self.cutoff, numbers.Integral) or self.cutoff < 4:  # bools are < 4
-            raise ValueError(f"cutoff must be at least 4 and an integer, got {self.cutoff!r}")
+        _integer("cutoff", self.cutoff, 4)
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 

@@ -97,10 +97,9 @@ def _regime_kernel(k, gt):
 def _coefficients(k, gt, a_plus, a_minus, a_zero, *scalar_out):
     """(A+, A-, A0) on (k, gt) into the given arrays, and the six scalars into ``scalar_out``."""
     winding, w, log_n0 = _regime_kernel(k, gt)
-    if scalar_out:
-        _scalars(log_n0, *scalar_out)  # before log n0 is written over
     np.clip(w, -2.0 ** 511, 2.0 ** 511, out=w)  # (kw)^2 finite; moves A- < 2^-511
-    np.multiply(_softplus(log_n0), -0.5, out=a_zero.real)
+    log_x = _scalars(log_n0, *scalar_out) if scalar_out else _softplus(log_n0)
+    np.multiply(log_x, -0.5, out=a_zero.real)  # Re A0 = -log(x)/2; kw then writes over log n0
     kw = np.multiply(k, w, out=log_n0)
     d = np.square(kw)
     np.divide(w, np.add(d, 1.0, out=d), out=a_minus.real)
@@ -114,16 +113,16 @@ def _coefficients(k, gt, a_plus, a_minus, a_zero, *scalar_out):
 
 
 def _scalars(log_n0, x, y, n0, log_x, log_y, log_n0_out):
-    """(x, y, n0, log_x, log_y, log_n0) into the given arrays from log n0."""
+    """(x, y, n0, log_x, log_y, log_n0) into the given arrays from log n0; returns log_x."""
     np.copyto(log_n0_out, log_n0)
     with np.errstate(over="ignore", divide="ignore"):
         inv = np.divide(1.0, np.exp(log_n0, out=n0))
     np.add(n0, 1.0, out=x)
     np.divide(1.0, np.add(1.0, inv, out=y), out=y)
-    _softplus(log_n0, out=log_x)
     # log y = -log(1 + 1/n0); the direct difference log_n0 - log_x loses all
     # precision once both exceed ~1/eps deep below threshold
     np.negative(np.log1p(inv, out=log_y), out=log_y)
+    return _softplus(log_n0, out=log_x)
 
 
 _BLOCK = 16_384  # points (or one row) per block: temporaries this small stay in cache

@@ -161,8 +161,9 @@ def test_thermal_ratio_below_threshold():
 
 def test_effective_temperature_validation():
     assert effective_temperature(0.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        effective_temperature(1.5, 1.0)
+    for bad in (1.5, 1.0, -0.25, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"got y = {bad!r}")):
+            effective_temperature(bad, 1.0)
 
 
 def test_coherent_transition_consistency():
@@ -358,11 +359,46 @@ def test_outcome_arrays_give_one_amplitude_per_outcome():
     want = [fock_amplitude(c, start, FockOutcome(int(i), int(j))) for i, j in zip(m, n)]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
     assert got[-1] == 0j
+
+
+def test_outcome_arrays_over_a_grid_give_a_table_of_per_time_calls():
+    # the outcome axes lead, the time axis follows: each column is the call at its time
+    params, times = params_for(1.5), np.array([0.0, 0.5, 0.8, 2.3])
+    grid, ones = solve_analytic(params, times), [solve_analytic(params, t) for t in times]
+    start, psi = FockPair(8, 6), PureAModeState.poisson(0.85)
+    n = np.arange(2, 60)
+    table = fock_amplitude(grid, start, FockOutcome(n - 2, n))
+    assert table.shape == (n.size, times.size)
+    for column, c in zip(table.T, ones):
+        np.testing.assert_allclose(column, fock_amplitude(c, start, FockOutcome(n - 2, n)),
+                                   rtol=0, atol=1e-15)
+    # one outcome over the grid keeps the exact prefactor: its row, to rounding
+    np.testing.assert_allclose(fock_amplitude(grid, start, FockOutcome(5, 7)), table[5],
+                               rtol=1e-13, atol=1e-300)
+    m, k = np.array([0, 1, 2, 1, 3]), np.array([0, 2, 5, 1, 2])  # the last is outside: n < m
+    per_time = {
+        "vacuum": (vacuum_prob(grid, np.arange(6)), [vacuum_prob(c, np.arange(6)) for c in ones]),
+        "a-mode": (amode_prob(grid, psi, FockOutcome(m, k)),
+                   [amode_prob(c, psi, FockOutcome(m, k)) for c in ones]),
+        "rho_b": (reduced_density_b(grid, psi, 2), [reduced_density_b(c, psi, 2) for c in ones]),
+        "rho_a": (reduced_density_a(grid, psi, 3), [reduced_density_a(c, psi, 3) for c in ones]),
+    }
+    for name, (got, want) in per_time.items():
+        want = np.array(want).T
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0, err_msg=name)
+    assert (per_time["a-mode"][0][-1] == 0.0).all()
+    # a one-point grid gives one value, the sum over outcomes at that time alone
+    np.testing.assert_allclose(reduced_density_b(solve_analytic(params, times[2:3]), psi, 2),
+                               [reduced_density_b(ones[2], psi, 2)], rtol=1e-14)
+
+
+@pytest.mark.parametrize("norm", [vacuum_norm, fock11_norm,
+                                  lambda d: amode_norm(d, PureAModeState.poisson(0.85))])
+def test_normalization_sums_refuse_a_time_grid(norm):
     grid = solve_analytic(params_for(1.5), np.array([0.5, 0.8, 1.1]))
-    for call in (lambda: fock_amplitude(grid, start, FockOutcome(m[:3], n[:3])),
-                 lambda: vacuum_prob(grid, np.arange(3))):  # not paired time by time
-        with pytest.raises(ValueError, match="outcome array takes scalar coefficients"):
-            call()
+    with pytest.raises(ValueError, match=re.escape("not a grid of shape (3,)")):
+        norm(grid)
 
 
 @pytest.mark.parametrize("probs, phases, entry", [

@@ -43,16 +43,22 @@ for argv in (["figure", "fig6"], ["figure", "fig3"], ["evolve", "--steps", "11"]
     assert ndpa.cli.main(argv + out) == 0, argv
     loaded[argv[0]] = scipy_modules()  # sys.modules only grows: the last run counts
 # one outcome at Jacobi degree R <= 1, then one outcome array of any degree
-c = ndpa.solve_analytic(ndpa.ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0), 1.0)
+params = ndpa.ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0)
+c = ndpa.solve_analytic(params, 1.0)
 for start, outcome in ((ndpa.FockPair(0, 0), ndpa.FockOutcome(3, 3)),
                        (ndpa.FockPair(2, 1), ndpa.FockOutcome(1, 2)),
                        (ndpa.FockPair(7, 4), ndpa.FockOutcome(range(0, 9), range(3, 12)))):
     ndpa.fock_amplitude(c, start, outcome)
 loaded["fock_amplitude"] = scipy_modules()
+# an outcome x time table up to degree 7
+table = ndpa.fock_amplitude(ndpa.solve_analytic(params, [0.5, 1.0, 2.0]), ndpa.FockPair(7, 4),
+                            ndpa.FockOutcome(range(0, 9), range(3, 12)))
+assert table.shape == (9, 3)
+loaded["table"] = scipy_modules()
 print(json.dumps(loaded))
 """)
     assert loaded == {"import": [], "figure": [], "evolve": [], "observable": [],
-                      "prob": [], "fock_amplitude": []}
+                      "prob": [], "fock_amplitude": [], "table": []}
 
 
 def test_oracle_stepper_stays_rebindable_and_solve_ivp_loads_on_first_read():

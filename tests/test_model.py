@@ -152,6 +152,11 @@ def test_fock_revival_times():
                                                      3 * period])
     with pytest.raises(RegimeError):
         fock_revival_times(ModelParams.from_k2(0.5, omega_a=3.0, omega_b=2.0), 2)
+    assert fock_revival_times(params, np.int64(2)) == revs[:2]
+    for bad in (True, 2.5, 0, -1, "3"):
+        with pytest.raises(ValueError, match=f"n_max must be at least 1 and an integer, "
+                                             f"got {re.escape(repr(bad))}"):
+            fock_revival_times(params, bad)
 
 
 def test_coherent_revival_params():
@@ -168,8 +173,14 @@ def test_coherent_revival_params():
     assert per.gt_rev == pytest.approx(math.pi * math.sqrt(5.0))
     assert not per.full_revival
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be at least 4 and an integer, got 3"):
         coherent_revival_params(3, 3)
+    assert coherent_revival_params(np.int64(6), np.int32(4)) == rev
+    for n, p, name, bad in ((2.5, 0.5, "p", 0.5), (6.0, 4, "n", 6.0), (True, 0, "n", True),
+                            (6, False, "p", False), (6, -2, "p", -2)):
+        with pytest.raises(ValueError, match=f"{name} must be at least .* and an integer, "
+                                             f"got {re.escape(repr(bad))}"):
+            coherent_revival_params(n, p)
 
 
 def test_state_types_are_defined_once():
