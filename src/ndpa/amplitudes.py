@@ -6,17 +6,18 @@ polynomial in 1 - 2y (the SU(1,1) matrix elements; Bargmann, Ann. Math.
 
     p_mn(r, s) = R! (R+a+b)! / ((R+a)! (R+b)!) x^-(b+1) y^a P_R^(a,b)(1-2y)^2
 
-with R = min(r, s, m, n), a = |n - r| and b = |s - r|; ``fock_amplitude``
-adds its phase.  All of it is one kernel, ``_transitions``: outcome labels on
-the leading axes against one time or a time grid on the trailing ones, one
-rescaled recurrence up to the largest degree, over an exact math.comb
-prefactor for int labels and a Stirling-form one for integer arrays.  One
-outcome at one time, from ``fock_amplitude``, first tries scipy's compiled
-eval_jacobi on Python numbers (``_transition``).  The vacuum (R = 0, a = n),
-|1,1> (R = min(1, n)) and a-mode |l, 0> (R = 0, a = m, b = l) probabilities
-are its degree <= 1 cases; the a-mode log term also gives both reduced
-densities (its exp summed over the outcome axis).  ``_line_norm`` sums one
-start's outcomes at one time with a certified tail for all three norms.
+with R = min(r, s, m, n), a = |n - r| and b = |s - r|; ``fock_amplitude`` adds its
+phase.  x, y and their logs are read off the ``AnalyticSolution`` of either solver, so
+every form here holds under any pump.  All of it is one kernel, ``_transitions``:
+outcome labels on the leading axes against one time or a time grid on the trailing
+ones, one rescaled recurrence up to the largest degree, over an exact math.comb
+prefactor for int labels and a Stirling-form one for integer arrays.  One outcome at
+one time, from ``fock_amplitude``, first tries scipy's compiled eval_jacobi on Python
+numbers (``_transition``).  The vacuum (R = 0, a = n), |1,1> (R = min(1, n)) and
+a-mode |l, 0> (R = 0, a = m, b = l) probabilities are its degree <= 1 cases; the
+a-mode log term also gives both reduced densities (its exp summed over the outcome
+axis).  ``_line_norm`` sums one start's outcomes at one time with a certified tail for
+all three norms.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import numpy as np
 
 from .model import (CoherentPair, FockOutcome, FockPair, PureAModeState,
                     _occupation)
-from .weinorman import (AnalyticSolution, WeiNormanCoefficients, _real,
-                        bogoliubov_pair)
+from .weinorman import AnalyticSolution, WeiNormanCoefficients, _real, bogoliubov_pair
 
 _HUGE = 2.0 ** 512  # the recurrence pair is scaled by this once both fall below 1/_HUGE
 _MIN_NORMAL = sys.float_info.min
@@ -157,23 +157,18 @@ def _jacobi_ratio(R, top, hi, lo, u, w):
     return 2.0 * (exponent * math.log(2.0) - shift * math.log(_HUGE)), mantissa
 
 
-def _one_time(c: WeiNormanCoefficients):
-    """(y, log y, log x, 1/x, arg A+, arg A-) of scalar coefficients, which every
-    outcome at their time shares: worked out on the first call and kept on
-    ``c``, a frozen dataclass, as functools.cached_property would.  1/x is
-    numpy's exp(-log x), as on a grid, where math.exp can differ in the last
-    bit."""
+def _one_time(c: AnalyticSolution):
+    """(y, log y, log x, 1/x, arg A+, arg A-) of a record at one time, for all its outcomes:
+    kept on ``c`` (frozen) on the first call, one tuple being faster than three attributes.
+    1/x is numpy's exp(-log x), as on a grid, where math.exp can differ in the last bit."""
     numbers = c.__dict__.get("_one_time")
     if numbers is None:
-        mod_minus, log_x = abs(c.a_minus), -2.0 * c.a_zero.real
-        numbers = c.__dict__["_one_time"] = (
-            mod_minus * mod_minus, 2.0 * math.log(mod_minus) if mod_minus else -math.inf,
-            log_x, float(np.exp(-log_x)), cmath.phase(c.a_plus), cmath.phase(c.a_minus))
+        numbers = c.__dict__["_one_time"] = (c.y, c.log_y, c.log_x, float(np.exp(-c.log_x)),
+                                             cmath.phase(c.a_plus), cmath.phase(c.a_minus))
     return numbers
 
 
-def fock_amplitude(c: WeiNormanCoefficients, initial: FockPair,
-                   outcome: FockOutcome):
+def fock_amplitude(c: AnalyticSolution, initial: FockPair, outcome: FockOutcome):
     """<m, n| U_I(t) |r, s>; zero unless m = s - r + n (conserved n_a - n_b).
 
     One outcome at one time gives a complex number.  An outcome of integer
@@ -192,11 +187,8 @@ def fock_amplitude(c: WeiNormanCoefficients, initial: FockPair,
             return cmath.exp(complex(0.5 * log_s, (2 * R + b + 1) * c.a_zero.imag
                                      + a * (arg_plus if n >= r else arg_minus))) * f
     m, n = _leading(c, m, n)  # the kernel; numpy's numbers of one time equal its grid column's
-    mod_minus, log_x = np.abs(c.a_minus), -2.0 * c.a_zero.real
-    with np.errstate(divide="ignore"):  # A- = 0 at gt = 0
-        log_y = 2.0 * np.log(mod_minus)
     R, a, b = np.minimum(np.minimum(m, n), min(r, s)), abs(n - r), abs(s - r)
-    log_s, f = _transitions(R, a, b, mod_minus * mod_minus, log_y, log_x, np.exp(-log_x))
+    log_s, f = _transitions(R, a, b, c.y, c.log_y, c.log_x, np.exp(-c.log_x))
     arg = np.where(n >= r, np.angle(c.a_plus), np.angle(c.a_minus))
     amp = np.exp(0.5 * log_s + 1j * ((2 * R + b + 1) * c.a_zero.imag + a * arg)) * f
     return np.where(m == s - r + n, amp, 0j)

@@ -238,6 +238,14 @@ class CoherentPair:
                 raise ValueError(f"|{name}|^2 must be finite, got {name} = {value!r}")
 
 
+def _log_poisson(alpha: complex, n: np.ndarray) -> np.ndarray:
+    """log(|alpha|^2n exp(-|alpha|^2) / n!), the Poisson weights of |alpha>, over n."""
+    mu = abs(alpha) ** 2
+    if mu == 0:
+        return np.where(n == 0, 0.0, -np.inf)
+    return n * math.log(mu) - np.array([math.lgamma(k + 1.0) for k in n.tolist()]) - mu
+
+
 POISSON_MAX_ALPHA = 100.0
 
 
@@ -272,13 +280,8 @@ class PureAModeState:
                              f"{POISSON_MAX_ALPHA:g}, got {alpha!r}")
         mu = abs(alpha) ** 2
         n = np.arange(max(24, int(mu + 12.0 * math.sqrt(mu + 1.0))) + 1)
-        log_fact = np.array([math.lgamma(k + 1.0) for k in n.tolist()])
-        logp = n * math.log(mu) - log_fact - mu if mu > 0 else \
-            np.where(n == 0, 0.0, -np.inf)
-        p = np.exp(logp)
-        p /= p.sum()
-        phases = n * np.angle(alpha) if alpha != 0 else np.zeros(n.size)
-        return cls(probs=tuple(p), phases=tuple(phases))
+        p = np.exp(_log_poisson(alpha, n))
+        return cls(probs=tuple(p / p.sum()), phases=tuple(n * np.angle(alpha)))
 
 
 # -- revival predictions ---------------------------------------------------

@@ -13,15 +13,15 @@ z' = (-i W j + g K- - conj(g) K+) z is constant, and the gauge z_j = s^j w_j,
 s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
 -W j, off-diagonal |g| sqrt((n_a+1)(n_b+1)), alike for q and -q), so with
 M = V diag(lam) V^T, found once per |q|, z(t) = S V exp(i lam t) V^T S^-1 z(0).
-Any other pump is integrated by ``_integrate``, the stretch loop that ``weinorman.solve_ode``
-also runs on, here with all blocks zero-padded to cutoff + 1 entries and raveled into one
-flat row.  One flat coefficient array serves K- and, one slot down, K+; it holds 0 at each
-block's last entry and in the padding, so no amplitude crosses a block edge.  On each
-kink-free stretch, where a tabulated pump is linear, ``_dop853`` steps the Dormand-Prince
-8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) on scipy's ``DOP853`` tableau,
-copied here, and step-size control but no solver object, keeping only the current state; an
-output time inside comes off the 7th-order interpolant of its step (3 more RHS calls).
-A failed step or a non-finite state raises ``IntegrationError``.
+Any other pump is integrated by ``_integrate``, the stretch loop behind ``solve_ode``'s
+grid ``AnalyticSolution`` too, with all blocks zero-padded to cutoff + 1 entries and
+raveled into one flat row.  One flat coefficient array serves K- and, one slot down, K+; it
+holds 0 at each block's last entry and in the padding, so no amplitude crosses a block
+edge.  On each kink-free stretch, where a tabulated pump is linear, ``_dop853`` steps the
+Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) on scipy's
+``DOP853`` tableau, copied here, and step-size control but no solver object, keeping only
+the current state; an output time inside comes off the 7th-order interpolant of its step
+(3 more RHS calls).  A failed step or a non-finite state raises ``IntegrationError``.
 
 A start is validated by ``model``'s state types and built by ``_product_state``, which
 drops each block of weight <= 1e-16 into ``norm_deficit``; neither it nor the ODE path
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import (CoherentPair, FockPair, HarmonicPump, ModelParams, PumpProfile,
-                    PureAModeState, TabulatedPump, _integer)
+                    PureAModeState, TabulatedPump, _integer, _log_poisson)
 
 
 # scipy primitives imported on first read and kept as module globals, so that they can be
@@ -150,12 +150,8 @@ def fock_state(cutoff: int, r: int, s: int) -> TruncatedState:
 
 
 def _coherent_amps(alpha: complex, n: np.ndarray) -> np.ndarray:
-    if alpha == 0:
-        return (n == 0).astype(complex)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in n.tolist()])
-    log_mod = n * math.log(abs(alpha)) - 0.5 * log_fact - 0.5 * abs(alpha) ** 2
-    phase = np.exp(1j * n * np.angle(alpha))
-    return np.exp(log_mod) * phase
+    """<n|alpha> over the occupations n: the root of the Poisson weight, with phase."""
+    return np.exp(0.5 * _log_poisson(alpha, n)) * np.exp(1j * n * np.angle(alpha))
 
 
 def coherent_state(cutoff: int, alpha: complex, beta: complex) -> TruncatedState:

@@ -7,8 +7,9 @@ once: real transcendentals only, hyperbolics in log form, and the winding that k
 Im A0 continuous in t.  ``solve_analytic`` builds from one kernel pass the coefficients and
 x = 1 + n0, y = n0/x and n0, as one ``AnalyticSolution``.  Grids are evaluated in fixed
 blocks of rows straight into their outputs (peak memory: the outputs plus one block), with
-complex products out of place, so that a time alone rounds as in a grid.  For any other pump
-``solve_ode`` reads them off the Bogoliubov pair (u, v) on the oracle's stretch loop.
+complex products out of place, so that a time alone rounds as in a grid.  For any pump
+``solve_ode`` reads the same grid record off the Bogoliubov pair (u, v) on the oracle's
+stretch loop.  A grid record indexes by time: ``sol[i]`` at time i, a slice a grid record.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ class AnalyticSolution(WeiNormanCoefficients):
     log_x: float
     log_y: float
     log_n0: float
+
+    def __getitem__(self, i):
+        """The record at time i of a grid record, in Python numbers; a slice gives a grid."""
+        if np.ndim(self.t) == 0:
+            raise TypeError("a record at one time has no times to index")
+        values = [np.asarray(getattr(self, name))[i] for name in self.__dataclass_fields__]
+        return type(self)(*(v if np.ndim(v) else v.item() for v in values))
 
 
 def _real(value):
@@ -192,13 +200,15 @@ derived_scalars = solve_analytic  # the former scalar half's name; perfbench cal
 
 
 def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
-              tol: float = 1e-10) -> list[WeiNormanCoefficients]:
-    """Coefficients on ``t_grid`` for an arbitrary pump profile, to about ``tol``.
+              tol: float = 1e-10) -> AnalyticSolution:
+    """One grid ``AnalyticSolution`` on ``t_grid`` for any pump profile, to about ``tol``:
+    ``sol[i]`` is its record at time i, and a slice a grid record.
 
     The oracle's stretch loop integrates the Bogoliubov pair a(t) = u a + v b+,
-    u' = -conj(G v), v' = -conj(G u), G(t) = g(t) exp(-i (omega_a + omega_b) t)
-    from (1, 0), and phi = arg u by phi' = Im(u'/u), continuous whatever the
-    grid: A- = -conj(v/u), A+ = v/conj(u), A0 = -log|u| + i phi.  Below
+    u' = -conj(G v), v' = -conj(G u), G(t) = g(t) exp(-i (omega_a + omega_b) t) from
+    (1, 0), and phi = arg u by phi' = Im(u'/u), continuous whatever the grid: A- = -conj(v/u),
+    A+ = v/conj(u), A0 = -log|u| + i phi, log x = 2 log|u|, log y = 2 log|v/u|,
+    log n0 = log x + log y, and x, y, n0 their exps (inf past the float range).  Below
     threshold |u| ~ exp(q g t) overflows near q g t = 700: ``IntegrationError``.
     """
     if not (tol > 0 and np.isfinite(tol)):
@@ -217,12 +227,15 @@ def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
         du = -(gt * v).conjugate()
         return np.array([du, -(gt * u).conjugate(), (du / u).imag])
 
-    times = t_grid.tolist()
     states = _integrate(pump, params.omega_a + params.omega_b, pair, np.array([1, 0, 0j]),
-                        times, 0.01 * tol, 1e-5 * tol)
-    return [WeiNormanCoefficients(t, complex(v / u.conjugate()), complex(-(v / u).conjugate()),
-                                  complex(-np.log(abs(u)), phi.real))
-            for t, (u, v, phi) in zip(times, states)]
+                        t_grid.tolist(), 0.01 * tol, 1e-5 * tol)
+    u, v, phi = np.array(states).T
+    ratio = v / u  # -conj(A-)
+    with np.errstate(over="ignore", divide="ignore"):  # log y = -inf where v = 0
+        log_x, log_y = 2.0 * np.log(np.abs(u)), 2.0 * np.log(np.abs(ratio))
+        logs = (log_x, log_y, log_x + log_y)
+        return AnalyticSolution(t_grid, v / u.conj(), -ratio.conj(), 1j * phi.real - 0.5 * log_x,
+                                *np.exp(logs), *logs)
 
 
 def bogoliubov_pair(c: WeiNormanCoefficients):

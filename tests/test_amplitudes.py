@@ -299,6 +299,11 @@ def test_amode_norm_is_its_outcome_sum(k2):
     assert amode_norm(d, psi) == pytest.approx(direct, abs=1e-12)
 
 
+def test_poisson_of_zero_is_the_vacuum():
+    psi = PureAModeState.poisson(0)
+    assert psi.probs == (1.0,) + (0.0,) * 24 and psi.phases == (0.0,) * 25
+
+
 def test_pure_amode_state_validation():
     with pytest.raises(ValueError):
         PureAModeState(probs=(0.5, 0.4), phases=(0.0, 0.0))

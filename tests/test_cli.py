@@ -3,15 +3,21 @@ import io
 import math
 import shlex
 import tracemalloc
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ndpa.cli
 from ndpa.cli import (FIGURE_NAMES, Scenario, ScenarioError, build_parser, main,
                       run, run_figure, sweep, write_csv)
-from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState
+from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState, coherent_revival_prob
 from ndpa.model import ModelParams
+from ndpa.moments import second_moments
+from ndpa.observables import (cross_correlation_fock, cross_correlation_general,
+                              mean_photon_fock)
+from ndpa.weinorman import solve_analytic
 
 
 def read_csv(path):
@@ -86,13 +92,54 @@ def test_verbs_reject_options_they_do_not_read(argv):
         build_parser().parse_args(argv)
 
 
-def test_readme_examples_parse():
+def test_readme_examples_parse(tmp_path, capsys):
+    # each example runs through main and exits 0, its CSV written into tmp_path
     readme = Path(__file__).resolve().parents[1] / "README.md"
     commands = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
                 if line.startswith("ndpa ")]
     assert len(commands) >= 6
-    for argv in commands:
+    for i, argv in enumerate(commands):
         build_parser().parse_args(argv)
+        out = tmp_path / f"example_{i}.csv"
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(out)
+        elif argv[0] != "oracle-check":  # the one verb that writes no CSV
+            argv += ["--out", str(out)]
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        assert argv[0] == "oracle-check" or out.stat().st_size > 0, argv
+
+
+@pytest.mark.parametrize("model, params", [
+    (["--k2", "0.5"], ModelParams.from_k2(0.5, omega_a=3.0, omega_b=2.0)),
+    (["--omega", "5.0"], ModelParams(omega_a=3.0, omega_b=2.0, g=1.0, omega=5.0))],
+    ids=["k2", "omega"])
+@pytest.mark.parametrize("verb, spec, header, columns", [
+    (["observable", "--name", "mean"], "fock:2,1", ["mean_a", "mean_b"],
+     lambda s, state: mean_photon_fock(s, state)),
+    (["observable", "--name", "mean"], "coherent:0.8,0.5j", ["mean_a", "mean_b"],
+     lambda s, state: attrgetter("mean_a", "mean_b")(second_moments(state, s))),
+    (["observable", "--name", "correlation"], "fock:2,1", ["f", "F"],
+     lambda s, state: cross_correlation_fock(s, state)),
+    (["observable", "--name", "correlation"], "coherent:0.8,0.5j", ["f", "F"],
+     lambda s, state: cross_correlation_general(second_moments(state, s))),
+    (["prob"], "coherent:0.8,0.5j", ["p_return"],
+     lambda s, state: [coherent_revival_prob(s, state)[0]])],
+    ids=["mean-fock", "mean-coherent", "correlation-fock", "correlation-coherent",
+         "prob-coherent"])
+def test_cli_columns_are_the_library_calls(model, params, verb, spec, header, columns, tmp_path):
+    out = tmp_path / "columns.csv"
+    argv = verb + model + ["--initial", spec, "--tmax", "2", "--steps", "5", "--out", str(out)]
+    assert ndpa.cli._scenario_from_args(build_parser().parse_args(argv)).params == params
+    assert main(argv) == 0
+    times = np.linspace(0.0, 2.0, 5)
+    state = ndpa.cli._parse_state(build_parser().parse_args(argv))
+    want = [times] + list(columns(solve_analytic(params, times), state))
+    file_header, rows = read_csv(out)
+    assert file_header == ["gt"] + header
+    got = np.array(rows, dtype=float).T
+    assert len(got) == len(want)
+    for label, column, value in zip(file_header, got, want):
+        np.testing.assert_array_equal(column, value, err_msg=label)
 
 
 def test_main_builds_its_parser_once(monkeypatch, tmp_path):

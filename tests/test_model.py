@@ -110,6 +110,16 @@ def test_tabulated_pump_rejects_non_finite_samples(times, values, entry):
         TabulatedPump(times=times, values=values)
 
 
+@pytest.mark.parametrize("times, values, shown", [
+    ((0.0,), (1.0,), "need at least two pump samples"),
+    (((0.0, 1.0), (2.0, 3.0)), (1.0, 1.0), "need at least two pump samples"),
+    ((0.0, 1.0, 2.0), (1.0, 1.0), "times and values must have equal length"),
+])
+def test_tabulated_pump_refuses_a_table_it_cannot_interpolate(times, values, shown):
+    with pytest.raises(ValueError, match=shown):
+        TabulatedPump(times=times, values=values)
+
+
 def test_tabulated_pump_rejects_non_finite_time():
     pump = TabulatedPump(times=(0.0, 1.0), values=(1.0, 2.0))
     for t in (math.nan, math.inf, -math.inf):

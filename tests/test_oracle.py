@@ -13,15 +13,15 @@ import ndpa
 from ndpa import oracle
 from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
                              PureAModeState, amode_prob, coherent_revival_prob,
-                             coherent_transition_prob, fock11_prob,
+                             coherent_transition_prob, fock11_norm, fock11_prob,
                              fock_amplitude, reduced_density_a,
-                             reduced_density_b, vacuum_prob)
+                             reduced_density_b, vacuum_norm, vacuum_prob)
 from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
 from ndpa.oracle import (IntegrationError, OracleConfig, TruncationError, _pair_amplitudes,
                          amode_state, coherent_state, edge_mass,
                          evolve_converged, evolve_truncated, fock_state,
                          oracle_moment, oracle_probability)
-from ndpa.weinorman import solve_analytic, solve_ode
+from ndpa.weinorman import solve_analytic, solve_ode, unitarity_residuals
 
 
 def params_for(k2):
@@ -235,7 +235,7 @@ def test_each_stretch_gets_only_its_own_output_times(monkeypatch, n_grid):
 
     monkeypatch.setattr(oracle, "_dop853", recording)
     grid = np.linspace(0.0, 10.0, n_grid)
-    assert len(solve_ode(tab, params, grid)) == n_grid
+    assert solve_ode(tab, params, grid).t.size == n_grid
     assert received == grid[1:].tolist()
 
 
@@ -450,6 +450,32 @@ def test_matches_fock_amplitudes():
         assert out.amplitude(n, m) == pytest.approx(amp, abs=1e-10)
 
 
+def test_closed_forms_under_a_tabulated_pump_match_the_oracle():
+    # a harmonic pump modulated in amplitude and sampled 41 times: the closed forms
+    # take solve_ode's record as they take solve_analytic's, and agree with the
+    # oracle's integration of the same pump, amplitude phases included
+    params = params_for(1.5)
+    samples = np.linspace(0.0, 1.0, 41)
+    value = pump_for(params).value(samples) * (1.0 + 0.3 * np.sin(2.0 * math.pi * samples))
+    tab = TabulatedPump(times=tuple(samples), values=tuple(value))
+    sol = solve_ode(tab, params, [0.0, 0.5, 1.0])
+    cfg = OracleConfig(cutoff=40, tol=1e-12)
+    for i, t in ((1, 0.5), (2, 1.0)):
+        c = sol[i]
+        vacuum, fock11, fock21 = (evolve_truncated(tab, params, fock_state(40, r, s), t, cfg)
+                                  for r, s in ((0, 0), (1, 1), (2, 1)))
+        for n in range(6):
+            assert abs(vacuum_prob(c, n) - oracle_probability(vacuum, n, n)) < 1e-13, (t, n)
+            assert vacuum_prob(sol, n)[i] == pytest.approx(vacuum_prob(c, n), rel=1e-14)
+            assert abs(fock11_prob(c, n) - oracle_probability(fock11, n, n)) < 1e-13, (t, n)
+            if n:
+                amp = fock_amplitude(c, FockPair(2, 1), FockOutcome(n - 1, n))
+                assert abs(amp - fock21.amplitude(n, n - 1)) < 1e-13, (t, n)
+    assert max(r.max() for r in unitarity_residuals(sol)) < 1e-13
+    for norm in (vacuum_norm, fock11_norm):
+        assert norm(sol[-1]) == pytest.approx(1.0, abs=1e-13)
+
+
 def test_matches_amode_closed_form():
     params = params_for(1.0)
     t = 1.3
@@ -548,6 +574,13 @@ def test_fock_state_rejects_negative_occupation():
         fock_state(10, -1, 0)
 
 
+def test_amplitude_outside_the_stored_blocks_is_zero():
+    state = fock_state(10, 2, 1)  # block q = 1 alone, entries j = min(n_a, n_b) = 0..9
+    assert state.amplitude(2, 1) == 1.0 and state.amplitude(3, 2) == 0j
+    assert state.amplitude(2, 2) == 0j  # block 0 is not stored
+    assert state.amplitude(11, 10) == 0j  # j = 10, past the block's last entry
+
+
 def test_amplitude_rejects_negative_occupation():
     state = fock_state(10, 1, 1)
     with pytest.raises(ValueError, match=r"\(-1, 1\)"):
@@ -640,6 +673,7 @@ def test_amode_state_refuses_non_finite_entries():
     (lambda: coherent_state(16, math.inf, 0.5), "got inf"),
     (lambda: amode_state(16, [0.5, 0.7]), "got 1.2"),
     (lambda: amode_state(16, [1.5, -0.5]), r"probs\[1\] = -0.5"),
+    (lambda: amode_state(3, [0.2] * 5), "distribution support exceeds cutoff"),
 ])
 def test_starts_refuse_bad_input_naming_it(build, shown):
     # every start validates through FockPair, CoherentPair or PureAModeState

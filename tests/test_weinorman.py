@@ -172,7 +172,8 @@ def test_ode_grid_validation():
         with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
             solve_ode(pump, params, [0.0, 3.0], tol=tol)
     for grid, shown in (([0.0, math.nan], r"t_grid\[1\] = nan"),
-                        ([0.0, 1.0, math.inf], r"t_grid\[2\] = inf")):
+                        ([0.0, 1.0, math.inf], r"t_grid\[2\] = inf"),
+                        ([[0.0, 1.0]], "non-empty 1-d array"), ([], "non-empty 1-d array")):
         with pytest.raises(ValueError, match=shown):
             solve_ode(pump, params, grid)
 
@@ -221,6 +222,63 @@ def test_ode_overflow_raises_instead_of_returning_nan():
         c = solve_ode(pump, params, [0.0, 705.0])[-1]
     exact = solve_analytic(params, 705.0)
     assert abs(c.a_minus - exact.a_minus) < 1e-9 and abs(c.a_zero - exact.a_zero) < 1e-9
+
+
+@pytest.mark.parametrize("k2", [0.0, 0.5, 1.0, 1.5, 3.0])
+def test_ode_record_scalars_match_closed_forms(k2):
+    # solve_ode returns the record solve_analytic does: x, y, n0 and log x to
+    # 10 tol (relative past 1), log y and log n0 to a y error of 10 tol
+    params, tol, grid = params_for(k2), 1e-10, np.linspace(0.0, 10.0, 41)
+    got = solve_ode(HarmonicPump.from_params(params), params, grid, tol)
+    exact = solve_analytic(params, grid)
+    assert isinstance(got, weinorman.AnalyticSolution) and got.t.tolist() == grid.tolist()
+    assert (got.x[0], got.y[0], got.n0[0], got.log_x[0], got.log_y[0]) == (1, 0, 0, 0, -math.inf)
+    for field in ("x", "y", "n0", "log_x"):
+        want = getattr(exact, field)
+        assert np.all(abs(getattr(got, field) - want) <= 10 * tol * np.maximum(1, abs(want)))
+    for field in ("log_y", "log_n0"):  # -inf at t = 0 on both
+        error = abs(getattr(got, field)[1:] - getattr(exact, field)[1:])
+        assert np.all(error * exact.y[1:] <= 10 * tol), field
+    # one record: y = |A-|^2, x = exp(-2 Re A0) and n0 = x y, each to rounding
+    np.testing.assert_allclose(got.y, abs(got.a_minus) ** 2, rtol=1e-14)
+    np.testing.assert_allclose(got.x, np.exp(-2 * got.a_zero.real), rtol=1e-13)
+    np.testing.assert_allclose(got.n0, got.x * got.y, rtol=1e-13)
+
+
+def test_ode_record_past_the_float_range_keeps_finite_logs():
+    # at k^2 = 0, g t = 705: x = |u|^2 overflows to inf, silently, its logs stay finite
+    params = params_for(0.0)
+    c = solve_ode(HarmonicPump.from_params(params), params, [0.0, 705.0])[-1]
+    exact = solve_analytic(params, 705.0)
+    assert c.x == c.n0 == exact.x == math.inf and c.y == 1.0
+    assert c.log_x == pytest.approx(exact.log_x, rel=1e-12)
+    assert c.log_n0 == pytest.approx(exact.log_n0, rel=1e-12)
+
+
+def test_a_grid_record_indexes_by_time():
+    params = params_for(1.5)
+    grid = np.linspace(0.0, 3.0, 7)
+    names = [f.name for f in dataclasses.fields(weinorman.AnalyticSolution)]
+    pump = HarmonicPump.from_params(params)
+    for sol in (solve_analytic(params, grid), solve_ode(pump, params, grid)):
+        records = list(sol)
+        assert len(records) == sol.t.size == 7
+        for i, c in enumerate(records):
+            assert [getattr(c, f) for f in names] == [getattr(sol, f)[i] for f in names]
+            assert type(c.t) is float and type(c.a_minus) is complex and type(c.x) is float
+        last, tail = sol[-1], sol[2:5]
+        assert last.t == 3.0 and last.y == sol.y[-1]
+        assert isinstance(tail, weinorman.AnalyticSolution)
+        assert tail.t.tolist() == grid[2:5].tolist()
+        assert [c.n0 for c in tail] == sol.n0[2:5].tolist()
+        with pytest.raises(IndexError):
+            sol[7]
+    # a time alone from the grid is that time's own record, bit for bit
+    assert solve_analytic(params, grid)[4] == solve_analytic(params, grid[4])
+    with pytest.raises(TypeError, match="a record at one time has no times to index"):
+        solve_analytic(params, 1.0)[0]
+    with pytest.raises(TypeError, match="no times to index"):
+        list(solve_analytic(params, 1.0))
 
 
 def test_ode_at_t_zero_alone():
