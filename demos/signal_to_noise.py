@@ -43,7 +43,7 @@ def main():
     best = (0.0, 0.0, 0.0)
     for t in np.linspace(1e-3, 14.0, 7000):
         s = solve_analytic(params, t)
-        rep = snr_eta_coherent(s, s, pair)
+        rep = snr_eta_coherent(s, pair)
         if rep.eta > best[0]:
             best = (rep.eta, rep.yuen_bound, t)
     print("  max eta = %.4f at gt = %.3f" % (best[0], best[2]))

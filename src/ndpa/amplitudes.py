@@ -31,7 +31,7 @@ import numpy as np
 
 from .model import (CoherentPair, FockOutcome, FockPair, PureAModeState,
                     _occupation)
-from .weinorman import AnalyticSolution, WeiNormanCoefficients, _real, bogoliubov_pair
+from .weinorman import AnalyticSolution, _real, bogoliubov_pair
 
 _HUGE = 2.0 ** 512  # the recurrence pair is scaled by this once both fall below 1/_HUGE
 _MIN_NORMAL = sys.float_info.min
@@ -125,7 +125,7 @@ def _transitions(R, a, b, y, log_y, log_x, inv_x):
     return log_s + log_scale, sign * f
 
 
-def _leading(c: WeiNormanCoefficients, *labels):
+def _leading(c: AnalyticSolution, *labels):
     """Integer-array labels broadcast, their axes ahead of the times of ``c``; ints pass."""
     if all(type(v) is int for v in labels):
         return labels
@@ -258,7 +258,7 @@ def effective_temperature(y: float, omega: float) -> float:
     return omega / math.log(1.0 / y)
 
 
-def coherent_transition_prob(c: WeiNormanCoefficients, initial: CoherentPair,
+def coherent_transition_prob(c: AnalyticSolution, initial: CoherentPair,
                              final: CoherentPair) -> float:
     """p_zw = |<z, w| U_I(t) |alpha, beta>|^2 with w labelling mode a, z mode b."""
     alpha, beta = initial.alpha, initial.beta
@@ -273,7 +273,7 @@ def coherent_transition_prob(c: WeiNormanCoefficients, initial: CoherentPair,
     return _real(np.exp(log_p))
 
 
-def coherent_revival_prob(c: WeiNormanCoefficients,
+def coherent_revival_prob(c: AnalyticSolution,
                           pair: CoherentPair) -> tuple[float, float]:
     """Return probability p_ba(t) to the initial coherent state.
 
@@ -284,16 +284,20 @@ def coherent_revival_prob(c: WeiNormanCoefficients,
             _real(np.abs(2.0 - 2.0 * np.real(np.exp(c.a_zero)))))
 
 
-def coherent_mean_numbers(c: WeiNormanCoefficients, d: AnalyticSolution,
+def _coherent_mean(c: AnalyticSolution, pair: CoherentPair):
+    """<a(t)> = u alpha + v conj(beta) for an initial coherent pair."""
+    u, v = bogoliubov_pair(c)
+    return u * pair.alpha + v * np.conj(pair.beta)
+
+
+def coherent_mean_numbers(c: AnalyticSolution, d: AnalyticSolution,
                           pair: CoherentPair) -> tuple[float, float]:
     """Mean photon numbers (mode a, mode b) for an initial coherent pair.
 
-    <a+(t) a(t)> = |<a(t)>|^2 + |v|^2 with <a(t)> = u alpha + v conj(beta);
-    a mean past the float range is inf.
+    <a+(t) a(t)> = |<a(t)>|^2 + |v|^2; a mean past the float range is inf.
     """
-    u, v = bogoliubov_pair(c)
     with np.errstate(over="ignore"):
-        mean_a = _real(np.abs(u * pair.alpha + v * np.conj(pair.beta)) ** 2 + d.n0)
+        mean_a = _real(np.abs(_coherent_mean(c, pair)) ** 2 + d.n0)
     return mean_a, mean_a + abs(pair.beta) ** 2 - abs(pair.alpha) ** 2
 
 

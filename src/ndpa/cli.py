@@ -4,7 +4,8 @@ Verbs: evolve, prob, observable, figure <name>, sweep, oracle-check.
 Every output table uses the dimensionless time ``gt`` as its first column;
 infinities are written as the literal token ``inf`` so the files round-trip
 through standard plotting tools.  Each table is evaluated column by column
-over its whole time grid from one set of grid coefficients.
+over its whole time grid from one ``AnalyticSolution``: every column, figure
+columns included, is a function of that one record and solves nothing itself.
 """
 
 from __future__ import annotations
@@ -144,8 +145,7 @@ def _columns(scn: Scenario):
     if name == "probability":
         return _probability(scn, s)
     if name == "variance":
-        kernel = squeezing_kernel(scn.params, scn.theta, s.t)
-        return ["var_x"], [quadrature_variance(kernel, state)]
+        return ["var_x"], [quadrature_variance(squeezing_kernel(s, scn.theta), state)]
     if name == "rho":
         if not isinstance(state, FockPair):
             raise ScenarioError("rho is defined for Fock initial states")
@@ -153,7 +153,7 @@ def _columns(scn: Scenario):
     if name == "eta":
         if not isinstance(state, CoherentPair):
             raise ScenarioError("eta is defined for coherent initial states")
-        report = snr_eta_coherent(s, s, state)
+        report = snr_eta_coherent(s, state)
         return ["eta", "yuen_bound"], [report.eta, report.yuen_bound]
     if name not in _OBSERVABLES:
         raise ScenarioError(f"unknown observable {name!r}")
@@ -204,45 +204,40 @@ def sweep(scenario: Scenario, parameter: str, values):
 # -- figure presets ----------------------------------------------------------
 #
 # A preset is a time grid (g = 1, so t = gt) and its columns.  A column is
-# (label, k^2, function of the params and their AnalyticSolution on the grid).
-
-
-def _par(k2):
-    return ModelParams.from_k2(k2, g=1.0, omega_a=3.0, omega_b=2.0)
+# (label, k^2, function of the AnalyticSolution at that k^2 on the grid).
 
 
 def _fock11(k2, tmax):
     return np.linspace(0.0, tmax, 1201), [
-        ("p_11", k2, lambda p, sol: fock11_prob(sol, 1)),
-        ("p_33", k2, lambda p, sol: fock11_prob(sol, 3))]
+        ("p_11", k2, lambda sol: fock11_prob(sol, 1)),
+        ("p_33", k2, lambda sol: fock11_prob(sol, 3))]
 
 
-def _t_sq(p, sol, theta):
-    return squeezing_kernel(p, theta, sol.t).t_sq
+def _t_sq(sol, theta):
+    return squeezing_kernel(sol, theta).t_sq
 
 
 def _squeezing(k2, tmax):
     return np.linspace(0.0, tmax, 1501), [
-        ("dx_0", k2, lambda p, sol: np.sqrt(_t_sq(p, sol, 0.0))),
-        ("dx_90", k2, lambda p, sol: np.sqrt(_t_sq(p, sol, math.pi / 2.0))),
-        ("product", k2, lambda p, sol: np.sqrt(_t_sq(p, sol, 0.0)
-                                              * _t_sq(p, sol, math.pi / 2.0)))]
+        ("dx_0", k2, lambda sol: np.sqrt(_t_sq(sol, 0.0))),
+        ("dx_90", k2, lambda sol: np.sqrt(_t_sq(sol, math.pi / 2.0))),
+        ("product", k2, lambda sol: np.sqrt(_t_sq(sol, 0.0) * _t_sq(sol, math.pi / 2.0)))]
 
 
-def _p12(p, sol):
+def _p12(sol):
     return amode_prob(sol, PureAModeState.poisson(0.85), FockOutcome(1, 2))
 
 
 def _big_f(r, s):
-    return lambda p, sol: cross_correlation_fock(sol, FockPair(r, s))[1]
+    return lambda sol: cross_correlation_fock(sol, FockPair(r, s))[1]
 
 
 def _rho(r, s):
-    return lambda p, sol: snr_rho_fock(sol, FockPair(r, s))
+    return lambda sol: snr_rho_fock(sol, FockPair(r, s))
 
 
 def _eta(key):
-    return lambda p, sol: getattr(snr_eta_coherent(sol, sol, CoherentPair(0.0, 3.0)), key)
+    return lambda sol: getattr(snr_eta_coherent(sol, CoherentPair(0.0, 3.0)), key)
 
 
 _FIGURES = {
@@ -256,12 +251,12 @@ _FIGURES = {
         ("F_1_1", 1.5, _big_f(1, 1))]),
     "fig5": (np.linspace(0.01, 50.0, 5000), [
         ("p_return_k2_1.8", 9.0 / 5.0,
-         lambda p, sol: coherent_revival_prob(sol, CoherentPair(1.0, 1.0))[0]),
+         lambda sol: coherent_revival_prob(sol, CoherentPair(1.0, 1.0))[0]),
         ("p_return_k2_pi", math.pi,
-         lambda p, sol: coherent_revival_prob(sol, CoherentPair(5.0, 5.0))[0])]),
+         lambda sol: coherent_revival_prob(sol, CoherentPair(5.0, 5.0))[0])]),
     "fig6": (np.linspace(0.01, 10.0, 1000), [
-        ("q_10", 1.5, lambda p, sol: mandel_q_fock(sol, FockPair(1, 0))),
-        ("q_01", 1.5, lambda p, sol: mandel_q_fock(sol, FockPair(0, 1))),
+        ("q_10", 1.5, lambda sol: mandel_q_fock(sol, FockPair(1, 0))),
+        ("q_01", 1.5, lambda sol: mandel_q_fock(sol, FockPair(0, 1))),
         ("F_10", 1.5, _big_f(1, 0)),
         ("F_01", 1.5, _big_f(0, 1))]),
     "fig7": _squeezing(9.0 / 5.0, 15.0),
@@ -282,9 +277,10 @@ def run_figure(name: str, output=None):
     if name not in _FIGURES:
         raise ScenarioError(f"unknown figure preset {name!r}")
     times, columns = _FIGURES[name]
-    grids = {k2: solve_analytic(_par(k2), times) for k2 in {k2 for _, k2, _ in columns}}
+    grids = {k2: solve_analytic(ModelParams.from_k2(k2, g=1.0, omega_a=3.0, omega_b=2.0), times)
+             for k2 in {k2 for _, k2, _ in columns}}
     return _write(output, ["gt"] + [label for label, _, _ in columns],
-                  [times] + [fn(_par(k2), grids[k2]) for _, k2, fn in columns])
+                  [times] + [fn(grids[k2]) for _, k2, fn in columns])
 
 
 # -- oracle cross-check ------------------------------------------------------

@@ -57,6 +57,9 @@ class ModelParams:
             raise ValueError("pump amplitude g must be positive")
         if self.omega_a <= 0 or self.omega_b <= 0:
             raise ValueError("mode frequencies must be positive")
+        if not math.isfinite(self.k2):  # every closed form reads k = Omega / 2g
+            raise ValueError(f"k^2 = (Omega / 2g)^2 overflows at omega = {self.omega!r}, "
+                             f"g = {self.g!r}")
 
     @property
     def Omega(self) -> float:

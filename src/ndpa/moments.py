@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import CoherentPair, FockPair
-from .weinorman import WeiNormanCoefficients, bogoliubov_pair
+from .weinorman import AnalyticSolution, bogoliubov_pair
 
 
 def _word(lead: int, m: int, n: int, trail: int, mode) -> complex:
@@ -81,7 +81,7 @@ class MomentTable:
 
 
 def second_moments(state: FockPair | CoherentPair,
-                   c: WeiNormanCoefficients) -> MomentTable:
+                   c: AnalyticSolution) -> MomentTable:
     """Moments on a product initial state, in the interaction picture.
 
     The frame matches the truncated propagator's; photon-number moments

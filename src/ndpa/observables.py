@@ -1,6 +1,7 @@
 """Heisenberg-picture observables: photon statistics, correlations,
 quadrature squeezing, signal-to-noise ratios and the instantaneous
-diagonalization of the Hamiltonian."""
+diagonalization of the Hamiltonian.  Each reads the one ``AnalyticSolution`` it is
+handed, of either solver; only ``squeezing_extrema`` solves for itself."""
 
 from __future__ import annotations
 
@@ -9,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import CoherentPair, FockPair, coherent_mean_numbers
+from .amplitudes import CoherentPair, FockPair, _coherent_mean, coherent_mean_numbers
 from .model import ModelParams, RegimeError, RegimeTag, classify_regime
 from .moments import MomentTable
-from .weinorman import (AnalyticSolution, WeiNormanCoefficients, _real,
-                        bogoliubov_pair, solve_analytic)
+from .weinorman import AnalyticSolution, _real, bogoliubov_pair, solve_analytic
 
 
 def mean_photon_fock(d: AnalyticSolution, f: FockPair) -> tuple[float, float]:
@@ -103,21 +103,21 @@ class SqueezingKernel:
     h_kernel: float
 
 
-def squeezing_kernel(params: ModelParams, theta: float,
-                     t: float) -> SqueezingKernel:
+def squeezing_kernel(sol: AnalyticSolution, theta: float) -> SqueezingKernel:
     """Quadrature kernel |T_theta|^2 = |u e^(i theta) + conj(v) e^(-i theta)|^2.
 
-    (u, v) is the Bogoliubov pair of the coefficients, and
-    G + iH = conj(A-) exp(2i Im A0 + i Omega t).  The kernel satisfies
-    |T_theta|^2 = x [1 + y - 2(cos(Wt-2th) G + sin(Wt-2th) H)].  A scalar
-    ``t`` is evaluated as a one-element grid, so that it rounds exactly
-    as the same time on a grid does.
+    (u, v) is the record's Bogoliubov pair and G + iH = -conj(A+) exp(2i Im A0); for
+    the harmonic pump that is conj(A-) exp(2i Im A0 + i Omega t), and |T_theta|^2 =
+    x [1 + y - 2(cos(Wt-2th) G + sin(Wt-2th) H)].  A record at one time is evaluated
+    as a one-element grid, so that it rounds exactly as the same time on a grid does.
     """
-    c = solve_analytic(params, np.atleast_1d(t))
-    u, v = bogoliubov_pair(c)
+    shape = np.shape(sol.t)
+    if not shape:
+        sol = type(sol)(*(np.atleast_1d(getattr(sol, f)) for f in sol.__dataclass_fields__))
+    u, v = bogoliubov_pair(sol)
     t_sq = np.abs(u * np.exp(1j * theta) + np.conj(v) * np.exp(-1j * theta)) ** 2
-    gh = np.conj(c.a_minus) * np.exp(2j * c.a_zero.imag + 1j * params.Omega * c.t)
-    t_sq, g, h = (_real(np.reshape(value, np.shape(t)))
+    gh = -np.conj(sol.a_plus) * np.exp(2j * sol.a_zero.imag)
+    t_sq, g, h = (_real(np.reshape(value, shape))
                   for value in (t_sq, gh.real, gh.imag))
     return SqueezingKernel(theta=theta, t_sq=t_sq, g_kernel=g, h_kernel=h)
 
@@ -136,10 +136,10 @@ def squeezing_extrema(params: ModelParams, theta: float, t_range,
     from scipy.optimize import minimize_scalar
     t0, t1 = t_range
     ts = np.linspace(t0, t1, n_grid)
-    vals = squeezing_kernel(params, theta, ts).t_sq
+    vals = squeezing_kernel(solve_analytic(params, ts), theta).t_sq
     minima = []
     for i in np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1:
-        res = minimize_scalar(lambda t: squeezing_kernel(params, theta, t).t_sq,
+        res = minimize_scalar(lambda t: squeezing_kernel(solve_analytic(params, t), theta).t_sq,
                               bounds=(ts[i - 1], ts[i + 1]),
                               method="bounded",
                               options={"xatol": 1e-12})
@@ -238,18 +238,15 @@ def snr_rho_extrema(params: ModelParams, f: FockPair) -> list[SnrExtremum]:
                         kind="global_min")]
 
 
-def snr_eta_coherent(c: WeiNormanCoefficients, d: AnalyticSolution,
-                     pair: CoherentPair) -> SnrReport:
+def snr_eta_coherent(sol: AnalyticSolution, pair: CoherentPair) -> SnrReport:
     """Quadrature SNR eta_a for a coherent pair, with the Yuen bound.
 
     eta = <X>^2 / Var X = 2 (Re <a(t)>)^2 / (n0 + 1/2) for X = a + a+,
     with <a(t)> = u alpha + v conj(beta).  eta vanishes identically for
     Fock inputs (zero quadrature mean).
     """
-    u, v = bogoliubov_pair(c)
-    mean = u * pair.alpha + v * np.conj(pair.beta)
-    eta = 2.0 * mean.real ** 2 / (d.n0 + 0.5)
-    mean_a, _ = coherent_mean_numbers(c, d, pair)
+    eta = 2.0 * _coherent_mean(sol, pair).real ** 2 / (sol.n0 + 0.5)
+    mean_a, _ = coherent_mean_numbers(sol, sol, pair)
     return SnrReport(eta=_real(eta), yuen_bound=4.0 * mean_a * (mean_a + 1.0))
 
 

@@ -281,11 +281,15 @@ def _dop853(fun, t0, y, t1, times, rtol, atol):
         n = next((i for i in range(len(got), len(due)) if (due[i] - t_new) * way > 0), len(due))
         if n > len(got):  # this step holds output times: its 7th-order interpolant
             stages(13, 16)
-            dy, x, out = y_new - y, (np.array(due[len(got):n])[:, None] - t) / h, 0
-            rows = [dy, h * k[0] - dy, 2 * dy - h * (k[12] + k[0]), *h * np.dot(_D, k)]
+            # in units 2^e > max(|y|, |y_new|) of each component, e clipped so that 2^-e is a
+            # normal float: exact, the interpolant being linear in each, and h D K stays finite
+            e = np.frexp(np.maximum(np.abs(y), np.abs(y_new)))[1]
+            s = np.ldexp(1.0, -np.clip(e, -1021, 1021))
+            dy, ks, x, out = (y_new - y) * s, k * s, (np.array(due[len(got):n])[:, None] - t) / h, 0
+            rows = [dy, h * ks[0] - dy, 2 * dy - h * (ks[12] + ks[0]), *h * np.dot(_D, ks)]
             for i, row in enumerate(reversed(rows)):
                 out = (out + row) * (x if i % 2 == 0 else 1 - x)
-            got.extend(out + y)
+            got.extend((out + y * s) / s)
         t, y, k[0] = t_new, y_new, k[12]
     if not np.isfinite([*got, y]).all():  # a step may be accepted on nan
         raise IntegrationError("integrator failed on " + stretch + "the state is not finite")

@@ -238,7 +238,7 @@ def solve_ode(pump: PumpProfile, params: ModelParams, t_grid,
                                 *np.exp(logs), *logs)
 
 
-def bogoliubov_pair(c: WeiNormanCoefficients):
+def bogoliubov_pair(c: AnalyticSolution):
     """Interaction-picture (u, v) of a(t) = u a + v b+, also of b(t) = u b + v a+."""
     u = np.exp(-np.conj(c.a_zero))
     return u, -u * np.conj(c.a_minus)

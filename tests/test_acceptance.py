@@ -274,21 +274,19 @@ def test_criterion_08_correlation_signs():
 def test_criterion_09_squeezing():
     params = params_for(9.0 / 5.0)
     ts = np.linspace(0.0, 16.0, 3201)
-    prods = np.array([squeezing_kernel(params, 0.0, t).t_sq
-                      * squeezing_kernel(params, math.pi / 2.0, t).t_sq
-                      for t in ts])
+    prods = np.array([squeezing_kernel(sol, 0.0).t_sq * squeezing_kernel(sol, math.pi / 2.0).t_sq
+                      for sol in (solve_analytic(params, t) for t in ts)])
     bound_ok = bool(np.all(prods >= 1.0 - 1e-10))
     revival_dev = 0.0
     for mult in (1, 2):
-        t_rev = mult * math.pi * math.sqrt(5.0)
-        prod = (squeezing_kernel(params, 0.0, t_rev).t_sq
-                * squeezing_kernel(params, math.pi / 2.0, t_rev).t_sq)
+        sol = solve_analytic(params, mult * math.pi * math.sqrt(5.0))
+        prod = squeezing_kernel(sol, 0.0).t_sq * squeezing_kernel(sol, math.pi / 2.0).t_sq
         revival_dev = max(revival_dev, abs(prod - 1.0))
 
     coherent_dev = 0.0
     pair = CoherentPair(1.2, -0.4 + 0.3j)
     for t in (0.7, 2.0, 4.5):
-        kernel = squeezing_kernel(params, 0.3, t)
+        kernel = squeezing_kernel(solve_analytic(params, t), 0.3)
         coherent_dev = max(coherent_dev, abs(
             quadrature_variance(kernel, pair) - kernel.t_sq))
 
@@ -296,10 +294,9 @@ def test_criterion_09_squeezing():
     k0_dev = 0.0
     for r, s in ((0, 0), (2, 1)):
         for gt in (0.5, 2.0):
-            lo = quadrature_variance(squeezing_kernel(p0, 0.0, gt),
-                                     FockPair(r, s))
-            hi = quadrature_variance(squeezing_kernel(p0, math.pi / 2.0, gt),
-                                     FockPair(r, s))
+            sol = solve_analytic(p0, gt)
+            lo = quadrature_variance(squeezing_kernel(sol, 0.0), FockPair(r, s))
+            hi = quadrature_variance(squeezing_kernel(sol, math.pi / 2.0), FockPair(r, s))
             k0_dev = max(k0_dev,
                          abs(lo - math.exp(-2.0 * gt) * (r + s + 1)),
                          abs(hi - math.exp(2.0 * gt) * (r + s + 1))
@@ -360,7 +357,7 @@ def test_criterion_11_yuen_bound():
     ok = True
     for t in np.linspace(1e-3, 14.0, 7000):
         s = solve_analytic(params, t)
-        rep = snr_eta_coherent(s, s, pair)
+        rep = snr_eta_coherent(s, pair)
         ok = ok and rep.eta <= rep.yuen_bound + 1e-9
         if rep.eta > best:
             best, bound_at_best = rep.eta, rep.yuen_bound

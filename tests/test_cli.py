@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import shlex
+import sys
 import tracemalloc
 from operator import attrgetter
 from pathlib import Path
@@ -16,7 +17,8 @@ from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState, coherent_rev
 from ndpa.model import ModelParams
 from ndpa.moments import second_moments
 from ndpa.observables import (cross_correlation_fock, cross_correlation_general,
-                              mean_photon_fock)
+                              mean_photon_fock, quadrature_variance, snr_eta_coherent,
+                              squeezing_kernel)
 from ndpa.weinorman import solve_analytic
 
 
@@ -123,9 +125,15 @@ def test_readme_examples_parse(tmp_path, capsys):
     (["observable", "--name", "correlation"], "coherent:0.8,0.5j", ["f", "F"],
      lambda s, state: cross_correlation_general(second_moments(state, s))),
     (["prob"], "coherent:0.8,0.5j", ["p_return"],
-     lambda s, state: [coherent_revival_prob(s, state)[0]])],
+     lambda s, state: [coherent_revival_prob(s, state)[0]]),
+    (["observable", "--name", "variance", "--theta", "0.4"], "fock:2,1", ["var_x"],
+     lambda s, state: [quadrature_variance(squeezing_kernel(s, 0.4), state)]),
+    (["observable", "--name", "variance", "--theta", "0.4"], "coherent:0.8,0.5j", ["var_x"],
+     lambda s, state: [quadrature_variance(squeezing_kernel(s, 0.4), state)]),
+    (["observable", "--name", "eta"], "coherent:0.8,0.5j", ["eta", "yuen_bound"],
+     lambda s, state: attrgetter("eta", "yuen_bound")(snr_eta_coherent(s, state)))],
     ids=["mean-fock", "mean-coherent", "correlation-fock", "correlation-coherent",
-         "prob-coherent"])
+         "prob-coherent", "variance-fock", "variance-coherent", "eta"])
 def test_cli_columns_are_the_library_calls(model, params, verb, spec, header, columns, tmp_path):
     out = tmp_path / "columns.csv"
     argv = verb + model + ["--initial", spec, "--tmax", "2", "--steps", "5", "--out", str(out)]
@@ -140,6 +148,28 @@ def test_cli_columns_are_the_library_calls(model, params, verb, spec, header, co
     assert len(got) == len(want)
     for label, column, value in zip(file_header, got, want):
         np.testing.assert_array_equal(column, value, err_msg=label)
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["figure", "fig7"], 1),
+    (["figure", "fig5"], 2),  # two k^2 values
+    (["observable", "--name", "variance", "--theta", "0.4", "--steps", "5"], 1),
+    (["sweep", "--name", "variance", "--param", "theta", "--values", "0,0.4,1", "--steps", "5"],
+     3)])
+def test_each_grid_is_solved_once(argv, solves, monkeypatch, tmp_path):
+    # every column reads the one record of its grid: no observable solves again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve_analytic(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ndpa"]:
+        for name, value in list(vars(module).items()):
+            if value is solve_analytic:
+                monkeypatch.setattr(module, name, counted)
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == solves
 
 
 def test_main_builds_its_parser_once(monkeypatch, tmp_path):
@@ -282,7 +312,8 @@ def test_main_bad_grid_errors(verb, grid, tmp_path, capsys):
       "--steps", "3", "--tmax", "1"], "theta must be finite, got nan"),
     (["sweep", "--name", "variance", "--param", "theta", "--values", "0,nan",
       "--initial", "fock:1,1", "--steps", "3", "--tmax", "1"],
-     "theta must be finite, got nan")])
+     "theta must be finite, got nan"),
+    (["evolve", "--omega", "1e300", "--steps", "3"], "omega = 1e+300, g = 1.0")])
 def test_main_non_finite_input_errors(argv, named, tmp_path, capsys):
     out = ["--out", str(tmp_path / "out.csv")] if argv[0] != "oracle-check" else []
     assert main(argv + out) == 1

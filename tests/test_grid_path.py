@@ -114,8 +114,8 @@ def test_fock_observables(k2):
 def test_squeezing_kernel(k2):
     params = params_for(k2)
     for theta in (0.0, 0.4, math.pi / 2.0):
-        grid = squeezing_kernel(params, theta, TIMES)
-        points = [squeezing_kernel(params, theta, t) for t in TIMES]
+        grid = squeezing_kernel(solve_analytic(params, TIMES), theta)
+        points = [squeezing_kernel(solve_analytic(params, t), theta) for t in TIMES]
         for key in ("t_sq", "g_kernel", "h_kernel"):
             assert_pointwise(getattr(grid, key), [getattr(p, key) for p in points])
 
@@ -126,8 +126,8 @@ def test_coherent_observables(k2):
     s = on_grid(params)
     points = at_points(params)
     for pair in COHERENT:
-        report = snr_eta_coherent(s, s, pair)
-        reports = [snr_eta_coherent(sp, sp, pair) for sp in points]
+        report = snr_eta_coherent(s, pair)
+        reports = [snr_eta_coherent(sp, pair) for sp in points]
         for key in ("eta", "yuen_bound"):
             assert_pointwise(getattr(report, key), [getattr(r, key) for r in reports],
                              exact=False)

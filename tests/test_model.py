@@ -50,6 +50,12 @@ def test_non_finite_params_named(value):
         ModelParams.from_k2(value)
 
 
+@pytest.mark.parametrize("omega, g", [(1e300, 1.0), (6.0, 1e-300)])
+def test_params_refuse_an_overflowing_k2(omega, g):
+    with pytest.raises(ValueError, match=re.escape(f"overflows at omega = {omega!r}, g = {g!r}")):
+        ModelParams(omega_a=3.0, omega_b=2.0, g=g, omega=omega)
+
+
 def test_regime_classification():
     mk = lambda k2: ModelParams.from_k2(k2, omega_a=3.0, omega_b=2.0)
     assert classify_regime(mk(0.5)) is RegimeTag.SUB

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +19,8 @@ from ndpa.observables import (asymptotic_minima_period,
 from ndpa.weinorman import bogoliubov_pair, coefficients, solve_analytic
 
 
-def params_for(k2, g=1.0):
-    return ModelParams.from_k2(k2, g=g, omega_a=3.0, omega_b=2.0)
+def params_for(k2, g=1.0, sign=1):
+    return ModelParams.from_k2(k2, g=g, omega_a=3.0, omega_b=2.0, sign=sign)
 
 
 # -- Bogoliubov pair ---------------------------------------------------------
@@ -168,12 +169,13 @@ def test_correlation_vacuum_consistency():
 
 def test_kernel_initial_and_zero_detuning():
     params = params_for(1.5)
-    assert squeezing_kernel(params, 0.7, 0.0).t_sq == pytest.approx(1.0)
+    assert squeezing_kernel(solve_analytic(params, 0.0), 0.7).t_sq == pytest.approx(1.0)
     p0 = ModelParams(omega_a=3.0, omega_b=2.0, g=1.0, omega=5.0)
     for gt in (0.5, 2.0):
-        assert squeezing_kernel(p0, 0.0, gt).t_sq == pytest.approx(
+        sol = solve_analytic(p0, gt)
+        assert squeezing_kernel(sol, 0.0).t_sq == pytest.approx(
             math.exp(-2.0 * gt), abs=1e-10)
-        assert squeezing_kernel(p0, math.pi / 2.0, gt).t_sq == pytest.approx(
+        assert squeezing_kernel(sol, math.pi / 2.0).t_sq == pytest.approx(
             math.exp(2.0 * gt), rel=1e-10)
 
 
@@ -186,8 +188,17 @@ def test_kernel_matches_direct_modulus():
         c = solve_analytic(params, t)
         direct = abs(np.exp(-np.conj(c.a_zero) + 1j * theta)
                      - c.a_minus * np.exp(-c.a_zero - 1j * theta)) ** 2
-        assert squeezing_kernel(params, theta, t).t_sq == pytest.approx(
-            direct, rel=1e-8, abs=1e-10)
+        assert squeezing_kernel(c, theta).t_sq == pytest.approx(direct, rel=1e-8, abs=1e-10)
+    # G + iH = -conj(A+) exp(2i Im A0) is the harmonic pump's conj(A-) exp(2i Im A0 + i Omega t)
+    gt = np.linspace(0.0, 18.2, 183)
+    for k2, sign, theta in itertools.product(np.linspace(0.0, 10.0, 9), (1, -1),
+                                             (0.0, 0.4, math.pi / 2.0)):
+        params = params_for(k2, sign=sign)
+        c = solve_analytic(params, gt)
+        kernel = squeezing_kernel(c, theta)
+        gh = kernel.g_kernel + 1j * kernel.h_kernel
+        want = np.conj(c.a_minus) * np.exp(2j * c.a_zero.imag + 1j * params.Omega * c.t)
+        assert np.all(np.abs(gh - want) <= 1e-13 * np.maximum(1.0, np.abs(gh))), (k2, sign)
 
 
 def test_kernel_matches_long_double_modulus():
@@ -200,7 +211,7 @@ def test_kernel_matches_long_double_modulus():
         phase = np.exp(np.complex256(1j * theta))
         ref = np.abs(np.exp(-np.conj(a_zero)) * phase
                      - a_minus * np.exp(-a_zero) / phase) ** 2
-        np.testing.assert_allclose(squeezing_kernel(params, theta, gt).t_sq,
+        np.testing.assert_allclose(squeezing_kernel(solve_analytic(params, gt), theta).t_sq,
                                    ref.astype(float), rtol=1e-11, atol=0.0)
 
 
@@ -213,7 +224,7 @@ def test_kernel_branches_agree_at_critical():
         mid = ModelParams.from_k2(1.0, g=1.0, omega_a=3.0, omega_b=2.0,
                                   sign=sign)
         for t in (0.5, 2.0, 5.0):
-            vals = [squeezing_kernel(p, 0.3, t) for p in (lo, mid, hi)]
+            vals = [squeezing_kernel(solve_analytic(p, t), 0.3) for p in (lo, mid, hi)]
             assert vals[0].g_kernel == pytest.approx(vals[1].g_kernel, abs=1e-5)
             assert vals[2].g_kernel == pytest.approx(vals[1].g_kernel, abs=1e-5)
             assert vals[0].h_kernel == pytest.approx(vals[1].h_kernel, abs=1e-5)
@@ -222,7 +233,7 @@ def test_kernel_branches_agree_at_critical():
 
 def test_quadrature_variance_states():
     params = params_for(0.5)
-    kernel = squeezing_kernel(params, 0.4, 2.0)
+    kernel = squeezing_kernel(solve_analytic(params, 2.0), 0.4)
     assert quadrature_variance(kernel, FockPair(1, 1)) == pytest.approx(
         3.0 * kernel.t_sq)
     # coherent variance equals the vacuum variance, independent of amplitude
@@ -233,14 +244,14 @@ def test_quadrature_variance_states():
 def test_uncertainty_product_bound_and_revivals():
     params = params_for(9.0 / 5.0)
     ts = np.linspace(0.0, 15.0, 3001)
-    prod = np.array([squeezing_kernel(params, 0.0, t).t_sq
-                     * squeezing_kernel(params, math.pi / 2.0, t).t_sq
-                     for t in ts])
+    prod = np.array([squeezing_kernel(sol, 0.0).t_sq * squeezing_kernel(sol, math.pi / 2.0).t_sq
+                     for sol in (solve_analytic(params, t) for t in ts)])
     assert np.all(prod >= 1.0 - 1e-10)
     t_rev = math.pi * math.sqrt(5.0)
     for mult in (1, 2):
-        v0 = squeezing_kernel(params, 0.0, mult * t_rev).t_sq
-        v90 = squeezing_kernel(params, math.pi / 2.0, mult * t_rev).t_sq
+        sol = solve_analytic(params, mult * t_rev)
+        v0 = squeezing_kernel(sol, 0.0).t_sq
+        v90 = squeezing_kernel(sol, math.pi / 2.0).t_sq
         assert v0 * v90 == pytest.approx(1.0, abs=1e-8)
 
 
@@ -248,8 +259,8 @@ def test_variance_half_period_shift():
     params = params_for(9.0 / 5.0)
     t_half = math.pi * math.sqrt(5.0) / 2.0
     for t in np.linspace(0.1, 6.0, 25):
-        v0_shift = squeezing_kernel(params, 0.0, t + t_half).t_sq
-        v90 = squeezing_kernel(params, math.pi / 2.0, t).t_sq
+        v0_shift = squeezing_kernel(solve_analytic(params, t + t_half), 0.0).t_sq
+        v90 = squeezing_kernel(solve_analytic(params, t), math.pi / 2.0).t_sq
         assert v0_shift == pytest.approx(v90, rel=1e-8, abs=1e-10)
 
 
@@ -266,7 +277,7 @@ def test_squeezing_minima_asymptotic_period():
 
 def test_squeezing_extrema_refine_every_strict_grid_minimum_in_order():
     params, ts = params_for(0.5), np.linspace(20.0, 36.0, 801)
-    vals = squeezing_kernel(params, 0.0, ts).t_sq
+    vals = squeezing_kernel(solve_analytic(params, ts), 0.0).t_sq
     loop = [i for i in range(1, ts.size - 1) if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]]
     minima = squeezing_extrema(params, 0.0, (20.0, 36.0), n_grid=801)
     assert len(minima) == len(loop) > 1
@@ -290,7 +301,7 @@ def test_variance_moment_engine_agreement():
           + 2 * (tab.expect(0, 1, 0, 1) * ea ** 2
                  + tab.expect(1, 0, 1, 0) / ea ** 2)) / 2.0
     var = (x2 - mean ** 2).real
-    kernel = squeezing_kernel(params, theta, t)
+    kernel = squeezing_kernel(solve_analytic(params, t), theta)
     assert var == pytest.approx(quadrature_variance(kernel, FockPair(1, 1)),
                                 rel=1e-10)
 
@@ -382,7 +393,7 @@ def test_rho_extrema_against_grid():
 def test_eta_initial_value_and_bound():
     params = params_for(1.5)
     c0 = solve_analytic(params, 0.0)
-    rep = snr_eta_coherent(c0, c0, CoherentPair(1.3, 0.4j))
+    rep = snr_eta_coherent(c0, CoherentPair(1.3, 0.4j))
     assert rep.eta == pytest.approx(4.0 * 1.3 ** 2)
     assert rep.yuen_bound == pytest.approx(4.0 * 1.3 ** 2 * (1.3 ** 2 + 1.0))
 
@@ -401,7 +412,7 @@ def test_eta_matches_moment_engine():
         x2 = ((tab.expect(0, 2, 0, 0) + tab.expect(2, 0, 0, 0)
                + 2.0 * tab.expect(1, 1, 0, 0) + 1.0) / 2.0).real
         var = x2 - mean_x * mean_x
-        rep = snr_eta_coherent(c, c, pair)
+        rep = snr_eta_coherent(c, pair)
         assert rep.eta == pytest.approx(mean_x ** 2 / var, abs=1e-10)
 
 
@@ -412,7 +423,7 @@ def test_eta_yuen_bound_holds():
     bound_at_best = 0.0
     for t in np.linspace(1e-3, 14.0, 7000):
         s = solve_analytic(params, t)
-        rep = snr_eta_coherent(s, s, pair)
+        rep = snr_eta_coherent(s, pair)
         assert rep.eta <= rep.yuen_bound + 1e-9
         if rep.eta > best:
             best, bound_at_best = rep.eta, rep.yuen_bound

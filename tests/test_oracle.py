@@ -21,6 +21,7 @@ from ndpa.oracle import (IntegrationError, OracleConfig, TruncationError, _pair_
                          amode_state, coherent_state, edge_mass,
                          evolve_converged, evolve_truncated, fock_state,
                          oracle_moment, oracle_probability)
+from ndpa.observables import quadrature_variance, squeezing_kernel
 from ndpa.weinorman import solve_analytic, solve_ode, unitarity_residuals
 
 
@@ -450,10 +451,24 @@ def test_matches_fock_amplitudes():
         assert out.amplitude(n, m) == pytest.approx(amp, abs=1e-10)
 
 
+def two_mode_variance(expect, theta):
+    """Var X_theta of the two-mode quadrature from the normal-ordered moments
+    expect(p, q, r, s) = <a+^p a^q b+^r b^s>, as in test_observables."""
+    ea = np.exp(1j * theta)
+    mean = (expect(0, 1, 0, 0) * ea + expect(1, 0, 0, 0) / ea + expect(0, 0, 1, 0) / ea
+            + expect(0, 0, 0, 1) * ea) / math.sqrt(2.0)
+    x2 = (expect(0, 2, 0, 0) * ea ** 2 + 2 * expect(0, 1, 1, 0) + expect(0, 0, 2, 0) / ea ** 2
+          + expect(2, 0, 0, 0) / ea ** 2 + 2 * expect(1, 0, 0, 1) + expect(0, 0, 0, 2) * ea ** 2
+          + 2 * expect(1, 1, 0, 0) + 2 * expect(0, 0, 1, 1) + 2
+          + 2 * (expect(0, 1, 0, 1) * ea ** 2 + expect(1, 0, 1, 0) / ea ** 2)) / 2.0
+    return (x2 - mean ** 2).real
+
+
 def test_closed_forms_under_a_tabulated_pump_match_the_oracle():
     # a harmonic pump modulated in amplitude and sampled 41 times: the closed forms
     # take solve_ode's record as they take solve_analytic's, and agree with the
-    # oracle's integration of the same pump, amplitude phases included
+    # oracle's integration of the same pump, amplitude phases included; so does the
+    # quadrature variance of |1,1>, against the oracle state's own moments
     params = params_for(1.5)
     samples = np.linspace(0.0, 1.0, 41)
     value = pump_for(params).value(samples) * (1.0 + 0.3 * np.sin(2.0 * math.pi * samples))
@@ -471,6 +486,10 @@ def test_closed_forms_under_a_tabulated_pump_match_the_oracle():
             if n:
                 amp = fock_amplitude(c, FockPair(2, 1), FockOutcome(n - 1, n))
                 assert abs(amp - fock21.amplitude(n, n - 1)) < 1e-13, (t, n)
+        for theta in (0.0, 0.4, math.pi / 2.0):
+            want = two_mode_variance(lambda *pqrs: oracle_moment(fock11, *pqrs), theta)
+            assert quadrature_variance(squeezing_kernel(c, theta), FockPair(1, 1)) \
+                == pytest.approx(want, rel=1e-9), (t, theta)
     assert max(r.max() for r in unitarity_residuals(sol)) < 1e-13
     for norm in (vacuum_norm, fock11_norm):
         assert norm(sol[-1]) == pytest.approx(1.0, abs=1e-13)

@@ -207,21 +207,21 @@ def test_ode_tabulated_constant_pump_matches_closed_form():
 
 
 def test_ode_overflow_raises_instead_of_returning_nan():
-    # deep below threshold |u| ~ exp(q g t) (k^2 = 0): the interpolant at g t = 705
-    # overflows on a step the error control accepts, and past g t ~ 708.7 the steps
-    # shrink to nothing; either must raise, never return nan.  The end of a step
-    # at 705 is still finite and right
+    # deep below threshold |u| ~ exp(q g t) (k^2 = 0): past g t ~ 708.7 the steps shrink
+    # to nothing, which must raise, never return nan.  Up to there the states are finite
+    # and right, at the end of a step and off its interpolant (taken in units of the
+    # state, so that h D K stays finite at g t = 705) alike
     params = params_for(0.0)
     pump = HarmonicPump.from_params(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        for grid, why in (([0.0, 705.0, 706.0], "the state is not finite"),
-                          ([0.0, 710.0], "Required step size"),
-                          ([0.0, 720.0], "Required step size")):
-            with pytest.raises(weinorman.IntegrationError, match=r"failed on \[0, 7\d+\]: " + why):
+        for grid in ([0.0, 710.0], [0.0, 720.0]):
+            with pytest.raises(weinorman.IntegrationError,
+                               match=r"failed on \[0, 7\d+\]: Required step size"):
                 solve_ode(pump, params, grid)
-        c = solve_ode(pump, params, [0.0, 705.0])[-1]
-    exact = solve_analytic(params, 705.0)
-    assert abs(c.a_minus - exact.a_minus) < 1e-9 and abs(c.a_zero - exact.a_zero) < 1e-9
+    for grid in ([0.0, 705.0], [0.0, 705.0, 706.0]):
+        got, exact = solve_ode(pump, params, grid)[1:], solve_analytic(params, grid[1:])
+        assert np.all(np.abs(got.a_minus - exact.a_minus) < 1e-9)
+        assert np.all(np.abs(got.a_zero - exact.a_zero) < 1e-9)
 
 
 @pytest.mark.parametrize("k2", [0.0, 0.5, 1.0, 1.5, 3.0])
