@@ -296,8 +296,13 @@ def coherent_mean_numbers(c: AnalyticSolution, d: AnalyticSolution,
 
     <a+(t) a(t)> = |<a(t)>|^2 + |v|^2; a mean past the float range is inf.
     """
+    return _mean_numbers(_coherent_mean(c, pair), d.n0, pair)
+
+
+def _mean_numbers(mean, n0, pair: CoherentPair) -> tuple[float, float]:
+    """``coherent_mean_numbers`` from <a(t)> = ``mean`` and n0 = |v|^2."""
     with np.errstate(over="ignore"):
-        mean_a = _real(np.abs(_coherent_mean(c, pair)) ** 2 + d.n0)
+        mean_a = _real(np.abs(mean) ** 2 + n0)
     return mean_a, mean_a + abs(pair.beta) ** 2 - abs(pair.alpha) ** 2
 
 

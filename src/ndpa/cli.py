@@ -133,10 +133,10 @@ def _probability(scn: Scenario, s):
 _OBSERVABLES = ("correlation", "eta", "mandel_q", "mean", "rho", "variance")
 
 
-def _columns(scn: Scenario):
-    """(labels, value columns) of the scenario over its whole time grid."""
+def _columns(scn: Scenario, s):
+    """(labels, value columns) of the scenario over its whole time grid, read off the
+    record s that ``solve_analytic`` returns for its params and grid."""
     name, state = scn.observable, scn.initial
-    s = solve_analytic(scn.params, scn.times())
     if name == "coefficients":  # the evolve table; reads no initial state
         return (["re_a_plus", "im_a_plus", "re_a_minus", "im_a_minus",
                  "re_a_zero", "im_a_zero", "x", "y", "n0"],
@@ -174,13 +174,14 @@ def _columns(scn: Scenario):
 
 def run(scenario: Scenario):
     """Evaluate the scenario on its grid; returns (header, rows) and writes CSV."""
-    labels, columns = _columns(scenario)
+    labels, columns = _columns(scenario, solve_analytic(scenario.params, scenario.times()))
     return _write(scenario.output, ["gt"] + labels,
                   [scenario.params.g * scenario.times()] + columns)
 
 
 def sweep(scenario: Scenario, parameter: str, values):
-    """One output column per parameter value, sharing the time grid."""
+    """One output column per parameter value, sharing the time grid, which is solved once
+    per distinct params: once for a theta sweep, once per value for a k2 sweep."""
     base = scenario.params
     if parameter == "theta" and scenario.observable != "variance":
         raise ScenarioError(f"theta does not enter {scenario.observable!r}; "
@@ -196,9 +197,10 @@ def sweep(scenario: Scenario, parameter: str, values):
             subs.append((f"theta={value}", replace(scenario, theta=float(value))))
         else:
             raise ScenarioError(f"unknown sweep parameter {parameter!r}")
+    solve = functools.cache(lambda params: solve_analytic(params, scenario.times()))
     header = ["gt"] + [label for label, _ in subs]
     return _write(scenario.output, header, [base.g * scenario.times()]
-                  + [_columns(sub)[1][0] for _, sub in subs])
+                  + [_columns(sub, solve(sub.params))[1][0] for _, sub in subs])
 
 
 # -- figure presets ----------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import CoherentPair, FockPair, _coherent_mean, coherent_mean_numbers
+from .amplitudes import CoherentPair, FockPair, _coherent_mean, _mean_numbers
 from .model import ModelParams, RegimeError, RegimeTag, classify_regime
 from .moments import MomentTable
 from .weinorman import AnalyticSolution, _real, bogoliubov_pair, solve_analytic
@@ -245,8 +245,9 @@ def snr_eta_coherent(sol: AnalyticSolution, pair: CoherentPair) -> SnrReport:
     with <a(t)> = u alpha + v conj(beta).  eta vanishes identically for
     Fock inputs (zero quadrature mean).
     """
-    eta = 2.0 * _coherent_mean(sol, pair).real ** 2 / (sol.n0 + 0.5)
-    mean_a, _ = coherent_mean_numbers(sol, sol, pair)
+    mean = _coherent_mean(sol, pair)
+    eta = 2.0 * mean.real ** 2 / (sol.n0 + 0.5)
+    mean_a, _ = _mean_numbers(mean, sol.n0, pair)
     return SnrReport(eta=_real(eta), yuen_bound=4.0 * mean_a * (mean_a + 1.0))
 
 

@@ -12,7 +12,10 @@ y_j = exp(i W j t) z_j, W = omega_a + omega_b - omega, the generator of
 z' = (-i W j + g K- - conj(g) K+) z is constant, and the gauge z_j = s^j w_j,
 s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
 -W j, off-diagonal |g| sqrt((n_a+1)(n_b+1)), alike for q and -q), so with
-M = V diag(lam) V^T, found once per |q|, z(t) = S V exp(i lam t) V^T S^-1 z(0).
+M = V diag(lam) V^T, found once per |q|, z(t) = S V exp(i lam t) V^T S^-1 z(0).  The
+blocks q and -q share V and exp(i lam t); every block takes its gauge and frame phases,
+s^-j and exp(i W j t) s^j, off one array of each over j = 0..cutoff; each block keeps its
+own product.
 Any other pump is integrated by ``_integrate``, the stretch loop behind ``solve_ode``'s
 grid ``AnalyticSolution`` too, with all blocks zero-padded to cutoff + 1 entries and
 raveled into one flat row.  One flat coefficient array serves K- and, one slot down, K+; it
@@ -24,10 +27,11 @@ the current state; an output time inside comes off the 7th-order interpolant of 
 (3 more RHS calls).  A failed step or a non-finite state raises ``IntegrationError``.
 
 A start is validated by ``model``'s state types and built by ``_product_state``, which
-drops each block of weight <= 1e-16 into ``norm_deficit``; neither it nor the ODE path
-loads scipy.  The harmonic path calls LAPACK's divide-and-conquer ``dstevd`` from
-``scipy.linalg``, which ``__getattr__`` (PEP 562) imports on its first read and the path
-reads through the module, as rebound; so is scipy's ``solve_ivp``, which tracers rebind.
+weighs every charge in one correlation of |a|^2 and |b|^2 and drops each block of weight
+<= 1e-16 into ``norm_deficit``; neither it nor the ODE path loads scipy.  The harmonic
+path calls LAPACK's divide-and-conquer ``dstevd`` from ``scipy.linalg``, which
+``__getattr__`` (PEP 562) imports on its first read and the path reads through the module,
+as rebound; so is scipy's ``solve_ivp``, which tracers rebind.
 """
 
 from __future__ import annotations
@@ -132,12 +136,10 @@ def _product_state(cutoff: int, a: np.ndarray, b: np.ndarray) -> TruncatedState:
     """|a> (x) |b> from amplitudes a[n_a], b[n_b], n = 0..cutoff, over the charges their
     supports reach; a block of weight <= 1e-16 is dropped, its weight left to norm_deficit."""
     state = TruncatedState(cutoff=cutoff)
-    na, nb = np.flatnonzero(a), np.flatnonzero(b)
-    if na.size and nb.size:  # else nothing lies inside the cutoff
-        for q in range(na[0] - nb[-1], na[-1] - nb[0] + 1):  # block q: n_a - n_b = q
-            vec = a[q:] * b[:b.size - q] if q >= 0 else a[:a.size + q] * b[-q:]
-            if np.vdot(vec, vec).real > 1e-16:
-                state.blocks[q] = vec
+    # the weight of block q = n_a - n_b, sum_n |a[n + q] b[n]|^2, at index q + b.size - 1
+    weight = np.correlate(np.abs(a) ** 2, np.abs(b) ** 2, "full")
+    for q in (np.flatnonzero(weight > 1e-16) - (b.size - 1)).tolist():
+        state.blocks[q] = a[q:] * b[:b.size - q] if q >= 0 else a[:a.size + q] * b[-q:]
     state.norm_deficit = max(0.0, 1.0 - state.total_norm())
     return state
 
@@ -184,16 +186,20 @@ def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray):
 def _propagate_harmonic(pump: HarmonicPump, w: float, initial: TruncatedState, t):
     """Exact propagation of every block; w is W of the module docstring."""
     turn = 0.5 * np.pi - np.angle(pump.g)  # arg s of the gauge s = i conj(g)/|g|
-    cut = initial.cutoff
-    eig = {a: _tridiagonal_eigh(-w * np.arange(cut + 1 - a),
-                                abs(pump.g) * _pair_amplitudes(cut, a))
-           for a in {abs(q) for q in initial.blocks}}  # blocks q and -q share one generator
+    cut, j = initial.cutoff, np.arange(initial.cutoff + 1)
+    # the gauge and frame phases of level j; block q takes the first cut + 1 - |q| of them
+    gauge, frame = np.exp(-1j * turn * j), np.exp(1j * (w * t + turn) * j)
+
+    def decompose(a):  # what blocks q and -q share: V and exp(i lam t)
+        lam, v = _tridiagonal_eigh(-w * j[:cut + 1 - a],
+                                   abs(pump.g) * _pair_amplitudes(cut, a))
+        return v, np.exp(1j * lam * t)
+
+    shared = {a: decompose(a) for a in {abs(q) for q in initial.blocks}}
     out = {}
     for q, vec in initial.blocks.items():
-        lam, v = eig[abs(q)]
-        j = np.arange(vec.size)
-        rotated = v @ (np.exp(1j * lam * t) * (v.T @ (np.exp(-1j * turn * j) * vec)))
-        out[q] = np.exp(1j * (w * t + turn) * j) * rotated
+        (v, spin), n = shared[abs(q)], vec.size
+        out[q] = frame[:n] * (v @ (spin * (v.T @ (gauge[:n] * vec))))
     return out
 
 
@@ -252,7 +258,10 @@ def _dop853(fun, t0, y, t1, times, rtol, atol):
     the states at ``times``, the monotone output times in (t0, t1], and the end state."""
     k, way = np.empty((16, y.size), complex), math.copysign(1, t1 - t0)
     k[0], got, t, h_abs = fun(t0, y), [], t0, abs(t1 - t0)
-    due, stretch = [s for s in times if s != t1], f"[{t0:.6g}, {t1:.6g}]: "
+    due = [s for s in times if s != t1]
+
+    def failed(reason):  # the stretch label is formatted only on failure
+        return IntegrationError(f"integrator failed on [{t0:.6g}, {t1:.6g}]: {reason}")
 
     def stages(first, last):  # stages first, ..., last - 1 of the step h from (t, y)
         for s in range(first, last):
@@ -264,14 +273,14 @@ def _dop853(fun, t0, y, t1, times, rtol, atol):
         h_abs, rejected = max(h_abs, min_step), False
         while True:
             if h_abs < min_step:
-                raise IntegrationError("integrator failed on " + stretch +
-                                       "Required step size is less than spacing between numbers.")
+                raise failed("Required step size is less than spacing between numbers.")
             t_new = t1 if way * (t + way * h_abs - t1) > 0 else t + way * h_abs
             h, h_abs = t_new - t, abs(t_new - t)
             ah = _A * h
             y_new = stages(1, 13)  # row 12 is the step's end
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5, e3 = np.linalg.norm(np.dot(_E, k[:13]) / scale, axis=1) ** 2
+            r = np.dot(_E, k[:13]) / scale  # e5, e3: np.linalg.norm(r, axis=1) ** 2, unwrapped
+            e5, e3 = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1)) ** 2
             err = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * y.size) if e5 or e3 else 0.0
             factor = 0.9 * err ** -0.125 if err else 10.0
             if err < 1:  # grow the step at most 10-fold, and not after a rejection
@@ -291,8 +300,8 @@ def _dop853(fun, t0, y, t1, times, rtol, atol):
                 out = (out + row) * (x if i % 2 == 0 else 1 - x)
             got.extend((out + y * s) / s)
         t, y, k[0] = t_new, y_new, k[12]
-    if not np.isfinite([*got, y]).all():  # a step may be accepted on nan
-        raise IntegrationError("integrator failed on " + stretch + "the state is not finite")
+    if not (np.isfinite(y).all() and all(np.isfinite(state).all() for state in got)):
+        raise failed("the state is not finite")  # a step may be accepted on nan
     return got + [y] * (t1 in times), y
 
 
@@ -333,11 +342,13 @@ def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, t
         up[row, :vec.size - 1], y[row, :vec.size] = _pair_amplitudes(initial.cutoff, q), vec
     up = up.ravel()[:-1]  # 0 at each block's last entry and in the padding
     pairs = np.zeros((2, up.size + 1), dtype=complex)  # K- y and K+ y, their slots kept 0
+    weights = np.empty(2, dtype=complex)  # (G, -conj G)
 
     def rhs(gt, y):
         np.multiply(up, y[1:], out=pairs[0, :-1])
         np.multiply(up, y[:-1], out=pairs[1, 1:])
-        return np.dot((gt, -gt.conjugate()), pairs)
+        weights[0], weights[1] = gt, -gt.conjugate()
+        return np.dot(weights, pairs)
 
     y = _integrate(pump, wsum, rhs, y.ravel(), [float(t)], tol, tol * 1e-2)[-1].reshape(y.shape)
     return {q: y[row, :vec.size].copy() for row, (q, vec) in enumerate(initial.blocks.items())}

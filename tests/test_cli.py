@@ -155,7 +155,8 @@ def test_cli_columns_are_the_library_calls(model, params, verb, spec, header, co
     (["figure", "fig5"], 2),  # two k^2 values
     (["observable", "--name", "variance", "--theta", "0.4", "--steps", "5"], 1),
     (["sweep", "--name", "variance", "--param", "theta", "--values", "0,0.4,1", "--steps", "5"],
-     3)])
+     1),  # every theta column reads the one record of the grid
+    (["sweep", "--param", "k2", "--values", "0.5,1,1.5", "--steps", "5"], 3)])
 def test_each_grid_is_solved_once(argv, solves, monkeypatch, tmp_path):
     # every column reads the one record of its grid: no observable solves again
     calls = []

@@ -430,6 +430,21 @@ def test_eta_yuen_bound_holds():
     assert 1.5 <= bound_at_best / best <= 4.0
 
 
+def test_eta_forms_the_bogoliubov_pair_once(monkeypatch):
+    # eta and the Yuen bound both read <a(t)> = u alpha + v conj(beta), formed once
+    import ndpa.amplitudes
+    calls = []
+
+    def counted(sol):
+        calls.append(None)
+        return bogoliubov_pair(sol)
+
+    monkeypatch.setattr(ndpa.amplitudes, "bogoliubov_pair", counted)
+    for t in (0.0, 1.3, np.linspace(0.0, 2.0, 5)):
+        snr_eta_coherent(solve_analytic(params_for(1.5), t), CoherentPair(0.8, 0.5j))
+    assert len(calls) == 3
+
+
 # -- diagonalization ---------------------------------------------------------
 
 

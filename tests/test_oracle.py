@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 import tracemalloc
@@ -373,6 +374,24 @@ def test_harmonic_path_diagonalizes_once_per_charge_pair(monkeypatch):
         assert sorted(calls) == sorted(rounds * [33 - a for a in charges])
 
 
+def test_harmonic_path_keeps_the_per_block_products():
+    # the rule before the phases were shared: each block's own phases and products, bit for bit
+    params, t = params_for(1.5), 1.3
+    pump = pump_for(params)
+    w, turn = params.omega_a + params.omega_b - pump.omega, 0.5 * np.pi - np.angle(pump.g)
+    for start in (coherent_state(40, 1.5, 1.5j), fock_state(24, 2, 1),
+                  amode_state(16, [0.5, 0.3, 0.2])):
+        state = evolve_truncated(pump, params, start, t, OracleConfig(cutoff=start.cutoff))
+        assert list(state.blocks) == list(start.blocks)
+        for q, vec in start.blocks.items():
+            j = np.arange(vec.size)
+            lam, v = oracle._tridiagonal_eigh(
+                -w * j, abs(pump.g) * _pair_amplitudes(start.cutoff, abs(q)))
+            rotated = v @ (np.exp(1j * lam * t) * (v.T @ (np.exp(-1j * turn * j) * vec)))
+            want = np.exp(1j * (w * t + turn) * j) * rotated
+            assert np.array_equal(state.blocks[q], want), (start.cutoff, q)
+
+
 def test_harmonic_path_refuses_a_failed_diagonalization(monkeypatch):
     # dstevd reports failure through info alone; the oracle must not apply its output
     def failing(d, e):
@@ -744,6 +763,44 @@ def test_amode_start_drops_blocks_by_the_one_weight_rule():
         np.testing.assert_allclose(start.blocks[s], want, rtol=1e-15, atol=0.0)
     assert start.norm_deficit <= 1e-15
     assert amode_state(8, [0.25, 0.75]).amplitude(1, 0) == math.sqrt(0.75)  # phases=None: 0
+
+
+def _direct_product(cutoff, a, b):
+    """Blocks and norm deficit of |a> (x) |b> by the direct rule: every charge q the supports
+    reach, its block kept where np.vdot(vec, vec).real > 1e-16."""
+    blocks, na, nb = {}, np.flatnonzero(a), np.flatnonzero(b)
+    if na.size and nb.size:
+        for q in range(na[0] - nb[-1], na[-1] - nb[0] + 1):
+            vec = a[q:] * b[:b.size - q] if q >= 0 else a[:a.size + q] * b[-q:]
+            if np.vdot(vec, vec).real > 1e-16:
+                blocks[q] = vec
+    return blocks, max(0.0, 1.0 - float(sum(np.vdot(v, v).real for v in blocks.values())))
+
+
+def _product_pairs():
+    """(cutoff, a, b): coherent, Fock and a-mode amplitude pairs."""
+    for cutoff in (8, 24, 40, 64):
+        n = np.arange(cutoff + 1)
+        for ra, rb in itertools.product((0.0, 1e-9, 0.5, 1.5, 3.0), repeat=2):
+            yield (cutoff, oracle._coherent_amps(ra * cmath.exp(0.7j), n),
+                   oracle._coherent_amps(rb * cmath.exp(-2.1j), n))
+        for r, s in ((0, 0), (1, 1), (cutoff, 0), (2, cutoff - 1)):
+            yield cutoff, (n == r).astype(complex), (n == s).astype(complex)
+        psi = PureAModeState.poisson(min(cutoff / 4.0, 3.0))
+        a = np.zeros(cutoff + 1, dtype=complex)
+        a[:len(psi.probs)] = np.sqrt(psi.probs)[:cutoff + 1]
+        yield cutoff, a, (n == 0).astype(complex)
+
+
+def test_product_state_keeps_the_charges_of_the_direct_rule():
+    # the weights of all charges come from one correlation of |a|^2 and |b|^2
+    for cutoff, a, b in _product_pairs():
+        state = oracle._product_state(cutoff, a, b)
+        blocks, deficit = _direct_product(cutoff, a, b)
+        assert list(state.blocks) == list(blocks), cutoff
+        for q, vec in blocks.items():
+            assert np.array_equal(state.blocks[q], vec), (cutoff, q)
+        assert state.norm_deficit == deficit, cutoff
 
 
 @st.composite
