@@ -1,11 +1,11 @@
 """Command-line scenario runner emitting plot-ready CSV.
 
-Verbs: evolve, prob, observable, figure <name>, sweep, oracle-check.
-Every output table uses the dimensionless time ``gt`` as its first column;
-infinities are written as the literal token ``inf`` so the files round-trip
-through standard plotting tools.  Each table is evaluated column by column
-over its whole time grid from one ``AnalyticSolution``: every column, figure
-columns included, is a function of that one record and solves nothing itself.
+Verbs: evolve, prob, observable, figure <name>, sweep, oracle-check.  evolve, prob,
+observable and sweep build one ``Scenario`` from their options and write its
+``_columns``, a sweep those of that scenario at each value.  Every output table uses the
+dimensionless time ``gt`` as its first column, and infinities as ``inf``.  Each table is
+evaluated column by column over its whole time grid from one ``AnalyticSolution``:
+every column, figure columns included, reads that one record and solves nothing.
 """
 
 from __future__ import annotations
@@ -180,27 +180,28 @@ def run(scenario: Scenario):
 
 
 def sweep(scenario: Scenario, parameter: str, values):
-    """One output column per parameter value, sharing the time grid, which is solved once
-    per distinct params: once for a theta sweep, once per value for a k2 sweep."""
+    """``run``'s columns of each value's scenario, headed ``k2=0.5`` or ``eta k2=0.5``, ...: theta
+    set by ``replace``, k2 by ``ModelParams.from_k2`` with the sign of the scenario's k."""
     base = scenario.params
+    if parameter not in ("k2", "theta"):
+        raise ScenarioError(f"unknown sweep parameter {parameter!r}")
     if parameter == "theta" and scenario.observable != "variance":
         raise ScenarioError(f"theta does not enter {scenario.observable!r}; "
                             "only variance depends on it")
-    subs = []
-    for value in values:
-        if parameter == "k2":
-            params = ModelParams.from_k2(float(value), g=base.g,
-                                         omega_a=base.omega_a,
-                                         omega_b=base.omega_b)
-            subs.append((f"k2={value}", replace(scenario, params=params)))
-        elif parameter == "theta":
-            subs.append((f"theta={value}", replace(scenario, theta=float(value))))
-        else:
-            raise ScenarioError(f"unknown sweep parameter {parameter!r}")
     solve = functools.cache(lambda params: solve_analytic(params, scenario.times()))
-    header = ["gt"] + [label for label, _ in subs]
-    return _write(scenario.output, header, [base.g * scenario.times()]
-                  + [_columns(sub, solve(sub.params))[1][0] for _, sub in subs])
+    header, columns = ["gt"], [base.g * scenario.times()]
+    for value in values:
+        if parameter == "theta":
+            sub = replace(scenario, theta=float(value))
+        else:
+            sub = replace(scenario, params=ModelParams.from_k2(
+                float(value), g=base.g, omega_a=base.omega_a, omega_b=base.omega_b,
+                sign=-1 if base.k < 0 else 1))
+        labels, sub_columns = _columns(sub, solve(sub.params))
+        header += [f"{label} {parameter}={value}" if len(labels) > 1
+                   else f"{parameter}={value}" for label in labels]
+        columns += sub_columns
+    return _write(scenario.output, header, columns)
 
 
 # -- figure presets ----------------------------------------------------------
@@ -378,9 +379,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _scenario_from_args(args) -> Scenario:
+    evolve = args.verb == "evolve"  # its coefficients table reads no state; prob has no --name
     return Scenario(params=_default_params(args),
-                    initial=_parse_state(args),
-                    observable="probability" if args.verb == "prob" else args.name,
+                    initial=None if evolve else _parse_state(args),
+                    observable="coefficients" if evolve else getattr(args, "name", "probability"),
                     grid=(0.0, args.tmax, args.steps),
                     output=args.out,
                     theta=getattr(args, "theta", 0.0),
@@ -390,11 +392,7 @@ def _scenario_from_args(args) -> Scenario:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.verb == "evolve":
-            run(Scenario(params=_default_params(args), initial=None,
-                         observable="coefficients",
-                         grid=(0.0, args.tmax, args.steps), output=args.out))
-        elif args.verb == "figure":
+        if args.verb == "figure":
             run_figure(args.name, args.out)
         elif args.verb == "oracle-check":
             results, edge = oracle_check(_default_params(args), args.tmax, args.cutoff)
@@ -408,8 +406,7 @@ def main(argv=None) -> int:
                 return 1
             print(f"worst deviation {worst:.3e} within tolerance")
         elif args.verb == "sweep":
-            values = [float(v) for v in args.values.split(",")]
-            sweep(_scenario_from_args(args), args.param, values)
+            sweep(_scenario_from_args(args), args.param, [float(v) for v in args.values.split(",")])
         else:
             run(_scenario_from_args(args))
     except Exception as exc:  # argparse handles its own errors

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import CoherentPair, FockPair, _coherent_mean, _mean_numbers
+from .amplitudes import CoherentPair, FockPair, PureAModeState, _coherent_mean, _mean_numbers
 from .model import ModelParams, RegimeError, RegimeTag, classify_regime
 from .moments import MomentTable
 from .weinorman import AnalyticSolution, _real, bogoliubov_pair, solve_analytic
@@ -106,27 +106,32 @@ class SqueezingKernel:
 def squeezing_kernel(sol: AnalyticSolution, theta: float) -> SqueezingKernel:
     """Quadrature kernel |T_theta|^2 = |u e^(i theta) + conj(v) e^(-i theta)|^2.
 
-    (u, v) is the record's Bogoliubov pair and G + iH = -conj(A+) exp(2i Im A0); for
-    the harmonic pump that is conj(A-) exp(2i Im A0 + i Omega t), and |T_theta|^2 =
-    x [1 + y - 2(cos(Wt-2th) G + sin(Wt-2th) H)].  A record at one time is evaluated
-    as a one-element grid, so that it rounds exactly as the same time on a grid does.
+    (u, v) is the record's Bogoliubov pair and G + iH its A-, which unitarity makes -conj(A+)
+    exp(2i Im A0) under any pump; under the harmonic pump, also conj(A-) exp(2i Im A0 + i Omega t),
+    |T_theta|^2 = x [1 + y - 2(cos(Wt-2th) G + sin(Wt-2th) H)].  A record at one time is
+    evaluated as a one-element grid, so that it rounds exactly as the same time on a grid does.
     """
     shape = np.shape(sol.t)
     if not shape:
         sol = type(sol)(*(np.atleast_1d(getattr(sol, f)) for f in sol.__dataclass_fields__))
     u, v = bogoliubov_pair(sol)
     t_sq = np.abs(u * np.exp(1j * theta) + np.conj(v) * np.exp(-1j * theta)) ** 2
-    gh = -np.conj(sol.a_plus) * np.exp(2j * sol.a_zero.imag)
     t_sq, g, h = (_real(np.reshape(value, shape))
-                  for value in (t_sq, gh.real, gh.imag))
+                  for value in (t_sq, sol.a_minus.real, sol.a_minus.imag))
     return SqueezingKernel(theta=theta, t_sq=t_sq, g_kernel=g, h_kernel=h)
 
 
 def quadrature_variance(kernel: SqueezingKernel,
-                        state: FockPair | CoherentPair) -> float:
-    """Var X_theta: (r+s+1)|T|^2 for Fock pairs, |T|^2 for any coherent pair."""
+                        state: FockPair | CoherentPair | PureAModeState) -> float:
+    """Var X_theta: (r+s+1)|T|^2 for a Fock pair, |T|^2 for a coherent pair or a-mode state."""
     if isinstance(state, FockPair):
         return kernel.t_sq * (state.r + state.s + 1.0)
+    if isinstance(state, PureAModeState):
+        p, n = np.asarray(state.probs), np.arange(len(state.probs))
+        c = np.sqrt(p) * np.exp(1j * np.asarray(state.phases))  # <n|psi>
+        excess = n @ p - abs(np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:])) ** 2
+        if excess > 1e-12 * (1.0 + n @ p):
+            raise ValueError(f"not a coherent a mode: mean n - |<a>|^2 = {excess:.3e}")
     return kernel.t_sq
 
 

@@ -61,14 +61,14 @@ def __getattr__(name):
 
 
 class TruncationError(RuntimeError):
-    """Norm leaked past the cutoff; increase the cutoff."""
+    """The start's norm lies past the cutoff, or no cutoff converged; increase the cutoff."""
 
 
 class IntegrationError(RuntimeError):
-    """The integrator failed on a stretch; the message names it and scipy's reason."""
+    """The integrator failed on a stretch, naming it and the reason, or moved the norm."""
 
 
-_TAIL_LIMIT = 1e-9  # largest norm deficit accepted before or after evolution
+_TAIL_LIMIT = 1e-9  # largest norm deficit of a start, and largest norm drift in evolution
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,8 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
     Exact for a ``HarmonicPump``: one eigendecomposition per pair +-q of the
     gauged rotating-frame generator (module docstring); ``cfg.tol`` unused.
     Other pumps: ``_integrate`` at relative tolerance ``cfg.tol``.  The start must
-    be built at ``cfg.cutoff``.
+    be built at ``cfg.cutoff``, with a norm deficit of at most 1e-9; an evolved norm that
+    drifts from the start's by more, as only the integrator can, is an ``IntegrationError``.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
@@ -381,10 +382,10 @@ def evolve_truncated(pump: PumpProfile, params: ModelParams,
     else:
         result.blocks = _propagate_ode(pump, wsum, initial, t, cfg.tol)
 
-    result.norm_deficit = deficit = max(0.0, 1.0 - result.total_norm())
-    if deficit > _TAIL_LIMIT:
-        raise TruncationError(
-            f"norm deficit {deficit:.3e} exceeds {_TAIL_LIMIT:.0e}; increase the cutoff")
+    result.norm_deficit = max(0.0, 1.0 - (norm := result.total_norm()))
+    if abs(drift := norm - (1.0 - initial.norm_deficit)) > _TAIL_LIMIT:
+        raise IntegrationError(f"the norm drifted by {drift:+.3e} past {_TAIL_LIMIT:.0e} in "
+                               f"evolution; decrease cfg.tol = {cfg.tol:.0e}")
     return result
 
 

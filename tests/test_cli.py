@@ -358,6 +358,68 @@ def test_main_sweep(tmp_path):
     assert header == ["gt", "k2=0.5", "k2=1.5"]
 
 
+_STARTS = ["fock:2,1", "coherent:0.8,0.5j", "poisson:0.85"]
+# (sweep options, the options of one value's run); for k < 0, from_k2 of 0.25, 1 and 2.25
+# with the sign of k gives omega 4, 3 and 2 exactly
+_SWEEPS = {
+    "k2": (["--param", "k2", "--values", "0.5,1,1.8"], lambda v: ["--k2", v]),
+    "k2-negative-k": (["--param", "k2", "--values", "0.25,1,2.25", "--omega", "4.0"],
+                      lambda v: ["--omega", repr(5.0 - 2.0 * math.sqrt(float(v)))]),
+    "theta": (["--param", "theta", "--values", "0,0.4,2"], lambda v: ["--theta", v])}
+
+
+@pytest.mark.parametrize("name, spec, swept", [
+    *((name, spec, swept) for name in ("probability",) + ndpa.cli._OBSERVABLES
+      for spec in _STARTS for swept in ("k2", "k2-negative-k")),
+    *(("variance", spec, "theta") for spec in _STARTS)])
+def test_each_swept_value_is_the_run_of_its_scenario(name, spec, swept, tmp_path, capsys):
+    # every column of a sweep is run's column for that value's scenario, under a header
+    # "k2=0.5" for one column and "eta k2=0.5", "yuen_bound k2=0.5", ... for several; a
+    # start the observable refuses fails the sweep as it fails the run
+    sweep_argv, value_argv = _SWEEPS[swept]
+    param, values = sweep_argv[1], sweep_argv[3].split(",")
+    verb = ["prob"] if name == "probability" else ["observable", "--name", name]
+    common = ["--initial", spec, "--tmax", "2", "--steps", "5"]
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--name", name, *sweep_argv, *common, "--out", str(out)])
+    err = capsys.readouterr().err
+    want_header, want = ["gt"], []
+    for i, value in enumerate(values):
+        path = tmp_path / f"run{i}.csv"
+        argv = verb + value_argv(value) + common + ["--out", str(path)]
+        scenario = ndpa.cli._scenario_from_args(build_parser().parse_args(argv))
+        assert main(argv) == code and capsys.readouterr().err == err
+        if code:
+            assert err.startswith("error:") and not out.exists()
+            return
+        if param == "k2":  # run's params are the swept value's, the sign of k kept
+            sign = -1 if "--omega" in sweep_argv else 1
+            assert scenario.params == ModelParams.from_k2(float(value), omega_a=3.0,
+                                                          omega_b=2.0, sign=sign)
+        labels, rows = read_csv(path)
+        columns = list(np.array(rows, dtype=float).T)
+        want += columns if i == 0 else columns[1:]
+        want_header += ([f"{param}={float(value)}"] if len(labels) == 2 else
+                        [f"{label} {param}={float(value)}" for label in labels[1:]])
+    header, rows = read_csv(out)
+    got = list(np.array(rows, dtype=float).T)
+    assert header == want_header and len(got) == len(want)
+    for label, column, value in zip(header, got, want):
+        assert np.array_equal(column, value, equal_nan=True), label
+
+
+def test_sweep_keeps_the_sign_of_k(tmp_path):
+    # --omega 4.0 sets k = -0.5: the swept k2 = 0.25 is that scenario, not k = +0.5's
+    common = ["--initial", "coherent:0.8,0.5j", "--omega", "4.0"]
+    sweep_out, prob_out = tmp_path / "sweep.csv", tmp_path / "prob.csv"
+    assert main(["sweep", "--param", "k2", "--values", "0.25", *common,
+                 "--out", str(sweep_out)]) == 0
+    assert main(["prob", *common, "--out", str(prob_out)]) == 0
+    (header, rows), (_, want) = read_csv(sweep_out), read_csv(prob_out)
+    assert header == ["gt", "k2=0.25"] and rows == want
+    assert rows[100] == ["1.0", "0.21166881635392595"]
+
+
 @pytest.mark.parametrize("name", ["probability", "mandel_q"])
 def test_main_sweep_theta_needs_variance(name, tmp_path, capsys):
     out = tmp_path / "sw.csv"

@@ -1,11 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ndpa.amplitudes import CoherentPair, FockPair
-from ndpa.model import ModelParams, RegimeError
+from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState
+from ndpa.model import HarmonicPump, ModelParams, RegimeError, TabulatedPump
 from ndpa.moments import second_moments
 from ndpa.observables import (asymptotic_minima_period,
                               cross_correlation_fock,
@@ -16,7 +17,7 @@ from ndpa.observables import (asymptotic_minima_period,
                               snr_eta_coherent, snr_rho_extrema, snr_rho_fock,
                               snr_rho_limit, snr_rho_min_value,
                               squeezing_extrema, squeezing_kernel)
-from ndpa.weinorman import bogoliubov_pair, coefficients, solve_analytic
+from ndpa.weinorman import bogoliubov_pair, coefficients, solve_analytic, solve_ode
 
 
 def params_for(k2, g=1.0, sign=1):
@@ -189,7 +190,7 @@ def test_kernel_matches_direct_modulus():
         direct = abs(np.exp(-np.conj(c.a_zero) + 1j * theta)
                      - c.a_minus * np.exp(-c.a_zero - 1j * theta)) ** 2
         assert squeezing_kernel(c, theta).t_sq == pytest.approx(direct, rel=1e-8, abs=1e-10)
-    # G + iH = -conj(A+) exp(2i Im A0) is the harmonic pump's conj(A-) exp(2i Im A0 + i Omega t)
+    # G + iH is the record's A-; under the harmonic pump also conj(A-) exp(2i Im A0 + i Omega t)
     gt = np.linspace(0.0, 18.2, 183)
     for k2, sign, theta in itertools.product(np.linspace(0.0, 10.0, 9), (1, -1),
                                              (0.0, 0.4, math.pi / 2.0)):
@@ -199,6 +200,17 @@ def test_kernel_matches_direct_modulus():
         gh = kernel.g_kernel + 1j * kernel.h_kernel
         want = np.conj(c.a_minus) * np.exp(2j * c.a_zero.imag + 1j * params.Omega * c.t)
         assert np.all(np.abs(gh - want) <= 1e-13 * np.maximum(1.0, np.abs(gh))), (k2, sign)
+    # under any pump A- = -conj(A+) exp(2i Im A0) by unitarity; a solve_ode record keeps it
+    # to its tolerance, its phase Im A0 being integrated, under a pump modulated in amplitude
+    params = params_for(1.5)
+    samples = np.linspace(0.0, 5.0, 101)
+    value = HarmonicPump.from_params(params).value(samples) * (1.0 + 0.3 * np.sin(samples))
+    c = solve_ode(TabulatedPump(times=tuple(samples), values=tuple(value)), params,
+                  np.linspace(0.0, 5.0, 51))
+    kernel = squeezing_kernel(c, 0.4)
+    gh = kernel.g_kernel + 1j * kernel.h_kernel
+    for want in (c.a_minus, -np.conj(c.a_plus) * np.exp(2j * c.a_zero.imag)):
+        assert np.all(np.abs(gh - want) <= 1e-9)
 
 
 def test_kernel_matches_long_double_modulus():
@@ -239,6 +251,18 @@ def test_quadrature_variance_states():
     # coherent variance equals the vacuum variance, independent of amplitude
     for pair in (CoherentPair(0.0, 0.0), CoherentPair(3.0, -2.0 + 1j)):
         assert quadrature_variance(kernel, pair) == kernel.t_sq
+
+
+def test_quadrature_variance_of_an_amode_state():
+    # a coherent a mode's is |T|^2 too; an a-mode state that is not coherent is refused,
+    # naming its excess n - |<a>|^2: |1> has 1, (|0> + |1>)/sqrt(2) has 1/2 - 1/4
+    kernel = squeezing_kernel(solve_analytic(params_for(0.5), 1.3), 0.4)
+    for alpha in (0.85, 100.0):
+        assert quadrature_variance(kernel, PureAModeState.poisson(alpha)) == kernel.t_sq
+    for psi, excess in ((PureAModeState((0.0, 1.0), (0.0, 0.0)), "1.000e+00"),
+                        (PureAModeState((0.5, 0.5), (0.0, 0.0)), "2.500e-01")):
+        with pytest.raises(ValueError, match=rf"mean n - \|<a>\|\^2 = {re.escape(excess)}"):
+            quadrature_variance(kernel, psi)
 
 
 def test_uncertainty_product_bound_and_revivals():

@@ -607,6 +607,18 @@ def test_truncation_error_for_unnormalized_input():
         evolve_truncated(pump_for(params), params, init, 1.0, OracleConfig(cutoff=16))
 
 
+@pytest.mark.parametrize("cutoff", [24, 96])
+def test_norm_drift_in_evolution_blames_the_integrator(cutoff):
+    # the truncated generator keeps the norm at any cutoff, so a drift this loose a
+    # tolerance leaves is the integrator's, and it does not shrink as the cutoff grows
+    params = params_for(1.5)
+    pump, start = CustomPump(fn=pump_for(params).value), fock_state(cutoff, 2, 1)
+    with pytest.raises(IntegrationError, match=r"drifted by -\d.*cfg\.tol = 1e-05"):
+        evolve_truncated(pump, params, start, 5.0, OracleConfig(cutoff=cutoff, tol=1e-5))
+    out = evolve_truncated(pump, params, start, 5.0, OracleConfig(cutoff=cutoff, tol=1e-9))
+    assert out.norm_deficit < 1e-9
+
+
 def test_fock_state_rejects_negative_occupation():
     with pytest.raises(ValueError, match=r"\(-1, 0\)"):
         fock_state(10, -1, 0)
