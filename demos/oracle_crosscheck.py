@@ -9,7 +9,7 @@ the cutoff and watching the probe value stabilize.
 
 import math
 
-from ndpa import (CoherentPair, FockPair, HarmonicPump, ModelParams,
+from ndpa import (CoherentPair, HarmonicPump, ModelParams,
                   OracleConfig, coherent_revival_prob, edge_mass,
                   evolve_converged, evolve_truncated, fock11_prob, fock_state,
                   oracle_probability, solve_analytic)

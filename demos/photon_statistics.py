@@ -6,8 +6,6 @@ inter-mode correlations when negative; a twin Fock start |r,r> pins F at -1
 for all times.
 """
 
-import math
-
 import numpy as np
 
 from ndpa import (FockPair, ModelParams, cross_correlation_fock,

@@ -41,8 +41,7 @@ def main():
                          omega=5.0 + 2.0 * math.sqrt(math.pi))
     pair = CoherentPair(5.0, 5.0)
     ts = np.linspace(0.5, 50.0, 4951)
-    probs = np.array([coherent_revival_prob(solve_analytic(params, t),
-                                            pair)[0] for t in ts])
+    probs, _ = coherent_revival_prob(solve_analytic(params, ts), pair)
     for i in range(1, len(ts) - 1):
         if probs[i] > 0.5 and probs[i] >= probs[i - 1] \
                 and probs[i] >= probs[i + 1]:

@@ -11,6 +11,8 @@ start states and revival times (``model``), a truncated-Fock propagator that
 checks them independently (``oracle``) and the CSV scenario runner (``cli``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .model import (CoherentPair, CoherentRevival, CustomPump, FockOutcome,
                     FockPair, HarmonicPump, ModelParams, ParityError,
                     PumpProfile, PureAModeState, RegimeError, RegimeTag,
@@ -42,4 +44,5 @@ from .oracle import (OracleConfig, TruncatedState, TruncationError,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

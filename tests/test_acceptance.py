@@ -24,13 +24,11 @@ from ndpa.observables import (cross_correlation_fock, mandel_q_fock,
                               snr_rho_extrema, snr_rho_fock, snr_rho_limit,
                               snr_rho_min_value, squeezing_kernel,
                               quadrature_variance)
-from ndpa.oracle import (OracleConfig, amode_state, coherent_state,
+from ndpa.oracle import (OracleConfig, coherent_state,
                          evolve_truncated, fock_state, oracle_moment)
 from ndpa.weinorman import coefficients, solve_analytic, solve_ode
 
-
-def params_for(k2, g=1.0):
-    return ModelParams.from_k2(k2, g=g, omega_a=3.0, omega_b=2.0)
+from helpers import params_for
 
 
 def report(num, name, ok, detail=""):
@@ -89,8 +87,7 @@ def test_criterion_03_poisson_peak():
         return amode_prob(solve_analytic(params, t), psi, outcome)
 
     ts = np.linspace(1e-3, 20.0, 2001)
-    coarse = np.array([p12(t) for t in ts])
-    i = int(np.argmax(coarse))
+    i = int(np.argmax(amode_prob(solve_analytic(params, ts), psi, outcome)))
     res = minimize_scalar(lambda t: -p12(t),
                           bounds=(ts[max(i - 1, 0)], ts[min(i + 1, 2000)]),
                           method="bounded",
@@ -119,8 +116,7 @@ def test_criterion_04_coherent_revival():
                              omega=5.0 + 2.0 * math.sqrt(math.pi))
     pair = CoherentPair(5.0, 5.0)
     ts = np.linspace(0.5, 50.0, 9901)
-    probs = np.array([coherent_revival_prob(solve_analytic(params_irr, t),
-                                            pair)[0] for t in ts])
+    probs, _ = coherent_revival_prob(solve_analytic(params_irr, ts), pair)
     below_one = probs.max() < 0.93
     peaks = [float(ts[i]) for i in range(1, len(ts) - 1)
              if probs[i] > 0.5 and probs[i] >= probs[i - 1]
@@ -249,20 +245,13 @@ def test_criterion_07_mandel_q():
 
 def test_criterion_08_correlation_signs():
     ts = np.linspace(1e-3, 6.0, 600)
-    worst_equal = 0.0
-    worst_s0 = -math.inf
-    for t in ts:  # each time solved once per detuning, for every r
-        above, below = solve_analytic(params_for(1.5), t), solve_analytic(params_for(0.5), t)
-        for r in (1, 3, 10):
-            _, big_f = cross_correlation_fock(above, FockPair(r, r))
-            worst_equal = max(worst_equal, abs(big_f + 1.0))
-        for r in (3, 50):
-            _, big_f = cross_correlation_fock(below, FockPair(r, 0))
-            worst_s0 = max(worst_s0, big_f)
+    above, below = solve_analytic(params_for(1.5), ts), solve_analytic(params_for(0.5), ts)
+    worst_equal = max(np.max(np.abs(cross_correlation_fock(above, FockPair(r, r))[1] + 1.0))
+                      for r in (1, 3, 10))
+    worst_s0 = max(np.max(cross_correlation_fock(below, FockPair(r, 0))[1]) for r in (3, 50))
     window = np.linspace(0.11, 1.29, 300)
-    excursion = max(cross_correlation_fock(
-        solve_analytic(params_for(0.5), t), FockPair(50, 10))[1]
-        for t in window)
+    excursion = np.max(cross_correlation_fock(
+        solve_analytic(params_for(0.5), window), FockPair(50, 10))[1])
     report(8, "correlation signs",
            worst_equal <= 1e-10 and worst_s0 <= 1e-10 and excursion > 0.0,
            "r=s dev %.2e, s=0 max %.2e, excursion %.3f"
@@ -273,9 +262,8 @@ def test_criterion_08_correlation_signs():
 
 def test_criterion_09_squeezing():
     params = params_for(9.0 / 5.0)
-    ts = np.linspace(0.0, 16.0, 3201)
-    prods = np.array([squeezing_kernel(sol, 0.0).t_sq * squeezing_kernel(sol, math.pi / 2.0).t_sq
-                      for sol in (solve_analytic(params, t) for t in ts)])
+    sol = solve_analytic(params, np.linspace(0.0, 16.0, 3201))
+    prods = squeezing_kernel(sol, 0.0).t_sq * squeezing_kernel(sol, math.pi / 2.0).t_sq
     bound_ok = bool(np.all(prods >= 1.0 - 1e-10))
     revival_dev = 0.0
     for mult in (1, 2):
@@ -352,16 +340,10 @@ def test_criterion_10_snr_rho():
 def test_criterion_11_yuen_bound():
     params = params_for(10.0)
     pair = CoherentPair(0.0, 3.0)
-    best = 0.0
-    bound_at_best = 0.0
-    ok = True
-    for t in np.linspace(1e-3, 14.0, 7000):
-        s = solve_analytic(params, t)
-        rep = snr_eta_coherent(s, pair)
-        ok = ok and rep.eta <= rep.yuen_bound + 1e-9
-        if rep.eta > best:
-            best, bound_at_best = rep.eta, rep.yuen_bound
-    ratio = bound_at_best / best
+    rep = snr_eta_coherent(solve_analytic(params, np.linspace(1e-3, 14.0, 7000)), pair)
+    ok = bool(np.all(rep.eta <= rep.yuen_bound + 1e-9))
+    best = int(np.argmax(rep.eta))
+    ratio = rep.yuen_bound[best] / rep.eta[best]
     report(11, "yuen bound", ok and 1.5 <= ratio <= 4.0,
            "bound/max-eta %.3f" % ratio)
 

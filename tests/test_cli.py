@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import runpy
 import shlex
 import sys
 import tracemalloc
@@ -20,6 +21,8 @@ from ndpa.observables import (cross_correlation_fock, cross_correlation_general,
                               mean_photon_fock, quadrature_variance, snr_eta_coherent,
                               squeezing_kernel)
 from ndpa.weinorman import solve_analytic
+
+from helpers import params_for
 
 
 def read_csv(path):
@@ -43,7 +46,7 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, capsys):
 
 
 def test_scenario_validation():
-    params = ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0)
+    params = params_for(1.5)
     with pytest.raises(ScenarioError):
         Scenario(params=params, initial=FockPair(1, 1),
                  observable="probability", grid=(0.0, 0.0, 2))
@@ -54,7 +57,7 @@ def test_scenario_validation():
 
 def test_run_probability_csv(tmp_path):
     out = tmp_path / "p.csv"
-    params = ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0)
+    params = params_for(1.5)
     scn = Scenario(params=params, initial=FockPair(1, 1),
                    observable="probability", grid=(0.0, 2.0, 3),
                    output=str(out), outcome=(1, 1))
@@ -67,7 +70,7 @@ def test_run_probability_csv(tmp_path):
 
 
 def test_run_selector_mismatch():
-    params = ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0)
+    params = params_for(1.5)
     scn = Scenario(params=params, initial=FockPair(1, 1), observable="eta",
                    grid=(0.0, 1.0, 2), output=None)
     with pytest.raises(ScenarioError):
@@ -75,6 +78,9 @@ def test_run_selector_mismatch():
     with pytest.raises(ScenarioError):
         run(Scenario(params=params, initial=CoherentPair(0.8, 0.5),
                      observable="rho", grid=(0.0, 1.0, 2), output=None))
+    with pytest.raises(ScenarioError, match="unknown observable 'bogus'"):
+        run(Scenario(params=params, initial=FockPair(1, 1), observable="bogus",
+                     grid=(0.0, 1.0, 2)))
 
 
 def test_main_zero_mean_mandel_q_errors(capsys):
@@ -112,7 +118,7 @@ def test_readme_examples_parse(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("model, params", [
-    (["--k2", "0.5"], ModelParams.from_k2(0.5, omega_a=3.0, omega_b=2.0)),
+    (["--k2", "0.5"], params_for(0.5)),
     (["--omega", "5.0"], ModelParams(omega_a=3.0, omega_b=2.0, g=1.0, omega=5.0))],
     ids=["k2", "omega"])
 @pytest.mark.parametrize("verb, spec, header, columns", [
@@ -190,7 +196,7 @@ def test_main_builds_its_parser_once(monkeypatch, tmp_path):
 
 def test_infinite_rho_serialized_as_inf(tmp_path):
     out = tmp_path / "rho.csv"
-    params = ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0)
+    params = params_for(1.5)
     scn = Scenario(params=params, initial=FockPair(2, 1), observable="rho",
                    grid=(0.0, 1.0, 2), output=str(out))
     run(scn)
@@ -201,7 +207,7 @@ def test_infinite_rho_serialized_as_inf(tmp_path):
 
 def test_sweep_k2(tmp_path):
     out = tmp_path / "sweep.csv"
-    params = ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0)
+    params = params_for(1.5)
     scn = Scenario(params=params, initial=FockPair(1, 1),
                    observable="probability", grid=(0.0, 2.0, 5),
                    output=str(out), outcome=(1, 1))
@@ -219,6 +225,26 @@ def test_all_figure_presets_run(name, tmp_path):
     assert header[0] == "gt"
     assert len(rows) > 100
     assert out.exists()
+
+
+def test_unknown_figure_preset_is_named():
+    with pytest.raises(ScenarioError, match="unknown figure preset 'fig0'"):
+        run_figure("fig0")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["evolve", "--steps", "3"], 0),
+    (["observable", "--name", "rho", "--initial", "coherent:1,1", "--steps", "3"], 1)])
+def test_module_entry_point_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):
+    # python -m ndpa.cli, as the benchmark's cold run starts it; a fresh module, so
+    # runpy does not warn that ndpa.cli is already imported
+    monkeypatch.delitem(sys.modules, "ndpa.cli")
+    monkeypatch.setattr(sys, "argv", ["ndpa"] + argv)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("ndpa.cli", run_name="__main__")
+    assert exit_info.value.code == code
+    out, err = capsys.readouterr()
+    assert out.startswith("gt,re_a_plus") if code == 0 else err.startswith("error:")
 
 
 def test_figure_output_deterministic(tmp_path):
@@ -282,7 +308,7 @@ def test_main_poisson_refuses_an_unbounded_support(alpha, capsys):
 
 @pytest.mark.parametrize("name", ["mean", "mandel_q", "correlation"])
 def test_moments_refuse_amode_state(name, capsys):
-    params = ModelParams.from_k2(1.5, omega_a=3.0, omega_b=2.0)
+    params = params_for(1.5)
     state = PureAModeState.poisson(0.85)
     with pytest.raises(ScenarioError, match="PureAModeState"):
         run(Scenario(params=params, initial=state, observable=name,
@@ -394,8 +420,7 @@ def test_each_swept_value_is_the_run_of_its_scenario(name, spec, swept, tmp_path
             return
         if param == "k2":  # run's params are the swept value's, the sign of k kept
             sign = -1 if "--omega" in sweep_argv else 1
-            assert scenario.params == ModelParams.from_k2(float(value), omega_a=3.0,
-                                                          omega_b=2.0, sign=sign)
+            assert scenario.params == params_for(float(value), sign=sign)
         labels, rows = read_csv(path)
         columns = list(np.array(rows, dtype=float).T)
         want += columns if i == 0 else columns[1:]

@@ -14,13 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from ndpa import (CoherentPair, FockOutcome, FockPair, ModelParams,
+from ndpa import (CoherentPair, FockOutcome, FockPair,
                   PureAModeState, amode_prob, coherent_mean_numbers,
                   coherent_revival_prob, cross_correlation_fock,
                   cross_correlation_general, fock11_prob,
                   fock_amplitude, mandel_q_coherent, mandel_q_fock,
                   second_moments, snr_eta_coherent, snr_rho_fock,
                   solve_analytic, squeezing_kernel, unitarity_residuals, vacuum_prob)
+
+from helpers import params_for
 
 TIMES = np.linspace(0.0, 3.0, 31)  # includes gt = 0
 K2S = (0.5, 1.0, 1.5)  # below, at and above threshold
@@ -33,10 +35,6 @@ TRANSITIONS = ((FockPair(0, 0), FockOutcome(2, 2)), (FockPair(8, 6), FockOutcome
                (FockPair(8, 6), FockOutcome(6, 8)), (FockPair(8, 6), FockOutcome(9, 11)),
                (FockPair(2, 7), FockOutcome(9, 4)))
 COMPLEX_TOL = 1e-12
-
-
-def params_for(k2):
-    return ModelParams.from_k2(k2, omega_a=3.0, omega_b=2.0)
 
 
 def on_grid(params):

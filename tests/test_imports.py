@@ -27,8 +27,11 @@ def run_fresh(code: str):
 
 def test_closed_form_verbs_load_no_scipy(tmp_path):
     loaded = run_fresh(f"""
-import json, sys
+import json, sys, types
 import ndpa, ndpa.cli
+
+# every name in __all__ resolves on ndpa, and none is a submodule
+assert not any(isinstance(getattr(ndpa, name), types.ModuleType) for name in ndpa.__all__)
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

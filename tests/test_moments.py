@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState
-from ndpa.model import HarmonicPump, ModelParams
+from ndpa.model import HarmonicPump
 from ndpa.moments import second_moments
 from ndpa.oracle import OracleConfig, coherent_state, evolve_truncated, \
     fock_state, oracle_moment
 from ndpa.weinorman import bogoliubov_pair, solve_analytic
 
-
-def params_for(k2):
-    return ModelParams.from_k2(k2, g=1.0, omega_a=3.0, omega_b=2.0)
+from helpers import params_for
 
 
 def all_patterns(max_degree=4):

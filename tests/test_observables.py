@@ -19,9 +19,7 @@ from ndpa.observables import (asymptotic_minima_period,
                               squeezing_extrema, squeezing_kernel)
 from ndpa.weinorman import bogoliubov_pair, coefficients, solve_analytic, solve_ode
 
-
-def params_for(k2, g=1.0, sign=1):
-    return ModelParams.from_k2(k2, g=g, omega_a=3.0, omega_b=2.0, sign=sign)
+from helpers import params_for
 
 
 # -- Bogoliubov pair ---------------------------------------------------------
@@ -122,19 +120,17 @@ def test_correlation_equal_occupation_is_minus_one():
 
 def test_correlation_s0_nonpositive():
     params = params_for(1.5)
+    d = solve_analytic(params, np.linspace(0.05, 8.0, 80))
     for r in (1, 5, 50):
-        for t in np.linspace(0.05, 8.0, 80):
-            d = solve_analytic(params, t)
-            f_val, _ = cross_correlation_fock(d, FockPair(r, 0))
-            assert f_val <= 1e-10
+        f_val, _ = cross_correlation_fock(d, FockPair(r, 0))
+        assert np.all(f_val <= 1e-10)
 
 
 def test_correlation_positive_excursion_50_10():
     params = params_for(0.5)
-    ts = np.linspace(0.1, 1.3, 400)
-    big_f = [cross_correlation_fock(solve_analytic(params, t),
-                                    FockPair(50, 10))[1] for t in ts]
-    assert max(big_f) > 0.0
+    _, big_f = cross_correlation_fock(solve_analytic(params, np.linspace(0.1, 1.3, 400)),
+                                      FockPair(50, 10))
+    assert np.max(big_f) > 0.0
 
 
 def test_correlation_closed_form_vs_moments():
@@ -229,12 +225,7 @@ def test_kernel_matches_long_double_modulus():
 
 def test_kernel_branches_agree_at_critical():
     for sign in (1, -1):
-        lo = ModelParams.from_k2(1.0 - 1e-7, g=1.0, omega_a=3.0, omega_b=2.0,
-                                 sign=sign)
-        hi = ModelParams.from_k2(1.0 + 1e-7, g=1.0, omega_a=3.0, omega_b=2.0,
-                                 sign=sign)
-        mid = ModelParams.from_k2(1.0, g=1.0, omega_a=3.0, omega_b=2.0,
-                                  sign=sign)
+        lo, mid, hi = (params_for(k2, sign=sign) for k2 in (1.0 - 1e-7, 1.0, 1.0 + 1e-7))
         for t in (0.5, 2.0, 5.0):
             vals = [squeezing_kernel(solve_analytic(p, t), 0.3) for p in (lo, mid, hi)]
             assert vals[0].g_kernel == pytest.approx(vals[1].g_kernel, abs=1e-5)
@@ -267,9 +258,8 @@ def test_quadrature_variance_of_an_amode_state():
 
 def test_uncertainty_product_bound_and_revivals():
     params = params_for(9.0 / 5.0)
-    ts = np.linspace(0.0, 15.0, 3001)
-    prod = np.array([squeezing_kernel(sol, 0.0).t_sq * squeezing_kernel(sol, math.pi / 2.0).t_sq
-                     for sol in (solve_analytic(params, t) for t in ts)])
+    sol = solve_analytic(params, np.linspace(0.0, 15.0, 3001))
+    prod = squeezing_kernel(sol, 0.0).t_sq * squeezing_kernel(sol, math.pi / 2.0).t_sq
     assert np.all(prod >= 1.0 - 1e-10)
     t_rev = math.pi * math.sqrt(5.0)
     for mult in (1, 2):
@@ -282,10 +272,10 @@ def test_uncertainty_product_bound_and_revivals():
 def test_variance_half_period_shift():
     params = params_for(9.0 / 5.0)
     t_half = math.pi * math.sqrt(5.0) / 2.0
-    for t in np.linspace(0.1, 6.0, 25):
-        v0_shift = squeezing_kernel(solve_analytic(params, t + t_half), 0.0).t_sq
-        v90 = squeezing_kernel(solve_analytic(params, t), math.pi / 2.0).t_sq
-        assert v0_shift == pytest.approx(v90, rel=1e-8, abs=1e-10)
+    ts = np.linspace(0.1, 6.0, 25)
+    v0_shift = squeezing_kernel(solve_analytic(params, ts + t_half), 0.0).t_sq
+    v90 = squeezing_kernel(solve_analytic(params, ts), math.pi / 2.0).t_sq
+    assert v0_shift == pytest.approx(v90, rel=1e-8, abs=1e-10)
 
 
 def test_squeezing_minima_asymptotic_period():
@@ -443,15 +433,10 @@ def test_eta_matches_moment_engine():
 def test_eta_yuen_bound_holds():
     params = params_for(10.0)
     pair = CoherentPair(0.0, 3.0)
-    best = 0.0
-    bound_at_best = 0.0
-    for t in np.linspace(1e-3, 14.0, 7000):
-        s = solve_analytic(params, t)
-        rep = snr_eta_coherent(s, pair)
-        assert rep.eta <= rep.yuen_bound + 1e-9
-        if rep.eta > best:
-            best, bound_at_best = rep.eta, rep.yuen_bound
-    assert 1.5 <= bound_at_best / best <= 4.0
+    rep = snr_eta_coherent(solve_analytic(params, np.linspace(1e-3, 14.0, 7000)), pair)
+    assert np.all(rep.eta <= rep.yuen_bound + 1e-9)
+    best = int(np.argmax(rep.eta))
+    assert 1.5 <= rep.yuen_bound[best] / rep.eta[best] <= 4.0
 
 
 def test_eta_forms_the_bogoliubov_pair_once(monkeypatch):

@@ -25,9 +25,7 @@ from ndpa.oracle import (IntegrationError, OracleConfig, TruncationError, _pair_
 from ndpa.observables import quadrature_variance, squeezing_kernel
 from ndpa.weinorman import solve_analytic, solve_ode, unitarity_residuals
 
-
-def params_for(k2):
-    return ModelParams.from_k2(k2, g=1.0, omega_a=3.0, omega_b=2.0)
+from helpers import params_for
 
 
 def pump_for(params):
@@ -596,6 +594,10 @@ def test_doubling_convergence():
     d = solve_analytic(params, t)
     assert value == pytest.approx(fock11_prob(d, 1), abs=1e-9)
     assert cutoff >= 32
+    # a probe that never settles runs out of cutoffs (at t = 0 each evolution is a copy)
+    with pytest.raises(TruncationError, match="no convergence below cutoff 4096"):
+        evolve_converged(pump, params, lambda c: fock_state(c, 1, 1), 0.0,
+                         lambda s: s.cutoff, OracleConfig(cutoff=2048))
 
 
 def test_truncation_error_for_unnormalized_input():

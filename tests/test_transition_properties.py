@@ -23,8 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndpa import FockOutcome, FockPair, ModelParams, fock_amplitude, solve_analytic
+from ndpa import FockOutcome, FockPair, fock_amplitude, solve_analytic
 from ndpa.amplitudes import _transition
+
+from helpers import params_for
 
 K2 = st.one_of(st.floats(0.2, 0.95), st.just(1.0), st.floats(1.05, 3.0))
 N0 = st.floats(0.0, 20.0)
@@ -38,10 +40,6 @@ def gt_for(k2: float, n0: float) -> float:
     q = math.sqrt(abs(1.0 - k2))
     return (math.asinh(q * math.sqrt(n0)) if k2 < 1.0
             else math.asin(min(1.0, q * math.sqrt(n0)))) / q
-
-
-def params_for(k2):
-    return ModelParams.from_k2(k2, omega_a=3.0, omega_b=2.0)
 
 
 def amplitude_mp(c, r, s, m, n):

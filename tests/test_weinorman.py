@@ -15,9 +15,7 @@ from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
 from ndpa.weinorman import (WeiNormanCoefficients, coefficients, derived_scalars,
                             scalars, solve_analytic, solve_ode, unitarity_residuals)
 
-
-def params_for(k2, g=1.0, sign=1):
-    return ModelParams.from_k2(k2, g=g, omega_a=3.0, omega_b=2.0, sign=sign)
+from helpers import params_for
 
 
 def test_initial_conditions():
