@@ -39,7 +39,7 @@ from .observables import (DiagonalizationResult, SnrExtremum, SnrReport,
                           squeezing_kernel)
 from .oracle import (OracleConfig, TruncatedState, TruncationError,
                      amode_state, coherent_state, edge_mass, evolve_converged,
-                     evolve_truncated, fock_state, oracle_moment,
+                     evolve_starts, evolve_truncated, fock_state, oracle_moment,
                      oracle_probability)
 
 __version__ = "0.1.0"

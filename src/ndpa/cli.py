@@ -29,7 +29,7 @@ from .observables import (cross_correlation_fock, cross_correlation_general,
                           quadrature_variance, snr_eta_coherent, snr_rho_fock,
                           squeezing_kernel)
 from .oracle import (OracleConfig, coherent_state, edge_mass,
-                     evolve_truncated, fock_state, oracle_probability)
+                     evolve_starts, fock_state, oracle_probability)
 from .weinorman import solve_analytic
 
 
@@ -298,16 +298,14 @@ def oracle_check(params: ModelParams, t: float, cutoff: int):
     pump = HarmonicPump.from_params(params)
     cfg = OracleConfig(cutoff=cutoff)  # exact propagation: cfg.tol does not enter
     pair = CoherentPair(0.8, 0.5)
-
-    vacuum = evolve_truncated(pump, params, fock_state(cutoff, 0, 0), t, cfg)
-    s = solve_analytic(params, t)  # after evolve_truncated has checked t
+    start = coherent_state(cutoff, pair.alpha, pair.beta)
+    vacuum, fock11, coherent = evolve_starts(
+        pump, params, [fock_state(cutoff, 0, 0), fock_state(cutoff, 1, 1), start], t, cfg)
+    s = solve_analytic(params, t)  # after evolve_starts has checked t
     results = [(f"vacuum p_{n}{n}", vacuum_prob(s, n),
                 oracle_probability(vacuum, n, n)) for n in (0, 1, 3)]
-    fock11 = evolve_truncated(pump, params, fock_state(cutoff, 1, 1), t, cfg)
     results += [(f"fock(1,1) p_{n}{n}", fock11_prob(s, n),
                  oracle_probability(fock11, n, n)) for n in (1, 2)]
-    start = coherent_state(cutoff, pair.alpha, pair.beta)
-    coherent = evolve_truncated(pump, params, start, t, cfg)
     results.append(("coherent p_return",
                     coherent_revival_prob(s, pair)[0],
                     abs(start.overlap(coherent)) ** 2))

@@ -12,10 +12,11 @@ y_j = exp(i W j t) z_j, W = omega_a + omega_b - omega, the generator of
 z' = (-i W j + g K- - conj(g) K+) z is constant, and the gauge z_j = s^j w_j,
 s = i conj(g)/|g|, makes it i M, M real symmetric tridiagonal (diagonal
 -W j, off-diagonal |g| sqrt((n_a+1)(n_b+1)), alike for q and -q), so with
-M = V diag(lam) V^T, found once per |q|, z(t) = S V exp(i lam t) V^T S^-1 z(0).  The
-blocks q and -q share V and exp(i lam t); every block takes its gauge and frame phases,
-s^-j and exp(i W j t) s^j, off one array of each over j = 0..cutoff; each block keeps its
-own product.
+M = V diag(lam) V^T, z(t) = S V exp(i lam t) V^T S^-1 z(0).  V and exp(i lam t) are found
+once per |q| per call, off one array of every |q|'s couplings, and shared by the blocks q
+and -q of every start of the call (``evolve_starts``); every block takes its gauge and frame
+phases, s^-j and exp(i W j t) s^j, off one array of each over j = 0..cutoff; each block
+keeps its own product.
 Any other pump is integrated by ``_integrate``, the stretch loop behind ``solve_ode``'s
 grid ``AnalyticSolution`` too, with all blocks zero-padded to cutoff + 1 entries and
 raveled into one flat row.  One flat coefficient array serves K- and, one slot down, K+; it
@@ -124,12 +125,14 @@ class TruncatedState:
         return out
 
 
-def _pair_amplitudes(cutoff: int, q: int) -> np.ndarray:
-    """<j+1| K+ |j> = sqrt((n_a+1)(n_b+1)) within block q, for j = 0..dim-2."""
-    if abs(q) > cutoff:
+def _pair_amplitudes(cutoff: int, q) -> np.ndarray:
+    """<j+1| K+ |j> = sqrt((n_a+1)(n_b+1)) within block q, for j = 0..dim-2; for an array of
+    charges, a row per charge over j = 0..cutoff-1, of which block q reads the first dim-1."""
+    q = np.asarray(q)
+    if np.any(np.abs(q) > cutoff):
         raise ValueError("block charge exceeds cutoff")
-    j = np.arange(cutoff - abs(q))
-    return np.sqrt((j + max(q, 0) + 1.0) * (j + max(-q, 0) + 1.0))
+    j, q = np.arange(cutoff - abs(q) if q.ndim == 0 else cutoff), q[..., None]
+    return np.sqrt((j + np.maximum(q, 0) + 1.0) * (j + np.maximum(-q, 0) + 1.0))
 
 
 def _product_state(cutoff: int, a: np.ndarray, b: np.ndarray) -> TruncatedState:
@@ -183,24 +186,23 @@ def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray):
     return lam, v
 
 
-def _propagate_harmonic(pump: HarmonicPump, w: float, initial: TruncatedState, t):
-    """Exact propagation of every block; w is W of the module docstring."""
+def _propagate_harmonic(pump: HarmonicPump, w: float, starts, t):
+    """Exact propagation of every block of every start; w is W of the module docstring."""
     turn = 0.5 * np.pi - np.angle(pump.g)  # arg s of the gauge s = i conj(g)/|g|
-    cut, j = initial.cutoff, np.arange(initial.cutoff + 1)
+    cut, j = starts[0].cutoff, np.arange(starts[0].cutoff + 1)
     # the gauge and frame phases of level j; block q takes the first cut + 1 - |q| of them
     gauge, frame = np.exp(-1j * turn * j), np.exp(1j * (w * t + turn) * j)
+    charges = sorted({abs(q) for start in starts for q in start.blocks})
+    shared = {}  # what blocks q and -q of every start share: V and exp(i lam t)
+    for a, e in zip(charges, abs(pump.g) * _pair_amplitudes(cut, charges)):
+        lam, v = _tridiagonal_eigh(-w * j[:cut + 1 - a], e[:cut - a])
+        shared[a] = v, np.exp(1j * lam * t)
 
-    def decompose(a):  # what blocks q and -q share: V and exp(i lam t)
-        lam, v = _tridiagonal_eigh(-w * j[:cut + 1 - a],
-                                   abs(pump.g) * _pair_amplitudes(cut, a))
-        return v, np.exp(1j * lam * t)
-
-    shared = {a: decompose(a) for a in {abs(q) for q in initial.blocks}}
-    out = {}
-    for q, vec in initial.blocks.items():
+    def rotate(q, vec):  # each block keeps its own product
         (v, spin), n = shared[abs(q)], vec.size
-        out[q] = frame[:n] * (v @ (spin * (v.T @ (gauge[:n] * vec))))
-    return out
+        return frame[:n] * (v @ (spin * (v.T @ (gauge[:n] * vec))))
+
+    return [{q: rotate(q, vec) for q, vec in start.blocks.items()} for start in starts]
 
 
 # The Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
@@ -338,8 +340,9 @@ def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, t
     """All blocks as one flat ODE system (module docstring) on the stretches of ``_integrate``."""
     up = np.zeros((len(initial.blocks), initial.cutoff + 1))  # <k| K- |k+1> = <k+1| K+ |k>
     y = np.zeros_like(up, dtype=complex)
-    for row, (q, vec) in enumerate(initial.blocks.items()):
-        up[row, :vec.size - 1], y[row, :vec.size] = _pair_amplitudes(initial.cutoff, q), vec
+    amps = _pair_amplitudes(initial.cutoff, list(initial.blocks))
+    for row, vec in enumerate(initial.blocks.values()):
+        up[row, :vec.size - 1], y[row, :vec.size] = amps[row, :vec.size - 1], vec
     up = up.ravel()[:-1]  # 0 at each block's last entry and in the padding
     pairs = np.zeros((2, up.size + 1), dtype=complex)  # K- y and K+ y, their slots kept 0
     weights = np.empty(2, dtype=complex)  # (G, -conj G)
@@ -354,39 +357,62 @@ def _propagate_ode(pump: PumpProfile, wsum: float, initial: TruncatedState, t, t
     return {q: y[row, :vec.size].copy() for row, (q, vec) in enumerate(initial.blocks.items())}
 
 
+def _evolve(pump: PumpProfile, params: ModelParams, starts, t: float, cfg: OracleConfig,
+            numbered: bool) -> list[TruncatedState]:
+    """Each of ``starts`` at time t; a refused start is named by its position if numbered."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    at = [f"starts[{i}]: " if numbered else "" for i in range(len(starts))]
+    for where, start in zip(at, starts):
+        if start.cutoff != cfg.cutoff:
+            raise ValueError(f"{where}the start's cutoff {start.cutoff} differs from "
+                             f"cfg.cutoff = {cfg.cutoff}")
+        if start.norm_deficit > _TAIL_LIMIT:
+            raise TruncationError(f"{where}initial norm deficit {start.norm_deficit:.3e} "
+                                  f"exceeds {_TAIL_LIMIT:.0e}")
+    if t == 0.0:
+        return [replace(start, blocks={q: v.copy() for q, v in start.blocks.items()})
+                for start in starts]
+    wsum = params.omega_a + params.omega_b
+    if isinstance(pump, HarmonicPump):
+        evolved = _propagate_harmonic(pump, wsum - pump.omega, starts, t)
+    else:
+        evolved = [_propagate_ode(pump, wsum, start, t, cfg.tol) for start in starts]
+    results = []
+    for where, start, blocks in zip(at, starts, evolved):
+        result = TruncatedState(cutoff=start.cutoff, blocks=blocks)
+        result.norm_deficit = max(0.0, 1.0 - (norm := result.total_norm()))
+        if abs(drift := norm - (1.0 - start.norm_deficit)) > _TAIL_LIMIT:
+            raise IntegrationError(f"{where}the norm drifted by {drift:+.3e} past "
+                                   f"{_TAIL_LIMIT:.0e} in evolution; decrease cfg.tol = "
+                                   f"{cfg.tol:.0e}")
+        results.append(result)
+    return results
+
+
 def evolve_truncated(pump: PumpProfile, params: ModelParams,
                      initial: TruncatedState, t: float,
                      cfg: OracleConfig = OracleConfig()) -> TruncatedState:
     """Solve i d/dt psi = H_I(t) psi for every charge block up to time t.
 
-    Exact for a ``HarmonicPump``: one eigendecomposition per pair +-q of the
-    gauged rotating-frame generator (module docstring); ``cfg.tol`` unused.
+    Exact for a ``HarmonicPump``: one eigendecomposition per |q| of the gauged
+    rotating-frame generator per call (module docstring), shared by every start of the
+    call (see ``evolve_starts``); ``cfg.tol`` unused.
     Other pumps: ``_integrate`` at relative tolerance ``cfg.tol``.  The start must
     be built at ``cfg.cutoff``, with a norm deficit of at most 1e-9; an evolved norm that
     drifts from the start's by more, as only the integrator can, is an ``IntegrationError``.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    if initial.cutoff != cfg.cutoff:
-        raise ValueError(f"the start's cutoff {initial.cutoff} differs from "
-                         f"cfg.cutoff = {cfg.cutoff}")
-    if initial.norm_deficit > _TAIL_LIMIT:
-        raise TruncationError(
-            f"initial norm deficit {initial.norm_deficit:.3e} exceeds {_TAIL_LIMIT:.0e}")
-    if t == 0.0:
-        return replace(initial, blocks={q: v.copy() for q, v in initial.blocks.items()})
-    wsum = params.omega_a + params.omega_b
-    result = TruncatedState(cutoff=initial.cutoff)
-    if isinstance(pump, HarmonicPump):
-        result.blocks = _propagate_harmonic(pump, wsum - pump.omega, initial, t)
-    else:
-        result.blocks = _propagate_ode(pump, wsum, initial, t, cfg.tol)
+    return _evolve(pump, params, [initial], t, cfg, numbered=False)[0]
 
-    result.norm_deficit = max(0.0, 1.0 - (norm := result.total_norm()))
-    if abs(drift := norm - (1.0 - initial.norm_deficit)) > _TAIL_LIMIT:
-        raise IntegrationError(f"the norm drifted by {drift:+.3e} past {_TAIL_LIMIT:.0e} in "
-                               f"evolution; decrease cfg.tol = {cfg.tol:.0e}")
-    return result
+
+def evolve_starts(pump: PumpProfile, params: ModelParams, starts, t: float,
+                  cfg: OracleConfig = OracleConfig()) -> list[TruncatedState]:
+    """``evolve_truncated`` of each of ``starts``, bit for bit, in one call: a
+    ``HarmonicPump`` diagonalizes each |q| of all the starts once, any other pump integrates
+    each start alone.  An empty sequence is refused; a refused start is named by position."""
+    if not (starts := list(starts)):
+        raise ValueError("starts is empty")
+    return _evolve(pump, params, starts, t, cfg, numbered=True)
 
 
 def oracle_probability(state: TruncatedState, m: int, n: int) -> float:

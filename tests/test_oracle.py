@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ndpa
-from ndpa import oracle
+from ndpa import cli, oracle
 from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
                              PureAModeState, amode_prob, coherent_revival_prob,
                              coherent_transition_prob, fock11_norm, fock11_prob,
@@ -20,7 +20,7 @@ from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
 from ndpa.model import CustomPump, HarmonicPump, ModelParams, TabulatedPump
 from ndpa.oracle import (IntegrationError, OracleConfig, TruncationError, _pair_amplitudes,
                          amode_state, coherent_state, edge_mass,
-                         evolve_converged, evolve_truncated, fock_state,
+                         evolve_converged, evolve_starts, evolve_truncated, fock_state,
                          oracle_moment, oracle_probability)
 from ndpa.observables import quadrature_variance, squeezing_kernel
 from ndpa.weinorman import solve_analytic, solve_ode, unitarity_residuals
@@ -370,6 +370,14 @@ def test_harmonic_path_diagonalizes_once_per_charge_pair(monkeypatch):
     for rounds in (1, 2):  # nothing is kept from one call to the next
         evolve_truncated(pump_for(params), params, start, 1.3, OracleConfig(cutoff=32))
         assert sorted(calls) == sorted(rounds * [33 - a for a in charges])
+    # oracle-check's three starts share one decomposition per |q|: the vacuum's and |1,1>'s
+    # block 0 is the coherent start's too
+    calls.clear()
+    charges = {abs(q) for q in coherent_state(24, 0.8, 0.5).blocks} | {0}
+    assert len(charges) == 16
+    for rounds in (1, 2):
+        cli.oracle_check(params, 1.0, 24)
+        assert sorted(calls) == sorted(rounds * [25 - a for a in charges])
 
 
 def test_harmonic_path_keeps_the_per_block_products():
@@ -400,6 +408,50 @@ def test_harmonic_path_refuses_a_failed_diagonalization(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match=r"block of 17 levels: info = 3"):
         evolve_truncated(pump_for(params), params, fock_state(16, 1, 1), 1.0,
                          OracleConfig(cutoff=16))
+
+
+def test_evolve_starts_equals_each_start_alone():
+    # bit for bit, under every kind of pump, for starts that share charges and starts that do not
+    params, samples, cfg = params_for(1.5), np.linspace(-0.5, 0.5, 101), OracleConfig(cutoff=12)
+    harmonic = pump_for(params)
+    pumps = (harmonic,
+             TabulatedPump(times=tuple(samples), values=tuple(
+                 harmonic.value(samples) * (1.0 + 0.1 * np.sin(2 * math.pi * samples)))),
+             CustomPump(fn=lambda t: harmonic.value(t) * (1.0 + 0.1 * math.cos(3 * t))))
+    shared = [fock_state(12, 0, 0), fock_state(12, 1, 1), coherent_state(12, 0.3, 0.2j)]
+    apart = [fock_state(12, 2, 1), amode_state(12, [0.5, 0.3, 0.2])]
+    for pump, starts, t in itertools.product(pumps, (shared, apart), (0.0, -0.4, 0.45)):
+        together = evolve_starts(pump, params, iter(starts), t, cfg)
+        assert len(together) == len(starts)
+        for start, state in zip(starts, together):
+            alone = evolve_truncated(pump, params, start, t, cfg)
+            assert list(state.blocks) == list(alone.blocks), (pump, t)
+            assert all(np.array_equal(state.blocks[q], v) for q, v in alone.blocks.items())
+            assert state.norm_deficit == alone.norm_deficit
+
+
+def test_evolve_starts_names_a_refused_start():
+    params = params_for(0.5)
+    pump, vacuum, cfg = pump_for(params), fock_state(8, 0, 0), OracleConfig(cutoff=8)
+    with pytest.raises(ValueError, match="starts is empty"):
+        evolve_starts(pump, params, [], 1.0, cfg)
+    with pytest.raises(ValueError,
+                       match=r"^starts\[1\]: the start's cutoff 16 differs from cfg.cutoff = 8$"):
+        evolve_starts(pump, params, [vacuum, fock_state(16, 0, 0)], 3.0, cfg)
+    with pytest.raises(TruncationError,
+                       match=r"^starts\[2\]: initial norm deficit \S+ exceeds 1e-09$"):
+        evolve_starts(pump, params, [vacuum, vacuum, coherent_state(8, 2.0, 0.0)], 3.0, cfg)
+    with pytest.raises(TruncationError, match=r"^initial norm deficit \S+ exceeds 1e-09$"):
+        evolve_truncated(pump, params, coherent_state(8, 2.0, 0.0), 3.0, cfg)
+
+
+def test_dop853_refuses_a_state_that_overflows_in_an_accepted_step():
+    # every stage stays finite but the step's sum overflows, so the error estimate reads 0
+    # and the step is accepted; the state it ends on is refused
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            IntegrationError, match=r"integrator failed on \[0, 1\]: the state is not finite"):
+        oracle._dop853(lambda t, y: np.full(y.shape, 1e307, complex), 0.0,
+                       np.array([1.7e308 + 0j]), 1.0, [1.0], 1e-10, 1e-12)
 
 
 def _traced_peak(pump, params, start, t):
