@@ -6,7 +6,7 @@ handed, of either solver; only ``squeezing_extrema`` solves for itself."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,20 +22,35 @@ def mean_photon_fock(d: AnalyticSolution, f: FockPair) -> tuple[float, float]:
     return f.r + pumped, f.s + pumped
 
 
+def _k(f: FockPair) -> float:
+    """K = 2rs+r+s+1 of |r,s>: the a mode's number variance is K n0 (1 + n0)."""
+    return 2.0 * f.r * f.s + f.r + f.s + 1.0
+
+
 def _mandel_q(n0, f: FockPair):
-    r, s = f.r, f.s
+    """Q = Var/mean - 1 = (K - mean/n0 + K n0)/(mean/n0); -1 (r > 0) or 0 where r/n0 overflows."""
     n0 = np.asarray(n0, dtype=float)
-    num = n0 * 2.0 * r * s + n0 * n0 * (2.0 * r * s + r + s + 1.0) - r
-    den = r + n0 * (r + s + 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mean_n0 = np.divide(f.r, n0) + (f.r + f.s + 1.0)
+        q = (_k(f) - mean_n0 + _k(f) * n0) / mean_n0
+    return _real(np.where(np.isfinite(mean_n0), q, -1.0 if f.r else 0.0))
+
+
+def _snr_rho(n0, f: FockPair):
+    """rho = mean/sqrt(Var) = (mean/n0)/(sigma sqrt K) = (r sigma + (s+1)/sigma)/sqrt K."""
+    n0 = np.asarray(n0, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _real(np.where(n0 == 0.0, -1.0 if r > 0 else 0.0, num / den))
+        sigma = np.hypot(1.0, 1.0 / np.sqrt(n0))  # sqrt(1 + 1/n0), 1 at n0 = inf
+        rho = (f.r * sigma + (f.s + 1.0) / sigma) / math.sqrt(_k(f))
+    return _real(np.where(n0 == 0.0, math.inf if f.r else 0.0, rho))
 
 
 def mandel_q_fock(d: AnalyticSolution, f: FockPair) -> float:
-    """Mandel Q of the a mode for an initial Fock pair.
+    """Mandel Q of the a mode for an initial Fock pair, at the record's n0.
 
     Q(0) is -1 for r != 0 and 0 for r = 0 (the latter taken as the
-    explicit n0 -> 0 limit of the closed form).
+    explicit n0 -> 0 limit of the closed form).  No n0^2 is formed: Q
+    reads inf only where K n0 overflows, past n0 ~ 1e308/K.
     """
     return _mandel_q(d.n0, f)
 
@@ -49,11 +64,16 @@ def mandel_q_fock_max(params: ModelParams, f: FockPair) -> float:
 
 
 def mandel_q_coherent(moments: MomentTable) -> float:
-    """Mandel Q from the moment table; requires a nonzero mean."""
-    mean = moments.mean_a
-    if np.any(mean == 0.0):
-        raise ValueError("Mandel Q undefined at zero mean photon number")
-    return _real((moments.expect(2, 2, 0, 0).real - mean * mean) / mean)
+    """Mandel Q from the moment table.  A zero mean raises a ValueError, and so do moments past
+    the float range (n0 above ~1e154, g t ~ 178 at k^2 = 0), naming the first grid index."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = moments.mean_a
+        if np.any(mean == 0.0):
+            raise ValueError("Mandel Q undefined at zero mean photon number")
+        q = _real((moments.expect(2, 2, 0, 0).real - mean * mean) / mean)
+    if not np.isfinite(q).all():
+        raise ValueError(f"the moment table overflowed at grid index {np.argmin(np.isfinite(q))}")
+    return q
 
 
 def _ratio_f(f_value, mean_a, mean_b):
@@ -177,24 +197,15 @@ class SnrReport:
     yuen_bound: float
 
 
-def _snr_rho(n0, f: FockPair):
-    r, s = f.r, f.s
-    n0 = np.asarray(n0, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = ((r + n0 * (r + s + 1.0))
-               / np.sqrt(n0 + n0 * n0)
-               / math.sqrt(2.0 * r * s + r + s + 1.0))
-    return _real(np.where(n0 == 0.0, math.inf if r > 0 else 0.0, rho))
-
-
 def snr_rho_fock(d: AnalyticSolution, f: FockPair) -> float:
-    """rho_a = mean / std of n_a(t); +inf at n0 = 0 with r > 0 (no Fock variance)."""
+    """rho_a = mean / std of n_a(t) at the record's n0: +inf at n0 = 0 with r > 0 (no Fock
+    variance), 0 with r = 0; at n0 = inf, past the float range, it is ``snr_rho_limit``."""
     return _snr_rho(d.n0, f)
 
 
 def snr_rho_limit(f: FockPair) -> float:
-    """Large-time limit of rho_a below threshold: (r+s+1)/sqrt(2rs+r+s+1)."""
-    return (f.r + f.s + 1.0) / math.sqrt(2.0 * f.r * f.s + f.r + f.s + 1.0)
+    """Large-time limit of rho_a below threshold: rho at n0 = inf, (r+s+1)/sqrt(2rs+r+s+1)."""
+    return _snr_rho(math.inf, f)
 
 
 def snr_rho_extremum_value(params: ModelParams, f: FockPair) -> float:
@@ -206,12 +217,14 @@ def snr_rho_extremum_value(params: ModelParams, f: FockPair) -> float:
 
 
 def snr_rho_min_value(f: FockPair) -> float:
-    """Global-minimum value, independent of the detuning; needs r, s > 0."""
+    """Global minimum of rho, independent of the detuning: rho at n0* = r/(s-r+1), inf for s = r-1.
+    Needs r, s > 0 and s >= r-1; for s < r-1 rho falls to ``snr_rho_limit`` with no minimum."""
     r, s = f.r, f.s
     if r == 0 or s == 0:
         raise ValueError(f"the minimum of rho needs r, s > 0, got |{r},{s}>")
-    return 2.0 * math.sqrt((1.0 + 1.0 / s)
-                           / (2.0 + 1.0 / r + 1.0 / s + 1.0 / (r * s)))
+    if s < r - 1:
+        raise ValueError(f"rho of |{r},{s}> falls to its limit with no minimum: s < r-1")
+    return _snr_rho(r / (s - r + 1) if s >= r else math.inf, f)
 
 
 def snr_rho_extrema(params: ModelParams, f: FockPair) -> list[SnrExtremum]:
@@ -225,8 +238,7 @@ def snr_rho_extrema(params: ModelParams, f: FockPair) -> list[SnrExtremum]:
     """
     k2 = params.k2
     extremum = snr_rho_extremum_value(params, f)  # refuses k^2 <= 1
-    root = math.sqrt(k2 - 1.0)
-    scale = 1.0 / (params.g * root)
+    scale = 1.0 / (params.g * math.sqrt(k2 - 1.0))
     r, s = f.r, f.s
 
     has_minima = (s - r + 1.0) > 0.0 and r > 0 \
@@ -247,13 +259,20 @@ def snr_eta_coherent(sol: AnalyticSolution, pair: CoherentPair) -> SnrReport:
     """Quadrature SNR eta_a for a coherent pair, with the Yuen bound.
 
     eta = <X>^2 / Var X = 2 (Re <a(t)>)^2 / (n0 + 1/2) for X = a + a+,
-    with <a(t)> = u alpha + v conj(beta).  eta vanishes identically for
-    Fock inputs (zero quadrature mean).
+    with <a(t)> = u alpha + v conj(beta), at the record's n0.  Both sides
+    are divided through by N = max(n0, 1) in the record's logs: <a(t)>/sqrt(N)
+    is the mean of the pair of A0 + log(N)/2, so eta stays finite past the
+    overflow of n0, u and v.  The Yuen bound 4 mean_a (mean_a + 1) takes
+    |<a(t)>| = |<a(t)>/sqrt(N)| sqrt(N), and reads inf past mean_a ~ 1e154.
+    eta vanishes identically for Fock inputs (zero quadrature mean).
     """
-    mean = _coherent_mean(sol, pair)
-    eta = 2.0 * mean.real ** 2 / (sol.n0 + 0.5)
-    mean_a, _ = _mean_numbers(mean, sol.n0, pair)
-    return SnrReport(eta=_real(eta), yuen_bound=4.0 * mean_a * (mean_a + 1.0))
+    half_log = 0.5 * np.maximum(sol.log_n0, 0.0)  # log sqrt(N)
+    scaled = _coherent_mean(replace(sol, a_zero=sol.a_zero + half_log), pair)  # <a(t)>/sqrt(N)
+    over_n = np.exp(sol.log_n0 - 2.0 * half_log) + 0.5 * np.exp(-2.0 * half_log)  # (n0 + 1/2)/N
+    with np.errstate(over="ignore"):  # sqrt(N) and mean_a overflow past the float range
+        mean_a, _ = _mean_numbers(np.abs(scaled) * np.exp(half_log), sol.n0, pair)
+        yuen_bound = 4.0 * mean_a * (mean_a + 1.0)
+    return SnrReport(eta=_real(2.0 * scaled.real ** 2 / over_n), yuen_bound=yuen_bound)
 
 
 # -- instantaneous diagonalization -------------------------------------------

@@ -89,6 +89,14 @@ def test_main_zero_mean_mandel_q_errors(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_main_overflowed_coherent_mandel_q_errors_on_one_line(capsys):
+    assert main(["observable", "--name", "mandel_q", "--initial", "coherent:0.8,0.5j",
+                 "--k2", "0", "--tmax", "200", "--steps", "201"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the moment table overflowed at grid index 178\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "--cutoff", "40"], ["prob", "--tol", "1e-8"],
     ["observable", "--cutoff", "40"], ["sweep", "--param", "k2", "--values", "1",

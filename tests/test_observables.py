@@ -1,14 +1,17 @@
 import itertools
 import math
 import re
+import sys
+from operator import attrgetter
 
+import mpmath
 import numpy as np
 import pytest
 
 from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState
 from ndpa.model import HarmonicPump, ModelParams, RegimeError, TabulatedPump
 from ndpa.moments import second_moments
-from ndpa.observables import (asymptotic_minima_period,
+from ndpa.observables import (_mandel_q, _snr_rho, asymptotic_minima_period,
                               cross_correlation_fock,
                               cross_correlation_general,
                               instantaneous_diagonalization, mandel_q_coherent,
@@ -440,18 +443,104 @@ def test_eta_yuen_bound_holds():
 
 
 def test_eta_forms_the_bogoliubov_pair_once(monkeypatch):
-    # eta and the Yuen bound both read <a(t)> = u alpha + v conj(beta), formed once
-    import ndpa.amplitudes
+    # eta and the Yuen bound both read <a(t)> = u alpha + v conj(beta), formed once; every
+    # module's binding of the pair is counted, so that a call through any of them is seen
     calls = []
 
     def counted(sol):
         calls.append(None)
         return bogoliubov_pair(sol)
 
-    monkeypatch.setattr(ndpa.amplitudes, "bogoliubov_pair", counted)
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ndpa"]:
+        if getattr(module, "bogoliubov_pair", None) is bogoliubov_pair:
+            monkeypatch.setattr(module, "bogoliubov_pair", counted)
     for t in (0.0, 1.3, np.linspace(0.0, 2.0, 5)):
         snr_eta_coherent(solve_analytic(params_for(1.5), t), CoherentPair(0.8, 0.5j))
     assert len(calls) == 3
+
+
+# -- the float range ---------------------------------------------------------
+
+_STARTS = [FockPair(1, 0), FockPair(0, 1), FockPair(2, 3), FockPair(1, 100), FockPair(100, 1)]
+# g t from 0 to past where n0 leaves the float range (n0 ~ exp(2 q g t)/4q^2 below
+# threshold, (g t)^2 at it) and, below threshold, past where u and v overflow too
+_GRIDS = {0.0: np.r_[np.linspace(0.0, 360.0, 61), 1e3, 1e4],
+          0.5: np.r_[np.linspace(0.0, 520.0, 61), 1.5e3],
+          1.0: np.r_[0.0, np.geomspace(1e-3, 1e155, 61)],
+          1.5: np.linspace(0.0, 30.0, 61)}
+
+
+def _fock_reference(log_n0, f):
+    """(Q, rho) of |r,s> at n0 = exp(log_n0), at 60 digits."""
+    r, s = f.r, f.s
+    k = 2 * r * s + r + s + 1
+    with mpmath.workdps(60):
+        n0 = mpmath.exp(mpmath.mpf(log_n0))
+        mean = r + (r + s + 1) * n0
+        return (2 * r * s * n0 + k * n0 ** 2 - r) / mean, mean / mpmath.sqrt(k * n0 * (1 + n0))
+
+
+@pytest.mark.parametrize("k2", sorted(_GRIDS))
+def test_fock_q_and_rho_hold_across_the_float_range(k2):
+    sol = solve_analytic(params_for(k2), _GRIDS[k2])
+    assert sol.log_n0[0] == -math.inf and np.isinf(sol.n0[1:]).any() == (k2 <= 1.0)
+    for f in _STARTS:
+        q, rho = mandel_q_fock(sol, f), snr_rho_fock(sol, f)
+        assert (q[0], rho[0]) == ((-1.0, math.inf) if f.r else (0.0, 0.0))
+        for i, log_n0 in enumerate(sol.log_n0[1:], 1):
+            want_q, want_rho = _fock_reference(log_n0, f)
+            if not (q[i] == math.inf and want_q > 1e300):
+                assert abs(q[i] - want_q) <= 1e-12 * abs(want_q), (f, i, q[i], want_q)
+            assert 0.0 < rho[i] < math.inf
+            assert abs(rho[i] - want_rho) <= 1e-12 * want_rho, (f, i, rho[i], want_rho)
+
+
+@pytest.mark.parametrize("k2", sorted(_GRIDS))
+def test_coherent_eta_holds_across_the_float_range(k2):
+    pair = CoherentPair(0.8, 0.5j)
+    sol = solve_analytic(params_for(k2), _GRIDS[k2])
+    eta, bound = attrgetter("eta", "yuen_bound")(snr_eta_coherent(sol, pair))
+    assert np.isfinite(eta).all() and (eta > 0.0).all()
+    assert (bound >= eta).all()  # inf, never nan, past the float range
+    with mpmath.workdps(60):
+        for i, (a_zero, a_minus, log_n0) in enumerate(zip(sol.a_zero, sol.a_minus, sol.log_n0)):
+            u = mpmath.exp(-mpmath.conj(mpmath.mpc(a_zero)))
+            mean = u * pair.alpha - u * mpmath.conj(mpmath.mpc(a_minus)) * np.conj(pair.beta)
+            want = 2 * mpmath.re(mean) ** 2 / (mpmath.exp(mpmath.mpf(log_n0)) + mpmath.mpf(0.5))
+            assert abs(eta[i] - want) <= 1e-12 * want, (i, eta[i], want)
+
+
+def test_rho_limit_minimum_and_q_maximum_are_the_forms_at_their_n0():
+    for f in _STARTS + [FockPair(2, 1), FockPair(7, 9)]:
+        assert snr_rho_limit(f) == _snr_rho(math.inf, f)
+        assert snr_rho_limit(f) == (f.r + f.s + 1.0) / math.sqrt(2.0 * f.r * f.s + f.r + f.s + 1.0)
+        for params in map(params_for, (1.2, 1.5, 3.0)):
+            assert mandel_q_fock_max(params, f) == _mandel_q(1.0 / (params.k2 - 1.0), f)
+        if f.r and f.s >= f.r - 1 and f.s:
+            star = f.r / (f.s - f.r + 1) if f.s >= f.r else math.inf
+            assert snr_rho_min_value(f) == _snr_rho(star, f)
+            assert snr_rho_min_value(f) <= min(_snr_rho(np.geomspace(1e-3, 1e3, 601), f))
+    # at s = r - 1 the stationary point is n0 = inf: the minimum is the limit
+    assert snr_rho_min_value(FockPair(2, 1)) == snr_rho_limit(FockPair(2, 1))
+    # a record past the float range reads the limit bit for bit
+    d = solve_analytic(params_for(0.0), 400.0)
+    assert d.n0 == math.inf and snr_rho_fock(d, FockPair(2, 3)) == snr_rho_limit(FockPair(2, 3))
+
+
+@pytest.mark.parametrize("r, s", [(100, 1), (3, 1), (5, 2)])
+def test_rho_min_value_refuses_a_pair_without_a_minimum(r, s):
+    with pytest.raises(ValueError, match=f"\\|{r},{s}> falls to its limit with no minimum"):
+        snr_rho_min_value(FockPair(r, s))
+    rho = _snr_rho(np.geomspace(1e-6, 1e12, 400), FockPair(r, s))
+    assert (np.diff(rho) < 0).all() and rho[-1] > snr_rho_limit(FockPair(r, s))
+
+
+def test_coherent_q_refuses_an_overflowed_moment_table():
+    sol = solve_analytic(params_for(0.0), np.linspace(0.0, 200.0, 201))
+    with pytest.raises(ValueError, match="^the moment table overflowed at grid index 178$"):
+        mandel_q_coherent(second_moments(CoherentPair(0.8, 0.5j), sol))
+    q = mandel_q_coherent(second_moments(CoherentPair(0.8, 0.5j), sol[:178]))
+    assert np.isfinite(q).all()
 
 
 # -- diagonalization ---------------------------------------------------------
