@@ -13,10 +13,15 @@ outcome labels on the leading axes against one time or a time grid on the traili
 ones, one rescaled recurrence up to the largest degree, over an exact math.comb
 prefactor for int labels and a Stirling-form one for integer arrays.  One outcome at
 one time, from ``fock_amplitude``, first tries scipy's compiled eval_jacobi on Python
-numbers (``_transition``).  The vacuum (R = 0, a = n), |1,1> (R = min(1, n)) and
-a-mode |l, 0> (R = 0, a = m, b = l) probabilities are its degree <= 1 cases; the
-a-mode log term also gives both reduced densities (its exp summed over the outcome
-axis).  ``_line_norm`` sums one start's outcomes at one time with a certified tail for
+numbers (``_transition``), with hi, lo = max, min(a, b) and a prefactor that forms no
+big integer of C(R+hi, R)'s size:
+
+    C(R+hi+lo, hi) C(R+hi, R) = C(R+hi, R)^2 (R+hi+lo)!/(R+hi)! R!/(R+lo)!
+
+The exact math.comb product is kept on the int-label grid path alone.  The vacuum
+(R = 0, a = n), |1,1> (R = min(1, n)) and a-mode |l, 0> (R = 0, a = m, b = l)
+probabilities are its degree <= 1 cases; the a-mode log term also gives both reduced
+densities (its exp summed over the outcome axis).  ``_line_norm`` sums one start's outcomes at one time with a certified tail for
 all three norms.
 """
 
@@ -37,72 +42,102 @@ _HUGE = 2.0 ** 512  # the recurrence pair is scaled by this once both fall below
 _MIN_NORMAL = sys.float_info.min
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _binom = _eval_jacobi = None  # scipy.special.cython_special's, bound on first use
+_TABLED = 4096  # _stirling_rest of an int below this is read off a table
+
+
+def _stirling_series(x):
+    """The Stirling series of ``_stirling_rest`` in 1/(x + 1), on floats or float arrays;
+    from x = 15 on its first omitted term is below 1.1e-16."""
+    v = 1.0 / (x + 1.0)
+    v2 = v * v
+    return v * (1 / 12 - v2 * (1 / 360 - v2 * (1 / 1260 - v2 * (1 / 1680 - v2 / 1188))))
+
+
+# _stirling_rest of 0, 1, ..., _TABLED - 1 as Python floats: math.lgamma's below 15
+_RESTS = tuple([math.lgamma(x + 1.0) - (x + 0.5) * math.log(x + 1.0) + (x + 1.0) - _LOG_SQRT_2PI
+                for x in range(15)] + _stirling_series(np.arange(15.0, _TABLED)).tolist())
 
 
 @functools.cache
 def _small_rests():
-    """``_stirling_rest`` of 0, 1, ..., 14, from math.lgamma; read-only, as shared."""
-    rests = np.array([math.lgamma(x + 1.0) - (x + 0.5) * math.log(x + 1.0) + (x + 1.0)
-                      - _LOG_SQRT_2PI for x in range(15)])
+    """The first 15 ``_RESTS`` as an array; read-only, as shared."""
+    rests = np.array(_RESTS[:15])
     rests.flags.writeable = False
     return rests
 
 
 def _stirling_rest(x):
-    """log x! - ((x + 1/2) log(x + 1) - (x + 1) + log(2 pi)/2) for integer-valued
-    float arrays x >= 0: the Stirling series in 1/(x + 1) from x = 15 on, where
-    its first omitted term is below 1.1e-16, and a table below."""
-    v = 1.0 / (x + 1.0)
-    v2 = v * v
-    rest = v * (1 / 12 - v2 * (1 / 360 - v2 * (1 / 1260 - v2 * (1 / 1680 - v2 / 1188))))
+    """log x! - ((x + 1/2) log(x + 1) - (x + 1) + log(2 pi)/2) for an int or
+    integer-valued float arrays x >= 0: the Stirling series from x = 15 on and a
+    table below (read off ``_RESTS`` below _TABLED for an int)."""
+    if type(x) is int:
+        return _RESTS[x] if x < _TABLED else _stirling_series(x)
+    rest = _stirling_series(x)
     small = x < 15
     return np.where(small, _small_rests()[np.minimum(x, 14).astype(np.intp)], rest) \
         if small.any() else rest
 
 
 def _log_binom(n, k):
-    """log C(n, k) for integer-valued float arrays 0 <= k <= n, to a few ulps of
-    the result: the three log-factorials in Stirling's form, their large parts
-    subtracted before rounding, so that no term is much larger than the sum."""
-    k = np.minimum(k, n - k)
-    if not k.any():  # C(n, 0) = 1: degree 0, the vacuum and a-mode lines
-        return np.zeros(k.shape)
+    """log C(n, k) for ints, on Python floats, or integer-valued float arrays, 0 <= k <= n,
+    to a few ulps of the result: the three log-factorials in Stirling's form, their large
+    parts subtracted before rounding, so that no term is much larger than the sum."""
+    if type(n) is int:
+        k = min(k, n - k)
+        if not k:
+            return 0.0
+        log, log1p = math.log, math.log1p
+    else:
+        k = np.minimum(k, n - k)
+        if not k.any():  # C(n, 0) = 1: degree 0, the vacuum and a-mode lines
+            return np.zeros(k.shape)
+        log, log1p = np.log, np.log1p
     j = n - k
-    return k * np.log((n + 1.0) / (k + 1.0)) + (
-        (j + 0.5) * np.log1p(k / (j + 1.0)) - 0.5 * np.log(k + 1.0) + (1.0 - _LOG_SQRT_2PI)
+    return k * log((n + 1.0) / (k + 1.0)) + (
+        (j + 0.5) * log1p(k / (j + 1.0)) - 0.5 * log(k + 1.0) + (1.0 - _LOG_SQRT_2PI)
         + _stirling_rest(n) - _stirling_rest(k) - _stirling_rest(j))
 
 
-def _oriented(R, a, b, y, log_y, log_x, inv_x):
-    """(log s, hi, lo, u, w, sign) of int labels, at one time or over a grid alike,
-    with the exact prefactor: P^(a,b)(z) = (-1)^R P^(b,a)(-z) puts the larger
-    index first; inv_x = 1/x = exp(-log x), and (1 + z)/2 = 1/x, (1 - z)/2 = y:
-    never 1 - y."""
-    hi, lo, u, w, sign = (b, a, y, inv_x, (-1.0) ** R) if a < b else (a, b, inv_x, y, 1.0)
-    log_s = (math.log(math.comb(R + hi + lo, hi) * math.comb(R + hi, R))
-             + (a * log_y if a else 0.0) - (b + 1) * log_x)
-    return log_s, hi, lo, u, w, sign
+def _oriented(R, a, b, y, inv_x):
+    """(hi, lo, u, w, sign) of int labels, at one time or over a grid alike:
+    P^(a,b)(z) = (-1)^R P^(b,a)(-z) puts the larger index first; inv_x = 1/x =
+    exp(-log x), and (1 + z)/2 = 1/x, (1 - z)/2 = y: never 1 - y."""
+    return (b, a, y, inv_x, (-1.0) ** R) if a < b else (a, b, inv_x, y, 1.0)
+
+
+def _log_s(log_binoms, a, b, log_y, log_x):
+    """log s of int labels from log C(R + hi + lo, hi) C(R + hi, R): + a log y - (b + 1) log x."""
+    return log_binoms + (a * log_y if a else 0.0) - (b + 1) * log_x
 
 
 def _transition(R, a, b, y, log_y, log_x, inv_x):
     """(log s, f) of one outcome at one time on Python numbers, with the module's
     p_mn(r, s) = s f^2, |f| <= 1: f = P_R^(a,b)(1-2y) / C(R + max(a, b), R).
 
-    At R >= 2 f is scipy's compiled eval_jacobi over its own binom: at an int R
-    it runs ``_jacobi_ratio``'s recurrence in C and multiplies by that binom,
-    which the division cancels exactly (a float R would select scipy's
-    hypergeometric form, a different sum).  Below that, or where that binom is
-    inf or f is not a normal float, the kernel runs.
+    At R >= 2 f is scipy's compiled eval_jacobi over its own binom c: at an int R
+    it runs ``_jacobi_ratio``'s recurrence in C and multiplies by c, which the
+    division cancels exactly (a float R would select scipy's hypergeometric
+    form, a different sum).  log s takes its binomials from the module's
+    identity: log C(R+hi, R) is log c where scipy forms c as a product
+    (min(R, hi) < 20), to a few ulps, and ``_log_binom``'s Stirling form past
+    that, where scipy's c is good only to about 4e-12; the two falling
+    factorials have lo factors each and are logged apart, as their quotient can
+    overflow a float.  Below R = 2, or where c is inf or f is not a normal
+    float, the kernel runs.
     """
     global _binom, _eval_jacobi
     if R > 1:
-        log_s, hi, lo, u, w, sign = _oriented(R, a, b, y, log_y, log_x, inv_x)
+        hi, lo, u, w, sign = _oriented(R, a, b, y, inv_x)
         if _eval_jacobi is None:
             from scipy.special.cython_special import binom as _binom, eval_jacobi as _eval_jacobi
         c = _binom(R + hi, R)
         f = _eval_jacobi(int(R), hi, lo, u - w) / c if c < math.inf else 0.0
         if _MIN_NORMAL <= abs(f) < math.inf:  # a normal float, else the recurrence
-            return log_s, sign * f
+            log_c = math.log(c) if R < 20 or hi < 20 else _log_binom(R + hi, R)
+            log_binoms = 2.0 * log_c  # C(R+hi+lo, hi) C(R+hi, R) = C(R+hi, R)^2 at lo = 0
+            if lo:  # times (R+hi+lo)!/(R+hi)! R!/(R+lo)!, each falling factorial logged apart
+                log_binoms += math.log(math.perm(R + hi + lo, lo)) - math.log(math.perm(R + lo, lo))
+            return _log_s(log_binoms, a, b, log_y, log_x), sign * f
     return _transitions(R, a, b, y, log_y, log_x, inv_x)
 
 
@@ -112,7 +147,10 @@ def _transitions(R, a, b, y, log_y, log_x, inv_x):
     of the times, over the prefactor in Stirling's form."""
     if not isinstance(R, np.ndarray):
         R = top = int(R)
-        log_s, hi, lo, u, w, sign = _oriented(R, int(a), int(b), y, log_y, log_x, inv_x)
+        a, b = int(a), int(b)
+        hi, lo, u, w, sign = _oriented(R, a, b, y, inv_x)
+        log_s = _log_s(math.log(math.comb(R + hi + lo, hi) * math.comb(R + hi, R)),
+                       a, b, log_y, log_x)
     else:
         hi, lo = np.maximum(a, b) * 1.0, np.minimum(a, b) * 1.0  # floats: no int64 overflow
         swap, top = a < b, R.max(initial=0)

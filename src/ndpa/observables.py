@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .amplitudes import CoherentPair, FockPair, PureAModeState, _coherent_mean, _mean_numbers
+from .amplitudes import (_MIN_NORMAL, CoherentPair, FockPair, PureAModeState, _coherent_mean,
+                         _mean_numbers)
 from .model import ModelParams, RegimeError, RegimeTag, classify_regime
 from .moments import MomentTable
 from .weinorman import AnalyticSolution, _real, bogoliubov_pair, solve_analytic
@@ -36,13 +37,18 @@ def _mandel_q(n0, f: FockPair):
     return _real(np.where(np.isfinite(mean_n0), q, -1.0 if f.r else 0.0))
 
 
-def _snr_rho(n0, f: FockPair):
-    """rho = mean/sqrt(Var) = (mean/n0)/(sigma sqrt K) = (r sigma + (s+1)/sigma)/sqrt K."""
+def _snr_rho(n0, f: FockPair, log_n0=None):
+    """rho = mean/sqrt(Var) = (mean/n0)/(sigma sqrt K) = (r sigma + (s+1)/sigma)/sqrt K, with
+    sigma = sqrt(1 + 1/n0): inf at n0 = 0, where rho is inf for r > 0 and 0 for r = 0.  Where n0
+    is below the normal floats (0 from g t ~ 1e-162 on) sigma = n0^(-1/2) is read off ``log_n0``
+    if given, so that it is inf only at log n0 = -inf."""
     n0 = np.asarray(n0, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.hypot(1.0, 1.0 / np.sqrt(n0))  # sqrt(1 + 1/n0), 1 at n0 = inf
-        rho = (f.r * sigma + (f.s + 1.0) / sigma) / math.sqrt(_k(f))
-    return _real(np.where(n0 == 0.0, math.inf if f.r else 0.0, rho))
+    with np.errstate(divide="ignore", over="ignore"):
+        sigma = np.hypot(1.0, 1.0 / np.sqrt(n0))  # 1 at n0 = inf
+        if log_n0 is not None:
+            sigma = np.where(n0 < _MIN_NORMAL, np.exp(-0.5 * log_n0), sigma)
+        rho = ((f.r * sigma if f.r else 0.0) + (f.s + 1.0) / sigma) / math.sqrt(_k(f))
+    return _real(rho)
 
 
 def mandel_q_fock(d: AnalyticSolution, f: FockPair) -> float:
@@ -198,9 +204,10 @@ class SnrReport:
 
 
 def snr_rho_fock(d: AnalyticSolution, f: FockPair) -> float:
-    """rho_a = mean / std of n_a(t) at the record's n0: +inf at n0 = 0 with r > 0 (no Fock
-    variance), 0 with r = 0; at n0 = inf, past the float range, it is ``snr_rho_limit``."""
-    return _snr_rho(d.n0, f)
+    """rho_a = mean / std of n_a(t) at the record's n0: +inf at t = 0 with r > 0 (no Fock
+    variance), 0 with r = 0; at n0 = inf, past the float range, it is ``snr_rho_limit``.
+    Where n0 underflows, rho reads the record's log n0."""
+    return _snr_rho(d.n0, f, d.log_n0)
 
 
 def snr_rho_limit(f: FockPair) -> float:

@@ -74,12 +74,11 @@ def _regime_kernel(k, gt):
     """The harmonic closed forms' regime split, in real arithmetic, on a (k, gt) grid.
 
     With q = sqrt|1 - k^2| (1 at threshold), u = q gt, T = tanh u, tan u or u
-    below, above and at threshold, and C = cosh u, cos u or 1, returns the winding
-    s (u - arctan T) = s n pi of -arg C above threshold (0 elsewhere, s = sign k),
-    w = T/q and log n0 = 2 log|w C|.  The split is exact, threshold being |k| = 1
-    alone: T/q needs no band, as a tiny q makes a tiny u with no cancellation, and
-    1 - k^2 is formed as (1 - k)(1 + k), which keeps the digits 1 - k k loses near
-    |k| = 1.  Grid arrays are written in place.
+    below, above and at threshold, and C = cosh u, cos u or 1, returns u, T, q, the
+    mask of the points above threshold and log n0 = 2 log|T C / q|.  The split is
+    exact, threshold being |k| = 1 alone: T/q needs no band, as a tiny q makes a tiny
+    u with no cancellation, and 1 - k^2 is formed as (1 - k)(1 + k), which keeps the
+    digits 1 - k k loses near |k| = 1.  Grid arrays are written in place.
     """
     one_minus_k2 = (1.0 - k) * (1.0 + k)
     sub, sup = one_minus_k2 > 0.0, one_minus_k2 < 0.0
@@ -96,15 +95,16 @@ def _regime_kernel(k, gt):
     np.subtract(log_s, np.multiply(a, 0.5, out=a, where=sup), out=log_s, where=~crit)
     np.add(log_s, np.abs(u, out=a, where=sub), out=log_s, where=sub)
     log_s -= np.log(q)
-    np.subtract(u, np.arctan(t, out=a, where=sup), out=u, where=sup)
-    u *= np.sign(k) * sup
-    t /= q
-    return u, t, np.multiply(log_s, 2.0, out=log_s)
+    return u, t, q, sup, np.multiply(log_s, 2.0, out=log_s)
 
 
 def _coefficients(k, gt, a_plus, a_minus, a_zero, *scalar_out):
     """(A+, A-, A0) on (k, gt) into the given arrays, and the six scalars into ``scalar_out``."""
-    winding, w, log_n0 = _regime_kernel(k, gt)
+    winding, w, q, sup, log_n0 = _regime_kernel(k, gt)
+    # the winding s (u - arctan T) = s n pi of -arg C above threshold (0 elsewhere, s = sign k)
+    np.subtract(winding, np.arctan(w, out=None, where=sup), out=winding, where=sup)
+    winding *= np.sign(k) * sup
+    w /= q  # w = T/q
     np.clip(w, -2.0 ** 511, 2.0 ** 511, out=w)  # (kw)^2 finite; moves A- < 2^-511
     log_x = _scalars(log_n0, *scalar_out) if scalar_out else _softplus(log_n0)
     np.multiply(log_x, -0.5, out=a_zero.real)  # Re A0 = -log(x)/2; kw then writes over log n0
@@ -171,7 +171,7 @@ def scalars(k, gt):
     (where it is (gt)^2) and into k^2 > 1 (where sinh^2 turns into -sin^2);
     x = 1 + n0, y = n0/x.  The logs stay finite where x overflows.
     """
-    return _blockwise(lambda k, gt, *out: _scalars(_regime_kernel(k, gt)[2], *out),
+    return _blockwise(lambda k, gt, *out: _scalars(_regime_kernel(k, gt)[-1], *out),
                       (float,) * 6, k=np.asarray(k, float), gt=np.asarray(gt, float))
 
 

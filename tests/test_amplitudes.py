@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ndpa.amplitudes import (CoherentPair, FockOutcome, FockPair,
-                             PureAModeState, _line_norm, amode_norm, amode_prob,
+                             PureAModeState, _line_norm, _one_time, amode_norm, amode_prob,
                              coherent_mean_numbers, coherent_revival_prob,
                              coherent_transition_prob, effective_temperature,
                              fock11_norm, fock11_prob, fock_amplitude,
@@ -392,6 +392,60 @@ def test_outcome_arrays_over_a_grid_give_a_table_of_per_time_calls():
     # a one-point grid gives one value, the sum over outcomes at that time alone
     np.testing.assert_allclose(reduced_density_b(solve_analytic(params, times[2:3]), psi, 2),
                                [reduced_density_b(ones[2], psi, 2)], rtol=1e-14)
+
+
+def _modulus_60(c, r, s, m, n):
+    """|<m, n| U |r, s>| as the Jacobi form with mpmath.jacobi at 60 digits, on the
+    doubles one outcome at one time reads: y, log y, log x and 1/x."""
+    y, log_y, log_x, inv_x = _one_time(c)[:4]
+    R, a, b = min(r, s, m, n), abs(n - r), abs(s - r)
+    with mpmath.workdps(60):
+        fac = mpmath.factorial
+        pre = fac(R) * fac(R + a + b) / (fac(R + a) * fac(R + b))
+        power = mpmath.exp(a * mpmath.mpf(log_y) - (b + 1) * mpmath.mpf(log_x))
+        return mpmath.sqrt(pre * power) * abs(mpmath.jacobi(R, a, b, mpmath.mpf(inv_x) - y))
+
+
+# |40,40> has lo = min(a, b) = 0, |120,100> lo <= 20 and |100,60> lo = 40 from n = 140 on;
+# n = 25 ... 55 of |40,40> have min(R, hi) < 20, where scipy's binom is a product
+_SCALAR_STARTS = {(40, 40): [2, 25, 45, 55, 61, 200, 700, 1500],
+                  (120, 100): [22, 60, 130, 400, 900, 1500],
+                  (100, 60): [140, 180, 500, 1100, 1500]}
+
+
+@pytest.mark.parametrize("r, s", sorted(_SCALAR_STARTS))
+def test_one_outcome_matches_60_digit_jacobi_and_the_grid_path(r, s):
+    params, q = params_for(1.5), r - s
+    c, grid = solve_analytic(params, 1.0), solve_analytic(params, np.array([0.5, 1.0]))
+    for n in _SCALAR_STARTS[r, s]:
+        out = FockOutcome(n - q, n)
+        got, want = fock_amplitude(c, FockPair(r, s), out), _modulus_60(c, r, s, n - q, n)
+        assert abs(abs(got) - want) <= 1e-12 * want, (n, abs(got), want)
+        # the int-label grid path: the rescaled recurrence over the exact math.comb prefactor
+        assert abs(fock_amplitude(grid, FockPair(r, s), out)[1] - got) <= 1e-12 * abs(got), n
+
+
+def test_scipys_binom_is_a_product_below_20():
+    # one outcome at one time logs the binom that divides eval_jacobi where min(R, hi) < 20,
+    # as scipy multiplies it out there; past that it is good only to about 4e-12
+    from fractions import Fraction
+    from scipy.special import binom
+    for k in range(2, 20):
+        for n in (k, k + 1, 2 * k + 7, 100, 1500, 10 ** 6):
+            assert abs(Fraction(binom(n, k)) / math.comb(n, k) - 1) <= 1e-14, (n, k)
+
+
+def test_one_outcome_forms_no_binomial_with_math_comb(monkeypatch):
+    c = solve_analytic(params_for(1.5), 1.0)
+    cases = [(FockPair(40, 40), FockOutcome(960, 960)), (FockPair(120, 100), FockOutcome(880, 900)),
+             (FockPair(100, 60), FockOutcome(460, 500)), (FockPair(4, 3), FockOutcome(30, 31))]
+    want = [fock_amplitude(c, start, out) for start, out in cases]
+
+    def comb(*args):
+        raise AssertionError("math.comb on the scalar path")
+
+    monkeypatch.setattr(math, "comb", comb)
+    assert [fock_amplitude(c, start, out) for start, out in cases] == want
 
 
 @pytest.mark.parametrize("norm", [vacuum_norm, fock11_norm,

@@ -495,6 +495,23 @@ def test_fock_q_and_rho_hold_across_the_float_range(k2):
             assert abs(rho[i] - want_rho) <= 1e-12 * want_rho, (f, i, rho[i], want_rho)
 
 
+def test_rho_reads_log_n0_where_n0_underflows():
+    # n0 = (g t)^2 at k^2 = 0 is subnormal at g t = 1e-157 and 0 from ~1e-162 on, where
+    # log n0 stays finite; the last time is t = 0, log n0 = -inf
+    sol = solve_analytic(params_for(0.0), np.array([1e-157, 1e-170, 1e-300, 0.0]))
+    assert 0.0 < sol.n0[0] < sys.float_info.min and (sol.n0[1:] == 0.0).all()
+    assert np.isfinite(sol.log_n0[:-1]).all() and sol.log_n0[-1] == -math.inf
+    for f in _STARTS:
+        rho = snr_rho_fock(sol, f)
+        assert rho[-1] == (math.inf if f.r else 0.0)
+        for i, log_n0 in enumerate(sol.log_n0[:-1]):
+            want = _fock_reference(log_n0, f)[1]
+            assert abs(rho[i] - want) <= 1e-12 * want, (f, i, rho[i], want)
+    one = solve_analytic(params_for(0.0), 1e-170)
+    assert snr_rho_fock(one, FockPair(1, 0)) == pytest.approx(math.sqrt(0.5) * 1e170, rel=1e-12)
+    assert mandel_q_fock(one, FockPair(1, 0)) == -1.0
+
+
 @pytest.mark.parametrize("k2", sorted(_GRIDS))
 def test_coherent_eta_holds_across_the_float_range(k2):
     pair = CoherentPair(0.8, 0.5j)
