@@ -28,9 +28,9 @@ all three norms.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ _HUGE = 2.0 ** 512  # the recurrence pair is scaled by this once both fall below
 _MIN_NORMAL = sys.float_info.min
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _binom = _eval_jacobi = None  # scipy.special.cython_special's, bound on first use
-_TABLED = 4096  # _stirling_rest of an int below this is read off a table
+_TABLED = 4096  # _stirling_rest below this is read off a table
 
 
 def _stirling_series(x):
@@ -53,29 +53,23 @@ def _stirling_series(x):
     return v * (1 / 12 - v2 * (1 / 360 - v2 * (1 / 1260 - v2 * (1 / 1680 - v2 / 1188))))
 
 
-# _stirling_rest of 0, 1, ..., _TABLED - 1 as Python floats: math.lgamma's below 15
-_RESTS = tuple([math.lgamma(x + 1.0) - (x + 0.5) * math.log(x + 1.0) + (x + 1.0) - _LOG_SQRT_2PI
-                for x in range(15)] + _stirling_series(np.arange(15.0, _TABLED)).tolist())
-
-
-@functools.cache
-def _small_rests():
-    """The first 15 ``_RESTS`` as an array; read-only, as shared."""
-    rests = np.array(_RESTS[:15])
-    rests.flags.writeable = False
-    return rests
+# _stirling_rest of 0, 1, ..., _TABLED - 1, math.lgamma's below 15: the one table, read-only,
+# and its entries as Python floats for an int
+_REST_TABLE = np.r_[[math.lgamma(x + 1.0) - (x + 0.5) * math.log(x + 1.0) + (x + 1.0) - _LOG_SQRT_2PI
+                     for x in range(15)], _stirling_series(np.arange(15.0, _TABLED))]
+_REST_TABLE.flags.writeable = False
+_RESTS = tuple(_REST_TABLE.tolist())
 
 
 def _stirling_rest(x):
     """log x! - ((x + 1/2) log(x + 1) - (x + 1) + log(2 pi)/2) for an int or
-    integer-valued float arrays x >= 0: the Stirling series from x = 15 on and a
-    table below (read off ``_RESTS`` below _TABLED for an int)."""
+    integer-valued float arrays x >= 0: read off the table below _TABLED and the
+    Stirling series from there on."""
     if type(x) is int:
         return _RESTS[x] if x < _TABLED else _stirling_series(x)
-    rest = _stirling_series(x)
-    small = x < 15
-    return np.where(small, _small_rests()[np.minimum(x, 14).astype(np.intp)], rest) \
-        if small.any() else rest
+    rests = _REST_TABLE[np.minimum(x, _TABLED - 1).astype(np.intp)]
+    above = x >= _TABLED
+    return np.where(above, _stirling_series(x), rests) if above.any() else rests
 
 
 def _log_binom(n, k):
@@ -322,25 +316,31 @@ def coherent_revival_prob(c: AnalyticSolution,
             _real(np.abs(2.0 - 2.0 * np.real(np.exp(c.a_zero)))))
 
 
-def _coherent_mean(c: AnalyticSolution, pair: CoherentPair):
-    """<a(t)> = u alpha + v conj(beta) for an initial coherent pair."""
-    u, v = bogoliubov_pair(c)
-    return u * pair.alpha + v * np.conj(pair.beta)
+def _coherent_mean(c: AnalyticSolution, pair: CoherentPair, d: AnalyticSolution | None = None):
+    """(<a(t)>/sqrt(N), |<a(t)>|^2/N, n0/N, log N) for an initial coherent pair, with
+    <a(t)> = u alpha + v conj(beta) off the pair (u, v) of ``c`` and N = max(n0, 1) off the
+    log n0 of ``d`` (``c`` by default): (u, v)/sqrt(N) is the pair of A0 + log(N)/2, so no
+    number here overflows where n0, u and v do."""
+    log_n0 = (c if d is None else d).log_n0
+    log_n = np.maximum(log_n0, 0.0)
+    u, v = bogoliubov_pair(replace(c, a_zero=c.a_zero + 0.5 * log_n))
+    mean = u * pair.alpha + v * np.conj(pair.beta)
+    return mean, np.abs(mean) ** 2, np.exp(log_n0 - log_n), log_n
 
 
 def coherent_mean_numbers(c: AnalyticSolution, d: AnalyticSolution,
                           pair: CoherentPair) -> tuple[float, float]:
-    """Mean photon numbers (mode a, mode b) for an initial coherent pair.
+    """Mean photon numbers (mode a, mode b) for an initial coherent pair: <a+(t) a(t)> =
+    |<a(t)>|^2 + n0 = N (|<a(t)>|^2/N + n0/N) off ``_coherent_mean``, (u, v) read off ``c``
+    and N, n0 off ``d``; a mean past the float range is inf.  n_a - n_b is conserved."""
+    return _mean_numbers(_coherent_mean(c, pair, d), pair)
 
-    <a+(t) a(t)> = |<a(t)>|^2 + |v|^2; a mean past the float range is inf.
-    """
-    return _mean_numbers(_coherent_mean(c, pair), d.n0, pair)
 
-
-def _mean_numbers(mean, n0, pair: CoherentPair) -> tuple[float, float]:
-    """``coherent_mean_numbers`` from <a(t)> = ``mean`` and n0 = |v|^2."""
-    with np.errstate(over="ignore"):
-        mean_a = _real(np.abs(mean) ** 2 + n0)
+def _mean_numbers(mean, pair: CoherentPair) -> tuple[float, float]:
+    """``coherent_mean_numbers`` from the tuple ``mean`` that ``_coherent_mean`` returns."""
+    _, mean2, n0_n, log_n = mean
+    with np.errstate(over="ignore"):  # N overflows past the float range
+        mean_a = _real(np.exp(log_n) * (mean2 + n0_n))
     return mean_a, mean_a + abs(pair.beta) ** 2 - abs(pair.alpha) ** 2
 
 

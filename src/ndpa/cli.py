@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .amplitudes import (CoherentPair, FockOutcome, FockPair, PureAModeState,
-                         amode_prob, coherent_revival_prob, fock11_prob,
-                         fock_amplitude, vacuum_prob)
+                         amode_prob, coherent_mean_numbers, coherent_revival_prob,
+                         fock11_prob, fock_amplitude, vacuum_prob)
 from .model import HarmonicPump, ModelParams
 from .moments import second_moments
 from .observables import (cross_correlation_fock, cross_correlation_general,
@@ -161,15 +161,13 @@ def _columns(scn: Scenario, s):
     if not (fock or isinstance(state, CoherentPair)):
         raise ScenarioError(f"{name} needs a Fock or coherent initial state, "
                             f"not {type(state).__name__}")
-    tab = None if fock else second_moments(state, s)
     if name == "mean":
-        means = mean_photon_fock(s, state) if fock else (tab.mean_a, tab.mean_b)
-        return ["mean_a", "mean_b"], list(means)
+        return ["mean_a", "mean_b"], list(mean_photon_fock(s, state) if fock
+                                          else coherent_mean_numbers(s, s, state))
     if name == "mandel_q":
-        return ["mandel_q"], [mandel_q_fock(s, state) if fock
-                              else mandel_q_coherent(tab)]
+        return ["mandel_q"], [mandel_q_fock(s, state) if fock else mandel_q_coherent(s, state)]
     return ["f", "F"], list(cross_correlation_fock(s, state) if fock
-                            else cross_correlation_general(tab))
+                            else cross_correlation_general(second_moments(state, s)))
 
 
 def run(scenario: Scenario):

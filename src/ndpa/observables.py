@@ -1,12 +1,14 @@
 """Heisenberg-picture observables: photon statistics, correlations,
 quadrature squeezing, signal-to-noise ratios and the instantaneous
 diagonalization of the Hamiltonian.  Each reads the one ``AnalyticSolution`` it is
-handed, of either solver; only ``squeezing_extrema`` solves for itself."""
+handed, of either solver; only ``squeezing_extrema`` solves for itself.  A coherent start's
+mean numbers, Q, eta and Yuen bound read one scaled <a(t)> (``_coherent_mean``): a value past
+the float range is inf, never nan.  Only its cross-correlation reads a ``MomentTable``."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,17 +71,17 @@ def mandel_q_fock_max(params: ModelParams, f: FockPair) -> float:
     return _mandel_q(1.0 / (k2 - 1.0), f)
 
 
-def mandel_q_coherent(moments: MomentTable) -> float:
-    """Mandel Q from the moment table.  A zero mean raises a ValueError, and so do moments past
-    the float range (n0 above ~1e154, g t ~ 178 at k^2 = 0), naming the first grid index."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = moments.mean_a
-        if np.any(mean == 0.0):
-            raise ValueError("Mandel Q undefined at zero mean photon number")
-        q = _real((moments.expect(2, 2, 0, 0).real - mean * mean) / mean)
-    if not np.isfinite(q).all():
-        raise ValueError(f"the moment table overflowed at grid index {np.argmin(np.isfinite(q))}")
-    return q
+def mandel_q_coherent(sol: AnalyticSolution, pair: CoherentPair) -> float:
+    """Mandel Q of the a mode for an initial coherent pair, at the record's n0.  Each mode is
+    displaced thermal light, <a+^2 a^2> = |<a>|^4 + 4 |<a>|^2 n0 + 2 n0^2, so Q = n0 (2 |<a>|^2
+    + n0)/(|<a>|^2 + n0) = n0 (|<a>|^2/N + mean/N)/(mean/N) off ``_coherent_mean``: positive
+    terms, no cancellation, inf only past the float range.  A zero mean raises a ValueError."""
+    _, mean2, n0_n, _ = _coherent_mean(sol, pair)
+    mean_n = mean2 + n0_n
+    if np.any(mean_n == 0.0):
+        raise ValueError("Mandel Q undefined at zero mean photon number")
+    with np.errstate(over="ignore"):
+        return _real(sol.n0 * (mean2 + mean_n) / mean_n)
 
 
 def _ratio_f(f_value, mean_a, mean_b):
@@ -267,19 +269,17 @@ def snr_eta_coherent(sol: AnalyticSolution, pair: CoherentPair) -> SnrReport:
 
     eta = <X>^2 / Var X = 2 (Re <a(t)>)^2 / (n0 + 1/2) for X = a + a+,
     with <a(t)> = u alpha + v conj(beta), at the record's n0.  Both sides
-    are divided through by N = max(n0, 1) in the record's logs: <a(t)>/sqrt(N)
-    is the mean of the pair of A0 + log(N)/2, so eta stays finite past the
-    overflow of n0, u and v.  The Yuen bound 4 mean_a (mean_a + 1) takes
-    |<a(t)>| = |<a(t)>/sqrt(N)| sqrt(N), and reads inf past mean_a ~ 1e154.
+    are divided through by N = max(n0, 1): ``_coherent_mean`` gives <a(t)>/sqrt(N),
+    so eta stays finite past the overflow of n0, u and v.  The Yuen bound
+    4 mean_a (mean_a + 1) reads the same mean numbers, and inf past mean_a ~ 1e154.
     eta vanishes identically for Fock inputs (zero quadrature mean).
     """
-    half_log = 0.5 * np.maximum(sol.log_n0, 0.0)  # log sqrt(N)
-    scaled = _coherent_mean(replace(sol, a_zero=sol.a_zero + half_log), pair)  # <a(t)>/sqrt(N)
-    over_n = np.exp(sol.log_n0 - 2.0 * half_log) + 0.5 * np.exp(-2.0 * half_log)  # (n0 + 1/2)/N
-    with np.errstate(over="ignore"):  # sqrt(N) and mean_a overflow past the float range
-        mean_a, _ = _mean_numbers(np.abs(scaled) * np.exp(half_log), sol.n0, pair)
+    scaled, _, n0_n, log_n = mean = _coherent_mean(sol, pair)
+    mean_a, _ = _mean_numbers(mean, pair)
+    with np.errstate(over="ignore"):  # mean_a^2 overflows past the float range
         yuen_bound = 4.0 * mean_a * (mean_a + 1.0)
-    return SnrReport(eta=_real(2.0 * scaled.real ** 2 / over_n), yuen_bound=yuen_bound)
+    return SnrReport(eta=_real(2.0 * scaled.real ** 2 / (n0_n + 0.5 * np.exp(-log_n))),
+                     yuen_bound=yuen_bound)
 
 
 # -- instantaneous diagonalization -------------------------------------------

@@ -14,12 +14,13 @@ import pytest
 import ndpa.cli
 from ndpa.cli import (FIGURE_NAMES, Scenario, ScenarioError, build_parser, main,
                       run, run_figure, sweep, write_csv)
-from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState, coherent_revival_prob
+from ndpa.amplitudes import (CoherentPair, FockPair, PureAModeState, coherent_mean_numbers,
+                             coherent_revival_prob)
 from ndpa.model import ModelParams
 from ndpa.moments import second_moments
 from ndpa.observables import (cross_correlation_fock, cross_correlation_general,
-                              mean_photon_fock, quadrature_variance, snr_eta_coherent,
-                              squeezing_kernel)
+                              mandel_q_coherent, mandel_q_fock, mean_photon_fock,
+                              quadrature_variance, snr_eta_coherent, squeezing_kernel)
 from ndpa.weinorman import solve_analytic
 
 from helpers import params_for
@@ -89,12 +90,16 @@ def test_main_zero_mean_mandel_q_errors(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_main_overflowed_coherent_mandel_q_errors_on_one_line(capsys):
+def test_main_coherent_mandel_q_is_finite_where_its_moments_overflow(capsys):
+    # <a+^2 a^2> passes 1e308 from g t ~ 178 at k^2 = 0; Q ~ n0 stays below 1e174
     assert main(["observable", "--name", "mandel_q", "--initial", "coherent:0.8,0.5j",
-                 "--k2", "0", "--tmax", "200", "--steps", "201"]) == 1
+                 "--k2", "0", "--tmax", "200", "--steps", "201"]) == 0
     out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "error: the moment table overflowed at grid index 178\n"
+    assert out.err == ""
+    header, *rows = out.out.splitlines()
+    assert header == "gt,mandel_q" and len(rows) == 201
+    q = np.array([row.split(",") for row in rows], dtype=float)[:, 1]
+    assert np.isfinite(q).all() and q[0] == 0.0 and (q[1:] > 0.0).all()
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,7 +138,11 @@ def test_readme_examples_parse(tmp_path, capsys):
     (["observable", "--name", "mean"], "fock:2,1", ["mean_a", "mean_b"],
      lambda s, state: mean_photon_fock(s, state)),
     (["observable", "--name", "mean"], "coherent:0.8,0.5j", ["mean_a", "mean_b"],
-     lambda s, state: attrgetter("mean_a", "mean_b")(second_moments(state, s))),
+     lambda s, state: coherent_mean_numbers(s, s, state)),
+    (["observable", "--name", "mandel_q"], "fock:2,1", ["mandel_q"],
+     lambda s, state: [mandel_q_fock(s, state)]),
+    (["observable", "--name", "mandel_q"], "coherent:0.8,0.5j", ["mandel_q"],
+     lambda s, state: [mandel_q_coherent(s, state)]),
     (["observable", "--name", "correlation"], "fock:2,1", ["f", "F"],
      lambda s, state: cross_correlation_fock(s, state)),
     (["observable", "--name", "correlation"], "coherent:0.8,0.5j", ["f", "F"],
@@ -146,7 +155,7 @@ def test_readme_examples_parse(tmp_path, capsys):
      lambda s, state: [quadrature_variance(squeezing_kernel(s, 0.4), state)]),
     (["observable", "--name", "eta"], "coherent:0.8,0.5j", ["eta", "yuen_bound"],
      lambda s, state: attrgetter("eta", "yuen_bound")(snr_eta_coherent(s, state)))],
-    ids=["mean-fock", "mean-coherent", "correlation-fock", "correlation-coherent",
+    ids=["mean-fock", "mean-coherent", "mandel_q-fock", "mandel_q-coherent", "correlation-fock", "correlation-coherent",
          "prob-coherent", "variance-fock", "variance-coherent", "eta"])
 def test_cli_columns_are_the_library_calls(model, params, verb, spec, header, columns, tmp_path):
     out = tmp_path / "columns.csv"

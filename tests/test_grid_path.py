@@ -133,10 +133,10 @@ def test_coherent_observables(k2):
             assert_pointwise(coherent_mean_numbers(s, s, pair)[i],
                              [coherent_mean_numbers(sp, sp, pair)[i]
                               for sp in points], exact=False)
+        assert_pointwise(mandel_q_coherent(s, pair), [mandel_q_coherent(sp, pair) for sp in points],
+                         exact=False)
         tab = second_moments(pair, s)
         tabs = [second_moments(pair, sp) for sp in points]
-        assert_pointwise(mandel_q_coherent(tab), [mandel_q_coherent(t) for t in tabs],
-                         exact=False)
         for i in (0, 1):
             assert_pointwise(cross_correlation_general(tab)[i],
                              [cross_correlation_general(t)[i] for t in tabs], exact=False)
@@ -156,4 +156,4 @@ def test_edge_values_at_gt_zero():
 def test_coherent_mandel_q_rejects_a_zero_mean_anywhere_on_the_grid():
     s = on_grid(params_for(1.5))
     with pytest.raises(ValueError):
-        mandel_q_coherent(second_moments(CoherentPair(0.0, 0.5), s))
+        mandel_q_coherent(s, CoherentPair(0.0, 0.5))

@@ -2,13 +2,14 @@ import itertools
 import math
 import re
 import sys
+import warnings
 from operator import attrgetter
 
 import mpmath
 import numpy as np
 import pytest
 
-from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState
+from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState, coherent_mean_numbers
 from ndpa.model import HarmonicPump, ModelParams, RegimeError, TabulatedPump
 from ndpa.moments import second_moments
 from ndpa.observables import (_mandel_q, _snr_rho, asymptotic_minima_period,
@@ -98,14 +99,14 @@ def test_mandel_q_max_formula_r1():
 def test_mandel_q_coherent_matches_fock_vacuum_limit():
     params = params_for(1.5)
     c = solve_analytic(params, 1.2)
-    q_coh = mandel_q_coherent(second_moments(CoherentPair(0.0, 0.0), c))
+    q_coh = mandel_q_coherent(c, CoherentPair(0.0, 0.0))
     assert q_coh == pytest.approx(mandel_q_fock(c, FockPair(0, 0)), rel=1e-9)
     # coherent light is Poissonian at t=0
     c0 = solve_analytic(params, 0.0)
-    assert mandel_q_coherent(second_moments(CoherentPair(2.0, 1.0), c0)) == \
+    assert mandel_q_coherent(c0, CoherentPair(2.0, 1.0)) == \
         pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        mandel_q_coherent(second_moments(CoherentPair(0.0, 0.0), c0))
+        mandel_q_coherent(c0, CoherentPair(0.0, 0.0))
 
 
 # -- cross correlations ------------------------------------------------------
@@ -552,12 +553,62 @@ def test_rho_min_value_refuses_a_pair_without_a_minimum(r, s):
     assert (np.diff(rho) < 0).all() and rho[-1] > snr_rho_limit(FockPair(r, s))
 
 
-def test_coherent_q_refuses_an_overflowed_moment_table():
-    sol = solve_analytic(params_for(0.0), np.linspace(0.0, 200.0, 201))
-    with pytest.raises(ValueError, match="^the moment table overflowed at grid index 178$"):
-        mandel_q_coherent(second_moments(CoherentPair(0.8, 0.5j), sol))
-    q = mandel_q_coherent(second_moments(CoherentPair(0.8, 0.5j), sol[:178]))
-    assert np.isfinite(q).all()
+def _coherent_reference(a_zero, a_minus, log_n0, pair):
+    """(mean_a, mean_b, Q, Yuen bound) of a coherent start at 60 digits: each mode is
+    displaced thermal light, <a+^2 a^2> = |<a>|^4 + 4 |<a>|^2 n0 + 2 n0^2."""
+    with mpmath.workdps(60):
+        u = mpmath.exp(-mpmath.conj(mpmath.mpc(a_zero)))
+        v, n0 = -u * mpmath.conj(mpmath.mpc(a_minus)), mpmath.exp(mpmath.mpf(log_n0))
+        mean_a = abs(u * pair.alpha + v * np.conj(pair.beta)) ** 2 + n0
+        mean_b = abs(u * pair.beta + v * np.conj(pair.alpha)) ** 2 + n0
+        fourth = (mean_a - n0) ** 2 + 4 * (mean_a - n0) * n0 + 2 * n0 ** 2
+        return mean_a, mean_b, (fourth - mean_a ** 2) / mean_a, 4 * mean_a * (mean_a + 1)
+
+
+@pytest.mark.parametrize("pair", [CoherentPair(0.8, 0.5j), CoherentPair(1.0, 1.0)],
+                         ids=["0.8,0.5j", "1,1"])
+@pytest.mark.parametrize("k2", sorted(_GRIDS))
+def test_coherent_mean_numbers_q_and_yuen_bound_hold_across_the_float_range(k2, pair):
+    sol = solve_analytic(params_for(k2), _GRIDS[k2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = (*coherent_mean_numbers(sol, sol, pair), mandel_q_coherent(sol, pair),
+               snr_eta_coherent(sol, pair).yuen_bound)
+    assert not any(np.isnan(column).any() for column in got)
+    for i, (a_zero, a_minus, log_n0) in enumerate(zip(sol.a_zero, sol.a_minus, sol.log_n0)):
+        for name, column, want in zip(("mean_a", "mean_b", "Q", "Yuen bound"), got,
+                                      _coherent_reference(a_zero, a_minus, log_n0, pair)):
+            if want > sys.float_info.max:
+                assert column[i] == math.inf, (name, i, column[i], want)
+            else:
+                assert abs(column[i] - want) <= 1e-12 * want, (name, i, column[i], want)
+
+
+@pytest.mark.parametrize("k2", [0.5, 1.5])
+def test_coherent_q_on_the_cli_default_grid_is_right_to_double(k2):
+    # Q formed as (<a+^2 a^2> - mean^2)/mean cancels near the Fock revival (g t = 4.44 at
+    # k^2 = 1.5), where n0 is small, and keeps only 11 digits there
+    sol = solve_analytic(params_for(k2), np.linspace(0.0, 10.0, 1001))
+    for pair in (CoherentPair(0.8, 0.5j), CoherentPair(1.0, 1.0), CoherentPair(0.3, -2.0)):
+        q = mandel_q_coherent(sol, pair)
+        for i, fields in enumerate(zip(sol.a_zero, sol.a_minus, sol.log_n0)):
+            want = _coherent_reference(*fields, pair)[2]
+            assert abs(q[i] - want) <= 1e-12 * want, (pair, i, q[i], want)
+
+
+def test_coherent_mean_numbers_and_q_match_the_moment_engine():
+    # the displaced-thermal forms against the normal-ordering sums of ``second_moments``
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        params = params_for(rng.uniform(0.2, 3.0))
+        c = solve_analytic(params, rng.uniform(0.05, 3.0))
+        pair = CoherentPair(complex(rng.normal(), rng.normal()),
+                            complex(rng.normal(), rng.normal()))
+        tab = second_moments(pair, c)
+        assert coherent_mean_numbers(c, c, pair) == pytest.approx((tab.mean_a, tab.mean_b),
+                                                                  rel=1e-12)
+        want = (tab.expect(2, 2, 0, 0).real - tab.mean_a ** 2) / tab.mean_a
+        assert mandel_q_coherent(c, pair) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 # -- diagonalization ---------------------------------------------------------
