@@ -28,8 +28,8 @@ from .amplitudes import (amode_norm, amode_prob, coherent_mean_numbers,
                          fock_amplitude, reduced_density_a, reduced_density_b,
                          vacuum_norm, vacuum_prob)
 from .moments import MomentTable, second_moments
-from .observables import (DiagonalizationResult, SnrExtremum, SnrReport,
-                          SqueezingKernel, asymptotic_minima_period,
+from .observables import (DiagonalizationResult, SnrExtremum, SnrReport, SqueezingKernel,
+                          asymptotic_minima_period, cross_correlation_coherent,
                           cross_correlation_fock, cross_correlation_general,
                           instantaneous_diagonalization, mandel_q_coherent,
                           mandel_q_fock, mandel_q_fock_max, mean_photon_fock,

@@ -3,7 +3,8 @@
 Verbs: evolve, prob, observable, figure <name>, sweep, oracle-check.  evolve, prob,
 observable and sweep build one ``Scenario`` from their options and write its
 ``_columns``, a sweep those of that scenario at each value.  Every output table uses the
-dimensionless time ``gt`` as its first column, and infinities as ``inf``.  Each table is
+dimensionless time ``gt`` as its first column, and infinities as ``inf``: past the float
+range f is +-inf, var_x inf and F finite, as ``ndpa.observables`` states.  Each table is
 evaluated column by column over its whole time grid from one ``AnalyticSolution``:
 every column, figure columns included, reads that one record and solves nothing.
 """
@@ -23,12 +24,11 @@ from .amplitudes import (CoherentPair, FockOutcome, FockPair, PureAModeState,
                          amode_prob, coherent_mean_numbers, coherent_revival_prob,
                          fock11_prob, fock_amplitude, vacuum_prob)
 from .model import HarmonicPump, ModelParams
-from .moments import second_moments
-from .observables import (cross_correlation_fock, cross_correlation_general,
+from .observables import (cross_correlation_coherent, cross_correlation_fock,
                           mandel_q_coherent, mandel_q_fock, mean_photon_fock,
                           quadrature_variance, snr_eta_coherent, snr_rho_fock,
                           squeezing_kernel)
-from .oracle import (OracleConfig, coherent_state, edge_mass,
+from .oracle import (_TAIL_LIMIT, OracleConfig, TruncationError, coherent_state, edge_mass,
                      evolve_starts, fock_state, oracle_probability)
 from .weinorman import solve_analytic
 
@@ -167,7 +167,7 @@ def _columns(scn: Scenario, s):
     if name == "mandel_q":
         return ["mandel_q"], [mandel_q_fock(s, state) if fock else mandel_q_coherent(s, state)]
     return ["f", "F"], list(cross_correlation_fock(s, state) if fock
-                            else cross_correlation_general(second_moments(state, s)))
+                            else cross_correlation_coherent(s, state))
 
 
 def run(scenario: Scenario):
@@ -297,6 +297,9 @@ def oracle_check(params: ModelParams, t: float, cutoff: int):
     cfg = OracleConfig(cutoff=cutoff)  # exact propagation: cfg.tol does not enter
     pair = CoherentPair(0.8, 0.5)
     start = coherent_state(cutoff, pair.alpha, pair.beta)
+    if start.norm_deficit > _TAIL_LIMIT:  # the one start that a cutoff cfg accepts can truncate
+        raise TruncationError(f"--cutoff {cutoff} is too small for the coherent start {pair}: "
+                              f"norm deficit {start.norm_deficit:.3e} > {_TAIL_LIMIT:.0e}")
     vacuum, fock11, coherent = evolve_starts(
         pump, params, [fock_state(cutoff, 0, 0), fock_state(cutoff, 1, 1), start], t, cfg)
     s = solve_analytic(params, t)  # after evolve_starts has checked t

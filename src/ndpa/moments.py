@@ -69,16 +69,6 @@ class MomentTable:
     def mean_b(self) -> float:
         return self.expect(0, 0, 1, 1).real
 
-    @property
-    def var_na(self) -> float:
-        m = self.mean_a
-        return self.expect(2, 2, 0, 0).real + m - m * m
-
-    @property
-    def var_nb(self) -> float:
-        m = self.mean_b
-        return self.expect(0, 0, 2, 2).real + m - m * m
-
 
 def second_moments(state: FockPair | CoherentPair,
                    c: AnalyticSolution) -> MomentTable:

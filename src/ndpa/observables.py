@@ -1,9 +1,10 @@
-"""Heisenberg-picture observables: photon statistics, correlations,
-quadrature squeezing, signal-to-noise ratios and the instantaneous
-diagonalization of the Hamiltonian.  Each reads the one ``AnalyticSolution`` it is
-handed, of either solver; only ``squeezing_extrema`` solves for itself.  A coherent start's
-mean numbers, Q, eta and Yuen bound read one scaled <a(t)> (``_coherent_mean``): a value past
-the float range is inf, never nan.  Only its cross-correlation reads a ``MomentTable``."""
+"""Heisenberg-picture observables: photon statistics, correlations, quadrature squeezing,
+signal-to-noise ratios and the instantaneous diagonalization of the Hamiltonian.  Each reads the
+one ``AnalyticSolution`` it is handed, of either solver; only ``squeezing_extrema`` solves for
+itself.  A coherent start's mean numbers, Q, eta and Yuen bound read one scaled <a(t)>
+(``_coherent_mean``).  Past the float range a value is inf, never nan: f is +-inf with its sign
+and var_x inf, F stays finite.  f and var_x read 0 where they underflow, a Fock f and F with
+r s = 0 also where y^2 does (g t < 1e-77), and F is NaN only where a mean vanishes."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .amplitudes import (_MIN_NORMAL, CoherentPair, FockPair, PureAModeState, _c
                          _mean_numbers)
 from .model import ModelParams, RegimeError, RegimeTag, classify_regime
 from .moments import MomentTable
-from .weinorman import AnalyticSolution, _real, bogoliubov_pair, solve_analytic
+from .weinorman import AnalyticSolution, _real, solve_analytic
 
 
 def mean_photon_fock(d: AnalyticSolution, f: FockPair) -> tuple[float, float]:
@@ -84,38 +85,65 @@ def mandel_q_coherent(sol: AnalyticSolution, pair: CoherentPair) -> float:
         return _real(sol.n0 * (mean2 + mean_n) / mean_n)
 
 
-def _ratio_f(f_value, mean_a, mean_b):
-    """(f, F) with F = f / sqrt(mean_a mean_b), NaN where a mean vanishes."""
-    denom = mean_a * mean_b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        big_f = np.where(denom > 0.0, f_value / np.sqrt(denom), np.nan)
-    return _real(f_value), _real(big_f)
+def _ratio_f(q, dd, scale, norm):
+    """(f, F) = (scale q/dd, q/dd/norm), norm = sqrt(mean_a mean_b)/scale: f is 0 where dd is
+    and +-inf past the float range; F is NaN where a mean vanishes."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.where(dd > 0.0, q / dd + 0.0, 0.0)  # + 0.0: no -0.0
+        return (_real(np.where(ratio == 0.0, 0.0, ratio * scale)),
+                _real(np.where(norm > 0.0, ratio / norm, np.nan)))
 
 
 def cross_correlation_fock(d: AnalyticSolution, f: FockPair) -> tuple[float, float]:
-    """(f, F) for an initial Fock pair from the closed form.
+    """(f, F) for an initial Fock pair from the closed form f = x^2 (first second - bracket).
 
-    F = f / sqrt(mean_a mean_b) is NaN whenever a mean vanishes (e.g. at
-    t = 0 with r or s zero).
+    first second and bracket agree to 1 - y = 1/x, so f is formed as x P(y)/(first second +
+    bracket), P = (first^2 second^2 - bracket^2)/(1 - y) the cubic below, and F as f/x over
+    sqrt(mean_a mean_b)/x.  F is NaN whenever a mean vanishes (e.g. at t = 0 with r or s zero).
     """
-    r, s, x, y = f.r, f.s, d.x, d.y
-    first = np.sqrt(r * (r - 1.0) + 4.0 * r * (s + 1.0) * y
-                    + (s + 1.0) * (s + 2.0) * y * y)
-    second = np.sqrt(s * (s - 1.0) + 4.0 * s * (r + 1.0) * y
-                     + (r + 1.0) * (r + 2.0) * y * y)
-    bracket = (r * s + (r + 1.0) * (s + 1.0) * y * y
-               + (r * s + r * (r + 1.0) + s * (s + 1.0)
-                  + (r + 1.0) * (s + 1.0)) * y)
-    f_value = x * x * (first * second - bracket)
-    return _ratio_f(f_value, *mean_photon_fock(d, f))
+    r, s, y = f.r, f.s, d.y
+    first = np.sqrt(r * (r - 1.0) + 4.0 * r * (s + 1.0) * y + (s + 1.0) * (s + 2.0) * y * y)
+    second = np.sqrt(s * (s - 1.0) + 4.0 * s * (r + 1.0) * y + (r + 1.0) * (r + 2.0) * y * y)
+    bracket = r * s + (r + 1.0) * (s + 1.0) * y * y + (r + s + 1.0) ** 2 * y
+    cubic = ((-(r + 1) * (s + 1) * (r + s + 3) * y
+              - (r + 1) * (s + 1) * (2 * (r - s) ** 2 + 5 * (r + s) + 1)) * y
+             + r * s * (2 * (r - s) ** 2 - 5 * (r + s) - 9)) * y - r * s * (r + s - 1)
+    inv_x, pumped = 1.0 / d.x, y * (r + s + 1.0)  # mean/x = r/x + (r+s+1) y
+    return _ratio_f(cubic, first * second + bracket, d.x,
+                    np.sqrt(r * inv_x + pumped) * np.sqrt(s * inv_x + pumped))
+
+
+def cross_correlation_coherent(sol: AnalyticSolution, pair: CoherentPair) -> tuple[float, float]:
+    """(f, F) for an initial coherent pair, from Wick's theorem (Phys. Rev. 80, 268, 1950):
+    f = (a22 b22 - c^2)/(sqrt(a22 b22) + c), a22 = |A|^4 + 4 |A|^2 n0 + 2 n0^2 (A = <a(t)>, b22
+    alike) and c = |A|^2 |B|^2 + 2 n0 (|A|^2 + |B|^2 + n0) + mu, whose numerator is -mu (2c - mu)
+    - 2 n0^2 (|alpha|^2 - |beta|^2)^2, mu = |A|^2 - |alpha|^2 + n0: no n0^4 term.  All is in
+    units of N = max(n0, 1) and 1/l = max(1, |A|^2/N, |B|^2/N, |mu|/N), and A/sqrt(N) is
+    sqrt(n0/N) (alpha - conj(beta w)) + (sqrt(x/N) - sqrt(n0/N)) alpha up to a phase, w =
+    A-/|A-|, so that a deamplified mean (alpha = beta at k^2 = 0) does not cancel."""
+    log_n0, a_minus = np.atleast_1d(sol.log_n0), np.atleast_1d(sol.a_minus)  # rounds as a grid
+    alpha, beta, log_n = complex(pair.alpha), complex(pair.beta), np.maximum(log_n0, 0.0)
+    p, e = np.exp(log_n0 - log_n), np.exp(-log_n)  # n0/N, 1/N
+    g, h, w = np.sqrt(p), e / (np.sqrt(p + e) + np.sqrt(p)), np.exp(1j * np.angle(a_minus))
+    z, z_b = alpha - np.conj(beta * w), beta - np.conj(alpha * w)
+    mean_a, mean_b = np.abs(g * z + h * alpha) ** 2, np.abs(g * z_b + h * beta) ** 2
+    mu = g * g * np.abs(z) ** 2 - 2.0 * g * h * np.real(alpha * beta * w) + p
+    l = 1.0 / np.maximum(np.maximum(1.0, np.abs(mu)), np.maximum(mean_a, mean_b))
+    mean_a, mean_b, mu, p_l = mean_a * l, mean_b * l, mu * l, p * l
+    diff = (abs(alpha) ** 2 - abs(beta) ** 2) * l
+    c = mean_a * mean_b + 2.0 * p_l * (mean_a + mean_b + p_l) + e * l * mu
+    a22, b22 = (v * v + 4.0 * v * p_l + 2.0 * p_l * p_l for v in (mean_a, mean_b))
+    with np.errstate(over="ignore"):  # N past the float range
+        return tuple(_real(np.reshape(v, np.shape(sol.t))) for v in _ratio_f(
+            -mu * (2.0 * c - e * l * mu) - 2.0 * p * p_l * (e * diff) * diff, np.sqrt(a22)
+            * np.sqrt(b22) + c, np.exp(log_n) / l, np.sqrt(mean_a + p_l) * np.sqrt(mean_b + p_l)))
 
 
 def cross_correlation_general(moments: MomentTable) -> tuple[float, float]:
-    """(f, F) from the moment table; f < 0 certifies non-classical correlations."""
-    f_value = (np.sqrt(np.maximum(moments.expect(2, 2, 0, 0).real, 0.0))
-               * np.sqrt(np.maximum(moments.expect(0, 0, 2, 2).real, 0.0))
-               - moments.expect(1, 1, 1, 1).real)
-    return _ratio_f(f_value, moments.mean_a, moments.mean_b)
+    """(f, F) from the moment table: the tests' reference for the two closed forms above."""
+    a22, b22, c = (moments.expect(*k).real for k in ((2, 2, 0, 0), (0, 0, 2, 2), (1, 1, 1, 1)))
+    f_value = np.sqrt(np.maximum(a22, 0.0)) * np.sqrt(np.maximum(b22, 0.0)) - c
+    return _ratio_f(f_value, 1.0, 1.0, np.sqrt(np.maximum(moments.mean_a * moments.mean_b, 0.0)))
 
 
 # -- quadrature squeezing ---------------------------------------------------
@@ -132,18 +160,21 @@ class SqueezingKernel:
 
 
 def squeezing_kernel(sol: AnalyticSolution, theta: float) -> SqueezingKernel:
-    """Quadrature kernel |T_theta|^2 = |u e^(i theta) + conj(v) e^(-i theta)|^2.
-
-    (u, v) is the record's Bogoliubov pair and G + iH its A-, which unitarity makes -conj(A+)
-    exp(2i Im A0) under any pump; under the harmonic pump, also conj(A-) exp(2i Im A0 + i Omega t),
-    |T_theta|^2 = x [1 + y - 2(cos(Wt-2th) G + sin(Wt-2th) H)].  A record at one time is
-    evaluated as a one-element grid, so that it rounds exactly as the same time on a grid does.
-    """
+    """Quadrature kernel |T_theta|^2 = |u e^(i theta) + conj(v) e^(-i theta)|^2 = 1/(sqrt x +
+    sqrt n0)^2 + 4 sqrt(x n0) sin^2(psi/2), psi = 2 theta + 2 Im A0 - arg A- = 2 theta + arg(-u v),
+    from log x and log n0, with sin(psi/2) expanded about Im A0 so that its size is reduced exactly.
+    G + iH is the record's A-, which unitarity makes -conj(A+) exp(2i Im A0) under any pump;
+    under the harmonic pump, also conj(A-) exp(2i Im A0 + i Omega t), |T_theta|^2 = x [1 + y
+    - 2(cos(Wt-2th) G + sin(Wt-2th) H)].  A record at one time is evaluated as a one-element
+    grid, so that it rounds exactly as the same time on a grid does."""
     shape = np.shape(sol.t)
     if not shape:
         sol = type(sol)(*(np.atleast_1d(getattr(sol, f)) for f in sol.__dataclass_fields__))
-    u, v = bogoliubov_pair(sol)
-    t_sq = np.abs(u * np.exp(1j * theta) + np.conj(v) * np.exp(-1j * theta)) ** 2
+    half, phase = theta - 0.5 * np.angle(sol.a_minus), sol.a_zero.imag
+    sin = np.sin(phase) * np.cos(half) + np.cos(phase) * np.sin(half)  # sin(psi/2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf times a zero sin is 0
+        excess = (2.0 * sin) ** 2 * np.exp(0.5 * sol.log_x) * np.exp(0.5 * sol.log_n0)
+        t_sq = np.exp(-sol.log_x) / (1.0 + np.sqrt(sol.y)) ** 2 + np.where(sin == 0.0, 0.0, excess)
     t_sq, g, h = (_real(np.reshape(value, shape))
                   for value in (t_sq, sol.a_minus.real, sol.a_minus.imag))
     return SqueezingKernel(theta=theta, t_sq=t_sq, g_kernel=g, h_kernel=h)

@@ -17,8 +17,7 @@ from ndpa.cli import (FIGURE_NAMES, Scenario, ScenarioError, build_parser, main,
 from ndpa.amplitudes import (CoherentPair, FockPair, PureAModeState, coherent_mean_numbers,
                              coherent_revival_prob)
 from ndpa.model import ModelParams
-from ndpa.moments import second_moments
-from ndpa.observables import (cross_correlation_fock, cross_correlation_general,
+from ndpa.observables import (cross_correlation_coherent, cross_correlation_fock,
                               mandel_q_coherent, mandel_q_fock, mean_photon_fock,
                               quadrature_variance, snr_eta_coherent, squeezing_kernel)
 from ndpa.weinorman import solve_analytic
@@ -146,7 +145,7 @@ def test_readme_examples_parse(tmp_path, capsys):
     (["observable", "--name", "correlation"], "fock:2,1", ["f", "F"],
      lambda s, state: cross_correlation_fock(s, state)),
     (["observable", "--name", "correlation"], "coherent:0.8,0.5j", ["f", "F"],
-     lambda s, state: cross_correlation_general(second_moments(state, s))),
+     lambda s, state: cross_correlation_coherent(s, state)),
     (["prob"], "coherent:0.8,0.5j", ["p_return"],
      lambda s, state: [coherent_revival_prob(s, state)[0]]),
     (["observable", "--name", "variance", "--theta", "0.4"], "fock:2,1", ["var_x"],
@@ -381,6 +380,32 @@ def test_main_oracle_check(capsys):
                  "--cutoff", "40", "--tol", "1e-8"])
     assert code == 0
     assert "within tolerance" in capsys.readouterr().out
+
+
+def test_main_oracle_check_names_a_cutoff_too_small_for_its_coherent_start(capsys):
+    # the coherent start (0.8, 0.5) leaves 5.3e-4 of its norm past cutoff 4
+    assert main(["oracle-check", "--cutoff", "4", "--tmax", "0.1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --cutoff 4 is too small for the coherent start")
+    assert "5.337e-04" in err and "starts[" not in err
+
+
+_FLOAT_RANGE = ["--k2", "0", "--tmax", "800", "--steps", "3"]  # n0 past the float range at 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["observable", "--name", name, *_FLOAT_RANGE, "--initial", spec]
+    for name in ("correlation", "variance") for spec in ("fock:1,1", "coherent:1,1")] + [
+    ["observable", "--name", "correlation", "--initial", "coherent:1e100,1e100"],
+    ["sweep", "--name", "correlation", "--param", "k2", "--values", "0,0.5",
+     "--initial", "coherent:1,1", "--tmax", "800", "--steps", "3"]])
+def test_main_writes_no_nan_past_the_float_range(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0  # a RuntimeWarning is an error here
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out)
+    values = np.array(rows, dtype=float)
+    assert len(rows) == (1001 if "1e100" in argv[-1] else 3) and not np.isnan(values).any()
 
 
 def test_main_oracle_check_defaults(capsys):

@@ -16,9 +16,9 @@ import pytest
 
 from ndpa import (CoherentPair, FockOutcome, FockPair,
                   PureAModeState, amode_prob, coherent_mean_numbers,
-                  coherent_revival_prob, cross_correlation_fock,
-                  cross_correlation_general, fock11_prob,
-                  fock_amplitude, mandel_q_coherent, mandel_q_fock,
+                  coherent_revival_prob, cross_correlation_coherent,
+                  cross_correlation_fock, cross_correlation_general, fock11_prob,
+                  fock_amplitude, mandel_q_coherent, mandel_q_fock, quadrature_variance,
                   second_moments, snr_eta_coherent, snr_rho_fock,
                   solve_analytic, squeezing_kernel, unitarity_residuals, vacuum_prob)
 
@@ -106,6 +106,8 @@ def test_fock_observables(k2):
         for i in (0, 1):
             assert_pointwise(cross_correlation_fock(s, f)[i],
                              [cross_correlation_fock(sp, f)[i] for sp in points])
+        assert_pointwise(quadrature_variance(squeezing_kernel(s, 0.4), f),
+                         [quadrature_variance(squeezing_kernel(sp, 0.4), f) for sp in points])
 
 
 @pytest.mark.parametrize("k2", K2S)
@@ -135,6 +137,11 @@ def test_coherent_observables(k2):
                               for sp in points], exact=False)
         assert_pointwise(mandel_q_coherent(s, pair), [mandel_q_coherent(sp, pair) for sp in points],
                          exact=False)
+        for i in (0, 1):  # the closed forms the CLI writes: exact
+            assert_pointwise(cross_correlation_coherent(s, pair)[i],
+                             [cross_correlation_coherent(sp, pair)[i] for sp in points])
+        assert_pointwise(quadrature_variance(squeezing_kernel(s, 0.4), pair),
+                         [quadrature_variance(squeezing_kernel(sp, 0.4), pair) for sp in points])
         tab = second_moments(pair, s)
         tabs = [second_moments(pair, sp) for sp in points]
         for i in (0, 1):

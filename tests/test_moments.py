@@ -75,8 +75,8 @@ def test_charge_difference_conserved():
 def test_variances_non_negative():
     params = params_for(1.5)
     tab = second_moments(CoherentPair(1.2, -0.7), solve_analytic(params, 1.3))
-    assert tab.var_na >= 0
-    assert tab.var_nb >= 0
+    for mean, pattern in ((tab.mean_a, (2, 2, 0, 0)), (tab.mean_b, (0, 0, 2, 2))):
+        assert tab.expect(*pattern).real + mean - mean * mean >= 0  # <c+^2 c^2> + <n> - <n>^2
 
 
 # -- exact ladder reference -----------------------------------------------------

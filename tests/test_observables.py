@@ -13,7 +13,7 @@ from ndpa.amplitudes import CoherentPair, FockPair, PureAModeState, coherent_mea
 from ndpa.model import HarmonicPump, ModelParams, RegimeError, TabulatedPump
 from ndpa.moments import second_moments
 from ndpa.observables import (_mandel_q, _snr_rho, asymptotic_minima_period,
-                              cross_correlation_fock,
+                              cross_correlation_coherent, cross_correlation_fock,
                               cross_correlation_general,
                               instantaneous_diagonalization, mandel_q_coherent,
                               mandel_q_fock, mandel_q_fock_max,
@@ -609,6 +609,143 @@ def test_coherent_mean_numbers_and_q_match_the_moment_engine():
                                                                   rel=1e-12)
         want = (tab.expect(2, 2, 0, 0).real - tab.mean_a ** 2) / tab.mean_a
         assert mandel_q_coherent(c, pair) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+# every fourth time of the float-range grids, and their last, and of two more: k^2 = 0.99,
+# past where n0 overflows, and 3, where n0 <= 1/2
+_WIDE = {k2: np.r_[grid[:-1:4], grid[-1]] for k2, grid in {
+    **_GRIDS, 0.99: np.r_[np.linspace(0.0, 3600.0, 61), 1e4],
+    3.0: np.linspace(0.0, 30.0, 61)}.items()}
+_LOG_CAP = 720.0  # n0 = e^720 is past the float range; F and f's sign are their limits there
+
+
+def _digits(log_n0, power):
+    """60 digits plus those the n0^power terms of a reference cancel."""
+    return 60 + int(power * max(log_n0, 0.0) / math.log(10.0))
+
+
+def _fock_correlation_reference(log_n0, f):
+    """(f, F) of |r,s> at n0 = exp(log_n0): x^2 (first second - bracket) over 80 digits."""
+    r, s = f.r, f.s
+    with mpmath.workdps(20 + _digits(log_n0, 2)):
+        n0 = mpmath.exp(mpmath.mpf(log_n0))
+        x, y = 1 + n0, n0 / (1 + n0)
+        first = mpmath.sqrt(r * (r - 1) + 4 * r * (s + 1) * y + (s + 1) * (s + 2) * y ** 2)
+        second = mpmath.sqrt(s * (s - 1) + 4 * s * (r + 1) * y + (r + 1) * (r + 2) * y ** 2)
+        bracket = (r * s + (r + 1) * (s + 1) * y ** 2
+                   + (r * s + r * (r + 1) + s * (s + 1) + (r + 1) * (s + 1)) * y)
+        f_value = x * x * (first * second - bracket)
+        means = (r + (r + s + 1) * n0) * (s + (r + s + 1) * n0)
+        return f_value, f_value / mpmath.sqrt(means) if means else mpmath.nan
+
+
+def _coherent_correlation_reference(a_minus, log_n0, pair):
+    """(f, F) of a coherent start from Wick's moments of a Gaussian state, in n0, |alpha|^2,
+    |beta|^2 and R N = -sqrt(n0 (1 + n0)) Re(alpha beta A-/|A-|), at 60 digits beyond twice
+    the log10 N and log10 |alpha beta|^2 that f cancels: <a+^2 a^2> = |A|^4 + 4 |A|^2 n0
+    + 2 n0^2 and <a+a b+b> = |A|^2 |B|^2 + n0 (|A|^2 + |B|^2) + 2 Re(conj(A B) m) + n0^2
+    + |m|^2, m = u v."""
+    size = int(2 * math.log10(1.0 + abs(pair.alpha) ** 2 + abs(pair.beta) ** 2))
+    with mpmath.workdps(_digits(log_n0, 2) + size):
+        n0 = mpmath.exp(mpmath.mpf(log_n0))
+        a2, b2 = abs(mpmath.mpc(pair.alpha)) ** 2, abs(mpmath.mpc(pair.beta)) ** 2
+        x, phase = 1 + n0, mpmath.expj(mpmath.arg(mpmath.mpc(a_minus)))
+        rn = -mpmath.sqrt(n0 * x) * mpmath.re(mpmath.mpc(pair.alpha) * pair.beta * phase)
+        mean_a, mean_b = x * a2 + n0 * b2 + 2 * rn, x * b2 + n0 * a2 + 2 * rn  # |A|^2, |B|^2
+        cross = 2 * x * n0 * (a2 + b2) + 2 * (x + n0) * rn  # 2 Re(conj(A B) m)
+        a22, b22 = (v * v + 4 * v * n0 + 2 * n0 ** 2 for v in (mean_a, mean_b))
+        c = mean_a * mean_b + n0 * (mean_a + mean_b) + cross + n0 ** 2 + n0 * x
+        f_value, means = mpmath.sqrt(a22 * b22) - c, (mean_a + n0) * (mean_b + n0)
+        return f_value, f_value / mpmath.sqrt(means) if means else mpmath.nan
+
+
+def _assert_correlation(got, want, log_n0, where):
+    """f and F within 1e-12 of the references at min(log n0, _LOG_CAP): past the cap, or
+    past the float range, f is inf with the reference's sign; F is NaN only with it."""
+    (f_value, big_f), (want_f, want_big_f) = got, want
+    if mpmath.isnan(want_big_f):
+        assert math.isnan(big_f), where
+    else:
+        assert abs(big_f - want_big_f) <= 1e-12 * abs(want_big_f), (where, big_f, want_big_f)
+    if log_n0 > _LOG_CAP or abs(want_f) > sys.float_info.max:
+        assert f_value == math.copysign(math.inf, want_f), (where, f_value, want_f)
+    else:
+        assert abs(f_value - want_f) <= 1e-12 * abs(want_f), (where, f_value, want_f)
+
+
+@pytest.mark.parametrize("k2", sorted(_WIDE))
+def test_fock_correlation_holds_across_the_float_range(k2):
+    sol = solve_analytic(params_for(k2), _WIDE[k2])
+    for f in (FockPair(1, 1), FockPair(0, 1), FockPair(3, 2), FockPair(50, 10)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cross_correlation_fock(sol, f)
+        for i, log_n0 in enumerate(sol.log_n0):
+            want = _fock_correlation_reference(min(log_n0, _LOG_CAP), f)
+            _assert_correlation((got[0][i], got[1][i]), want, log_n0, (f, i))
+
+
+def test_fock_correlation_cubic_closes_at_y_0_and_1():
+    # P(0) = -rs(r+s-1) gives f at t = 0, first second - bracket, and P(1) =
+    # -2(r+s+1)(r^2+4rs+3r+s^2+3s+2) the limit of F at y = 1, where x and f are infinite
+    d0, d1 = solve_analytic(params_for(1.5), 0.0), solve_analytic(params_for(0.0), 400.0)
+    assert (d0.y, d1.x, d1.y) == (0.0, math.inf, 1.0)
+    for r, s in ((1, 1), (0, 1), (3, 2), (50, 10), (0, 0), (7, 0)):
+        assert cross_correlation_fock(d0, FockPair(r, s))[0] == pytest.approx(
+            math.sqrt(r * (r - 1) * s * (s - 1)) - r * s, rel=1e-14)
+        with mpmath.workdps(30):
+            first, second = (mpmath.sqrt(i * (i - 1) + 4 * i * (j + 1) + (j + 1) * (j + 2))
+                             for i, j in ((r, s), (s, r)))
+            p1 = -2 * (r + s + 1) * (r * r + 4 * r * s + 3 * r + s * s + 3 * s + 2)
+            bracket = r * s + (r + 1) * (s + 1) + (r + s + 1) ** 2
+            want = p1 / (first * second + bracket) / (r + s + 1)
+        f1, big_f1 = cross_correlation_fock(d1, FockPair(r, s))
+        assert f1 == -math.inf and abs(big_f1 - want) <= 1e-14 * abs(want)
+
+
+def _variance_reference(a_zero, a_minus, log_n0, theta):
+    """|u e^(i theta) + conj(v) e^(-i theta)|^2 with |u|^2 = 1 + n0 and |v|^2 = n0 from log n0,
+    and the phases of u = exp(-conj A0) and v = -u conj(A-), at 60 digits beyond those the
+    two terms of order n0 cancel."""
+    with mpmath.workdps(_digits(log_n0, 2)):
+        n0 = mpmath.exp(mpmath.mpf(log_n0))
+        phase = mpmath.mpf(a_zero.imag)
+        u = mpmath.sqrt(1 + n0) * mpmath.expj(phase)
+        v = -mpmath.sqrt(n0) * mpmath.expj(phase - mpmath.arg(mpmath.mpc(a_minus)))
+        return abs(u * mpmath.expj(theta) + mpmath.conj(v) * mpmath.expj(-theta)) ** 2
+
+
+@pytest.mark.parametrize("k2", sorted(_WIDE))
+def test_quadrature_variance_holds_across_the_float_range(k2):
+    sol = solve_analytic(params_for(k2), _WIDE[k2])
+    for theta in (0.0, 0.3, math.pi / 2.0, 2.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadrature_variance(squeezing_kernel(sol, theta), CoherentPair(1.0, 1.0))
+        for i, (a_zero, a_minus, log_n0) in enumerate(zip(sol.a_zero, sol.a_minus, sol.log_n0)):
+            # past _LOG_CAP the value is past the float range if it is at the cap
+            want = _variance_reference(a_zero, a_minus, min(log_n0, _LOG_CAP), theta)
+            if want > sys.float_info.max:
+                assert got[i] == math.inf, (theta, i, want)
+            elif want < sys.float_info.min:  # subnormal or 0, and less past the cap
+                assert (got[i] <= want if log_n0 > _LOG_CAP else abs(got[i] - want)
+                        <= 2 * sys.float_info.min * sys.float_info.epsilon), (theta, i, want)
+            else:
+                assert log_n0 <= _LOG_CAP and abs(got[i] - want) <= 1e-12 * want, (theta, i)
+
+
+@pytest.mark.parametrize("pair", [CoherentPair(0.8, 0.5j), CoherentPair(1.0, 1.0),
+                                  CoherentPair(0.3, -2.0), CoherentPair(1e100, 1e100)],
+                         ids=["0.8,0.5j", "1,1", "0.3,-2", "1e100,1e100"])
+@pytest.mark.parametrize("k2", sorted(_WIDE))
+def test_coherent_correlation_holds_across_the_float_range(k2, pair):
+    sol = solve_analytic(params_for(k2), _WIDE[k2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cross_correlation_coherent(sol, pair)
+    for i, (a_minus, log_n0) in enumerate(zip(sol.a_minus, sol.log_n0)):
+        want = _coherent_correlation_reference(a_minus, min(log_n0, _LOG_CAP), pair)
+        _assert_correlation((got[0][i], got[1][i]), want, log_n0, i)
 
 
 # -- diagonalization ---------------------------------------------------------
